@@ -70,10 +70,7 @@ from .semialg import (
 from .solver import (
     SolveResult,
     SolverConfig,
-    fw_step,
     init_uniform,
-    mult_step,
-    prune,
     solve,
 )
 from .spd import SpdFactor, factorize, log_det, quad_form_inv
@@ -128,10 +125,7 @@ __all__ = [
     "membership",
     "SolveResult",
     "SolverConfig",
-    "fw_step",
     "init_uniform",
-    "mult_step",
-    "prune",
     "solve",
     "SpdFactor",
     "factorize",

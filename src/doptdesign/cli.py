@@ -17,9 +17,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import (
     NotAnEllipsoidError,
     TooFewCandidatesError,
 )
-from .geometry import ellipsoid_from_quadratic
+from .geometry import BOUNDARY_SLACK, ellipsoid_from_quadratic
 from .semialg import (
     CandidateSet,
     SemiAlgebraicSet,
@@ -44,7 +47,7 @@ from .semialg import (
     explicit_candidates,
     grid_candidates,
 )
-from .solver import ALGORITHMS, SolverConfig, solve
+from .solver import SolverConfig, solve
 from .spd import quad_form_inv_many
 
 EXIT_OK = 0
@@ -52,12 +55,6 @@ EXIT_GATE_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
-_SOLVER_DEFAULTS = {
-    "algorithm": "hybrid",
-    "epsilon": 1e-6,
-    "max_iters": 100_000,
-    "prune_threshold": 1e-7,
-}
 _DEFAULT_VALIDATION_RESOLUTION = 101
 _DEFAULT_OUTPUT = {"report_json": "report.json", "support_csv": "support.csv"}
 
@@ -136,7 +133,13 @@ def _as_int(value, where: str) -> int:
 def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 def parse_config(raw: dict) -> dict:
@@ -258,25 +261,22 @@ def parse_config(raw: dict) -> dict:
     solver_raw = raw.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ConfigError("'solver' must be an object")
-    _require_keys(
-        solver_raw, allowed=set(_SOLVER_DEFAULTS), required=set(), where="solver"
-    )
-    solver_norm = dict(_SOLVER_DEFAULTS)
-    solver_norm.update(solver_raw)
-    if solver_norm["algorithm"] not in ALGORITHMS:
+    defaults = {f.name: f.default for f in fields(SolverConfig)}
+    _require_keys(solver_raw, allowed=set(defaults), required=set(), where="solver")
+    solver_norm = {}
+    for key, default in defaults.items():
+        as_type = _as_int if isinstance(default, int) else _as_number
+        solver_norm[key] = as_type(solver_raw.get(key, default), f"solver.{key}")
+    try:
+        SolverConfig(**solver_norm)
+    except ValueError as err:
+        raise ConfigError(f"solver.{err}") from err
+    n_d = math.comb(n + d, d)
+    if not solver_norm["prune_threshold"] < 1.0 / n_d:
         raise ConfigError(
-            f"solver.algorithm must be one of {ALGORITHMS}, "
-            f"got {solver_norm['algorithm']!r}"
+            f"solver.prune_threshold must be below 1/n_d = 1/{n_d}, "
+            f"got {solver_norm['prune_threshold']}"
         )
-    solver_norm["epsilon"] = _as_number(solver_norm["epsilon"], "solver.epsilon")
-    solver_norm["max_iters"] = _as_int(solver_norm["max_iters"], "solver.max_iters")
-    solver_norm["prune_threshold"] = _as_number(
-        solver_norm["prune_threshold"], "solver.prune_threshold"
-    )
-    if not solver_norm["epsilon"] > 0:
-        raise ConfigError("solver.epsilon must be positive")
-    if solver_norm["max_iters"] < 1:
-        raise ConfigError("solver.max_iters must be >= 1")
 
     validation_resolution = raw.get(
         "validation_resolution", _DEFAULT_VALIDATION_RESOLUTION
@@ -359,13 +359,22 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
 # ---------------------------------------------------------------------------
 
 
+def _ellipsoid_payload(ell) -> dict:
+    return {
+        "center": ell.center,
+        "shape": ell.shape,
+        "radius_sq": ell.radius_sq,
+        "log_volume_proxy": ell.log_volume_proxy,
+    }
+
+
 def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
     d = cfg["degree"]
     mv = moment_vector(result.design, d)
     # Expansion of the design's own polynomial (unscaled inverse information
     # matrix); the certificate block carries the scaled dual matrix.
     coeffs = adjoint_expand(cert.x_hat * (cert.p_max / cert.n_d), cert.basis)
-    report: dict[str, Any] = {
+    return {
         "artifact_version": __version__,
         "config": cfg,
         "n_d": cert.n_d,
@@ -399,17 +408,9 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
         },
         "moment_vector": {"degree": 2 * d, "values": mv.y},
         "cd_coefficients": {"degree": 2 * d, "values": coeffs.coeffs},
-        "ellipsoid": None,
+        "ellipsoid": None if ellipsoid is None else _ellipsoid_payload(ellipsoid),
         "validation": validation,
     }
-    if ellipsoid is not None:
-        report["ellipsoid"] = {
-            "center": ellipsoid.center,
-            "shape": ellipsoid.shape,
-            "radius_sq": ellipsoid.radius_sq,
-            "log_volume_proxy": ellipsoid.log_volume_proxy,
-        }
-    return report
 
 
 def _write_support_csv(path: Path, cert, n: int) -> None:
@@ -520,12 +521,18 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
     n_d = report["n_d"]
     epsilon = cfg["solver"]["epsilon"]
     resolution = validation_resolution or cfg["validation_resolution"]
-    basis = enumerate_basis(cfg["dimension"], cfg["degree"])
-    x_hat = np.array(report["certificate"]["x_hat"], dtype=float)
-    vgrid = grid_candidates(space, resolution)
-    v = vandermonde(basis, vgrid.points)
-    vals = np.einsum("ij,ij->i", v @ x_hat, v)
-    max_violation = float(vals.max() - n_d)
+    try:
+        vgrid = grid_candidates(space, resolution)
+    except EmptyCandidateSetError as err:
+        print(f"error: validation grid: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    # The stored certificate, reduced to the fields the audit reads.
+    stored = SimpleNamespace(
+        basis=enumerate_basis(cfg["dimension"], cfg["degree"]),
+        x_hat=np.array(report["certificate"]["x_hat"], dtype=float),
+        n_d=n_d,
+    )
+    max_violation, _ = validate_dual_feasibility(stored, vgrid)
 
     gap = report["certificate"]["gap"]
     gap_ok = gap <= n_d * np.log1p(epsilon)
@@ -588,10 +595,14 @@ def cmd_eval_cd(
         print(f"error: degenerate design in report: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
     basis = enumerate_basis(cfg["dimension"], d)
-    grid = grid_candidates(space, grid_resolution)
+    try:
+        grid = grid_candidates(space, grid_resolution)
+    except EmptyCandidateSetError as err:
+        print(f"error: evaluation grid: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     p_raw = quad_form_inv_many(factor, vandermonde(basis, grid.points))
     p_scaled = (n_d / p_max) * p_raw
-    inside = p_scaled <= n_d * (1.0 + 1e-10)
+    inside = p_scaled <= n_d * (1.0 + BOUNDARY_SLACK)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -631,12 +642,7 @@ def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
     except NotAnEllipsoidError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
-    payload = {
-        "center": ell.center,
-        "shape": ell.shape,
-        "radius_sq": ell.radius_sq,
-        "log_volume_proxy": ell.log_volume_proxy,
-    }
+    payload = _ellipsoid_payload(ell)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ellipsoid.json"

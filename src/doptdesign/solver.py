@@ -1,15 +1,15 @@
 """Log-det maximization over the weight simplex on a candidate set.
 
-Two first-order schemes share the stopping rule p_max <= n_d (1 + epsilon),
-which is exactly scaled dual feasibility of the design's Christoffel-Darboux
-polynomial (the Kiefer-Wolfowitz equivalence test on the candidate set):
+The iteration is the classical multiplicative update
 
-* multiplicative: w_i <- w_i p(x_i) / n_d.  Monotone in the objective and
-  cheap; contracts the weights of every non-contact candidate.
-* fedorov-wynn: move mass toward the candidate maximizing p with the exact
-  line-search step.  Keeps the iterate sparse but converges sublinearly in
-  the terminal phase, so the hybrid uses it only after the multiplicative
-  stage reaches a 100x looser gap.
+    w_i <- w_i p(x_i) / n_d,
+
+where p is the Christoffel-Darboux polynomial of the current design.  It
+keeps the weights on the simplex (the weighted mean of p over the design is
+identically n_d), never decreases log det M(w), and contracts the weight of
+every candidate where p stays below n_d.  It stops once p_max <= n_d (1 +
+epsilon), which is exactly scaled dual feasibility of the design's
+polynomial (the Kiefer-Wolfowitz equivalence test on the candidate set).
 
 After the loop terminates, weights below the pruning threshold are dropped
 and the iteration resumes on the reduced set until the stopping test holds
@@ -26,24 +26,22 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .basis import enumerate_basis, vandermonde
-from .design import DesignMeasure, assemble_information, cd_polynomial, cd_profile
+from .design import DesignMeasure, assemble_information
 from .errors import DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
 from .spd import pivot_tolerance, quad_form_inv_many
 
-ALGORITHMS = ("multiplicative", "fedorov-wynn", "hybrid")
-
 #: Weights this far below machine range are dead by hundreds of orders of
 #: magnitude; flushing them to exact zero keeps the arithmetic out of the
 #: subnormal range, where hardware float operations run an order of magnitude
-#: slower.  Zero is an absorbing state of both updates, so results only change
+#: slower.  Zero is an absorbing state of the update, so results only change
 #: below the 1e-150 level.
 _FLUSH = 1e-160
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Algorithm selection and termination parameters.
+    """Termination and pruning parameters.
 
     epsilon is the relative optimality tolerance on p_max / n_d - 1; through
     the certificate scaling it bounds the duality gap by n_d * log(1+epsilon).
@@ -51,21 +49,16 @@ class SolverConfig:
     can never empty an optimal support.
     """
 
-    algorithm: str = "hybrid"
     epsilon: float = 1e-6
     max_iters: int = 100_000
     prune_threshold: float = 1e-7
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.prune_threshold < 0:
+        if not self.prune_threshold >= 0:
             raise ValueError(
                 f"prune_threshold must be nonnegative, got {self.prune_threshold}"
             )
@@ -115,69 +108,6 @@ def init_uniform(cands: CandidateSet, d: int) -> DesignMeasure:
     return mu
 
 
-def mult_step(mu: DesignMeasure, d: int) -> DesignMeasure:
-    """One multiplicative update w_i <- w_i p(x_i) / n_d.
-
-    The new weights sum to one up to round-off because the weighted mean of p
-    over the design is identically n_d.  The objective never decreases.
-    """
-    poly = cd_polynomial(mu, d)
-    p = cd_profile(poly, mu.candidates.points)
-    return DesignMeasure(candidates=mu.candidates, weights=mu.weights * p / poly.n_d)
-
-
-def fw_step(mu: DesignMeasure, d: int) -> DesignMeasure:
-    """One vertex-direction step toward the candidate with maximal p.
-
-    With p* = max_i p(x_i) (ties broken by lowest index), the exact
-    line-search step length is alpha = (p* - n_d) / (n_d (p* - 1)).  A design
-    with p* <= n_d already satisfies the dual constraint on the candidate set
-    and is returned unchanged.
-    """
-    poly = cd_polynomial(mu, d)
-    p = cd_profile(poly, mu.candidates.points)
-    istar = int(np.argmax(p))
-    pstar = float(p[istar])
-    n_d = poly.n_d
-    if pstar <= n_d:
-        return mu
-    alpha = (pstar - n_d) / (n_d * (pstar - 1.0))
-    w = (1.0 - alpha) * mu.weights
-    w[istar] += alpha
-    return DesignMeasure(candidates=mu.candidates, weights=w)
-
-
-def prune(mu: DesignMeasure, threshold: float, d: int) -> tuple[DesignMeasure, bool]:
-    """Drop atoms with weight below the threshold and renormalize.
-
-    Returns the pruned design and a rollback flag: if pruning would leave the
-    degree-d model undetermined (too few atoms, or a singular information
-    matrix), the original design is returned unchanged with the flag set.
-    """
-    basis = enumerate_basis(mu.n, d)
-    if not 0 <= threshold < 1.0 / basis.size:
-        raise ValueError(
-            f"prune threshold must lie in [0, 1/{basis.size}), got {threshold}"
-        )
-    keep = mu.weights >= threshold
-    if keep.all():
-        return mu, False
-    if keep.sum() < basis.size:
-        return mu, True
-    pruned = DesignMeasure(
-        candidates=CandidateSet(
-            points=mu.candidates.points[keep],
-            source=mu.candidates.source,
-        ),
-        weights=mu.weights[keep] / mu.weights[keep].sum(),
-    )
-    try:
-        assemble_information(pruned, d)
-    except DegenerateDesignError:
-        return mu, True
-    return pruned, False
-
-
 class _Loop:
     """Fused evaluate/step loop over one (possibly pruned) candidate subset.
 
@@ -202,9 +132,10 @@ class _Loop:
         np.dot(self.vt, self.wv, out=self.m)
         l, info = dpotrf(self.m, lower=1)
         diag = l.diagonal()
-        if info != 0 or (diag * diag <= pivot_tolerance(
-            self.n_d, float(self.m.diagonal().max())
-        )).any():
+        # n_d is small, so scalar min/max over Python floats beat array calls.
+        # Squaring is monotone on the positive pivots: min(d)^2 = min(d^2).
+        d_min = min(diag.tolist()) if info == 0 else 0.0
+        if d_min * d_min <= pivot_tolerance(self.n_d, max(self.m.diagonal().tolist())):
             raise DegenerateDesignError(
                 "information matrix became singular during iteration"
             )
@@ -214,17 +145,10 @@ class _Loop:
         objective = 2.0 * float(np.log(diag).sum())
         return objective, float(self.p.max())
 
-    def step_multiplicative(self) -> None:
+    def step(self) -> None:
+        """Multiplicative update w_i <- w_i p(x_i) / n_d, renormalized."""
         self.w *= self.p
         self.w *= 1.0 / self.n_d
-        self.w[self.w < _FLUSH] = 0.0
-        self.w /= self.w.sum()
-
-    def step_fedorov_wynn(self, p_max: float) -> None:
-        istar = int(np.argmax(self.p))
-        alpha = (p_max - self.n_d) / (self.n_d * (p_max - 1.0))
-        self.w *= 1.0 - alpha
-        self.w[istar] += alpha
         self.w[self.w < _FLUSH] = 0.0
         self.w /= self.w.sum()
 
@@ -232,7 +156,7 @@ class _Loop:
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    Iterates the configured algorithm until p_max <= n_d (1 + epsilon) or the
+    Iterates the multiplicative update until p_max <= n_d (1 + epsilon) or the
     iteration budget runs out, prunes sub-threshold weights, and polishes the
     pruned design until the same test holds on it.  Non-convergence is not an
     error: the result carries converged=False and the full trace.
@@ -247,8 +171,6 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
 
     v_full = vandermonde(basis, cands.points)
     target = n_d * (1.0 + cfg.epsilon)
-    switch = n_d * (1.0 + 100.0 * cfg.epsilon)
-    in_fw_phase = cfg.algorithm == "fedorov-wynn"
 
     active = np.arange(cands.size)
     w = np.full(cands.size, 1.0 / cands.size)
@@ -269,12 +191,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
                 break
             if iterations >= cfg.max_iters:
                 break
-            if cfg.algorithm == "hybrid" and not in_fw_phase and p_max <= switch:
-                in_fw_phase = True
-            if in_fw_phase:
-                loop.step_fedorov_wynn(p_max)
-            else:
-                loop.step_multiplicative()
+            loop.step()
             iterations += 1
         w = loop.w
 

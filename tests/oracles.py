@@ -30,25 +30,6 @@ def reference_cholesky(a: np.ndarray):
     return low, None
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Argmax of a unimodal function on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def monomial_design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
     """Univariate or bivariate total-degree monomial rows, graded order."""
     points = np.asarray(points, dtype=float)
@@ -79,6 +60,17 @@ def log_det_objective(v: np.ndarray, w: np.ndarray) -> float:
     m = v.T @ (w[:, None] * v)
     sign, val = np.linalg.slogdet(m)
     return val if sign > 0 else -np.inf
+
+
+def reference_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One update w_i <- w_i p(x_i) / n_d, with p from a dense linear solve.
+
+    p(x_i) = v_i^T M(w)^{-1} v_i is computed by numpy.linalg.solve on the
+    explicitly formed Gram matrix, not by a Cholesky factor.
+    """
+    m = v.T @ (w[:, None] * v)
+    p = np.einsum("ij,ji->i", v, np.linalg.solve(m, v.T))
+    return w * p / v.shape[1]
 
 
 def _batched_objective(v: np.ndarray, weights: np.ndarray) -> np.ndarray:

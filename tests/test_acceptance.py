@@ -71,7 +71,6 @@ def classical_runs():
     runs = {}
     for d in (1, 2, 3, 4):
         cfg = SolverConfig(
-            algorithm="multiplicative",
             epsilon=1e-6,
             max_iters=250_000,
             prune_threshold=0.02,
@@ -140,8 +139,7 @@ def test_criterion_02_strong_duality_and_weak_duality_trace(classical_runs):
     cands = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
     res = solve(
         cands, 3,
-        SolverConfig(algorithm="multiplicative", max_iters=1000,
-                     prune_threshold=0.0),
+        SolverConfig(max_iters=1000, prune_threshold=0.0),
     )
     n_d = 4.0
     iterate_gaps = n_d * np.log(res.trace_p_max / n_d)
@@ -294,8 +292,7 @@ def test_criterion_08_micro_oracle_equivalence():
             try:
                 res = solve(
                     CandidateSet(points=pts, source=f"micro{i}"), d,
-                    SolverConfig(algorithm="multiplicative", epsilon=1e-8,
-                                 max_iters=60_000, prune_threshold=0.0),
+                    SolverConfig(epsilon=1e-8, max_iters=60_000, prune_threshold=0.0),
                 )
                 break
             except Exception:
@@ -320,8 +317,7 @@ def test_criterion_09_multiplicative_monotonicity():
         try:
             res = solve(
                 CandidateSet(points=pts, source="mono"), d,
-                SolverConfig(algorithm="multiplicative", max_iters=300,
-                             prune_threshold=0.0),
+                SolverConfig(max_iters=300, prune_threshold=0.0),
             )
         except Exception:
             continue
@@ -340,7 +336,6 @@ def test_criterion_10_deterministic_reports(tmp_path):
         "set": {"bounding_box": [[-1.0, 1.0]]},
         "candidates": {"source": "grid", "resolution": 41},
         "solver": {
-            "algorithm": "multiplicative",
             "epsilon": 1e-6,
             "max_iters": 100000,
             "prune_threshold": 0.02,

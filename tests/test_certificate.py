@@ -150,7 +150,7 @@ def test_weak_duality_on_every_iterate():
     grid = cands1d(np.linspace(-1, 1, 41))
     res = solve(
         grid, 2,
-        SolverConfig(algorithm="multiplicative", max_iters=200, prune_threshold=0.0),
+        SolverConfig(max_iters=200, prune_threshold=0.0),
     )
     n_d = 3
     gaps = n_d * np.log(res.trace_p_max / n_d)
@@ -164,8 +164,7 @@ def test_gap_formula_consistency():
     for iters in (3, 30, 300):
         res = solve(
             grid, 2,
-            SolverConfig(algorithm="multiplicative", max_iters=iters,
-                         prune_threshold=0.0),
+            SolverConfig(max_iters=iters, prune_threshold=0.0),
         )
         cert = build_certificate(res, 2)
         raw = cert.primal_value - cert.dual_value
@@ -178,8 +177,7 @@ def test_converged_run_gap_and_residual_bounds():
     eps = 1e-6
     res = solve(
         grid, 2,
-        SolverConfig(algorithm="multiplicative", epsilon=eps,
-                     max_iters=100_000, prune_threshold=1e-4),
+        SolverConfig(epsilon=eps, max_iters=100_000, prune_threshold=1e-4),
     )
     assert res.converged
     cert = build_certificate(res, 2)
@@ -193,8 +191,7 @@ def test_sos_witness_x_hat_factorizes():
         pts = rng.uniform(-1, 1, size=(12, 1))
         res = solve(
             CandidateSet(points=pts, source="r"), 2,
-            SolverConfig(algorithm="multiplicative", max_iters=50,
-                         prune_threshold=0.0),
+            SolverConfig(max_iters=50, prune_threshold=0.0),
         )
         cert = build_certificate(res, 2)
         factorize(cert.x_hat)  # raises if not positive definite
@@ -202,8 +199,7 @@ def test_sos_witness_x_hat_factorizes():
 
 def test_validate_on_training_candidates():
     grid = cands1d(np.linspace(-1, 1, 21))
-    res = solve(grid, 2, SolverConfig(algorithm="multiplicative",
-                                      max_iters=1000, prune_threshold=0.0))
+    res = solve(grid, 2, SolverConfig(max_iters=1000, prune_threshold=0.0))
     cert = build_certificate(res, 2)
     violation, _ = validate_dual_feasibility(cert, grid)
     assert violation <= 1e-10
@@ -230,7 +226,7 @@ def test_validate_detects_coarse_training_grid():
 
 def test_contact_points_linear():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
-                SolverConfig(algorithm="multiplicative", prune_threshold=1e-4))
+                SolverConfig(prune_threshold=1e-4))
     cert = build_certificate(res, 1)
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
@@ -238,7 +234,7 @@ def test_contact_points_linear():
 
 def test_contact_points_quadratic_all_three():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 2,
-                SolverConfig(algorithm="multiplicative", epsilon=1e-9))
+                SolverConfig(epsilon=1e-9))
     cert = build_certificate(res, 2)
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
@@ -246,7 +242,7 @@ def test_contact_points_quadratic_all_three():
 
 def test_contact_points_degenerate_tolerance():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
-                SolverConfig(algorithm="multiplicative", prune_threshold=1e-4))
+                SolverConfig(prune_threshold=1e-4))
     cert = build_certificate(res, 1)
     assert contact_points(cert, delta=float(cert.n_d)).shape[0] == 3
 
@@ -258,8 +254,7 @@ def test_contact_contains_support():
     rng = np.random.default_rng(19)
     pts = np.sort(rng.uniform(-1, 1, size=25))
     res = solve(cands1d(pts), 2,
-                SolverConfig(algorithm="multiplicative", epsilon=1e-7,
-                             max_iters=100_000, prune_threshold=1e-3))
+                SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3))
     assert res.converged
     cert = build_certificate(res, 2)
     contact = set(map(tuple, contact_points(cert)))

@@ -24,7 +24,6 @@ INTERVAL_CONFIG = {
     "set": {"bounding_box": [[-1.0, 1.0]]},
     "candidates": {"source": "grid", "resolution": 201},
     "solver": {
-        "algorithm": "multiplicative",
         "epsilon": 1e-6,
         "max_iters": 200000,
         "prune_threshold": 0.02,
@@ -37,7 +36,7 @@ PAIR_CONFIG = {
     "degree": 1,
     "set": {"bounding_box": [[-1.0, 1.0]]},
     "candidates": {"source": "points", "points": [[-1.0], [1.0]]},
-    "solver": {"algorithm": "multiplicative", "epsilon": 1e-6},
+    "solver": {"epsilon": 1e-6},
     "validation_resolution": 11,
 }
 
@@ -94,8 +93,11 @@ def test_parse_config_fills_defaults():
             "candidates": {"source": "grid", "resolution": 5},
         }
     )
-    assert cfg["solver"]["algorithm"] == "hybrid"
-    assert cfg["solver"]["prune_threshold"] == 1e-7
+    assert cfg["solver"] == {
+        "epsilon": 1e-6,
+        "max_iters": 100_000,
+        "prune_threshold": 1e-7,
+    }
     assert cfg["validation_resolution"] == 101
 
 
@@ -116,6 +118,30 @@ def test_parse_config_rejects_unknown_solver_key():
     cfg = dict(INTERVAL_CONFIG)
     cfg["solver"] = {"tolerance": 1e-6}
     with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(cfg)
+
+
+def test_parse_config_rejects_algorithm_key():
+    # Reports written before the solver had a single update echo this key.
+    cfg = dict(INTERVAL_CONFIG)
+    cfg["solver"] = {"algorithm": "multiplicative", "epsilon": 1e-6}
+    with pytest.raises(
+        ConfigError, match=r"unknown key\(s\) \['algorithm'\] in solver"
+    ):
+        parse_config(cfg)
+
+
+def test_parse_config_rejects_prune_threshold_at_inverse_nd():
+    cfg = dict(INTERVAL_CONFIG)  # degree 2 on the line: n_d = 3
+    cfg["solver"] = {"prune_threshold": 1 / 3}
+    with pytest.raises(ConfigError, match="prune_threshold"):
+        parse_config(cfg)
+
+
+def test_parse_config_rejects_non_finite_number():
+    cfg = dict(INTERVAL_CONFIG)
+    cfg["solver"] = {"epsilon": float("inf")}
+    with pytest.raises(ConfigError, match="finite"):
         parse_config(cfg)
 
 
@@ -229,6 +255,27 @@ def test_solve_invalid_json(tmp_path):
     assert cmd_solve(str(path), str(tmp_path), True) == EXIT_CONFIG
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [
+        {"prune_threshold": -0.1},
+        {"prune_threshold": 0.5},  # at least 1/n_d = 1/3
+        {"algorithm": "multiplicative"},
+    ],
+)
+def test_solve_bad_solver_block_exits_config(tmp_path, capsys, solver):
+    cfg = json.loads(json.dumps(INTERVAL_CONFIG))  # n_d = 3
+    cfg["solver"].update(solver)
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
 def test_solve_point_cloud_file(tmp_path):
     cloud = tmp_path / "cloud.txt"
     cloud.write_text("-1.0\n-0.5\n0.0\n0.5\n1.0\n")
@@ -259,7 +306,7 @@ def test_certify_truncated_run(tmp_path, capsys):
         "degree": 1,
         "set": {"bounding_box": [[-1.0, 1.0]]},
         "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
-        "solver": {"algorithm": "multiplicative", "max_iters": 1},
+        "solver": {"max_iters": 1},
         "validation_resolution": 11,
     }
     out = tmp_path / "out"
@@ -276,7 +323,59 @@ def test_certify_corrupted_report(tmp_path):
     assert cmd_certify(str(path), None, quiet=True) == EXIT_CONFIG
 
 
+@pytest.fixture
+def tiny_disk_run(tmp_path):
+    """Disk of radius 1e-3 in [-1, 1]^2: only odd grids hit its center."""
+    cfg = {
+        "dimension": 2,
+        "degree": 1,
+        "set": {
+            "bounding_box": [[-1.0, 1.0], [-1.0, 1.0]],
+            "inequalities": [[
+                {"exponents": [0, 0], "coeff": 1e-6},
+                {"exponents": [2, 0], "coeff": -1.0},
+                {"exponents": [0, 2], "coeff": -1.0},
+            ]],
+        },
+        "candidates": {
+            "source": "points",
+            "points": [[5e-4, 0.0], [-5e-4, 0.0], [0.0, 5e-4], [0.0, -5e-4]],
+        },
+        "validation_resolution": 101,
+    }
+    config_path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cmd_solve(config_path, str(out), True) == EXIT_OK
+    return {"config": config_path, "out": out}
+
+
+def test_certify_empty_validation_grid_exits_config(tiny_disk_run, capsys):
+    report = str(tiny_disk_run["out"] / "report.json")
+    assert cmd_certify(report, 101, quiet=True) == EXIT_OK
+    capsys.readouterr()
+    assert cmd_certify(report, 100, quiet=True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+def test_certify_rejects_report_naming_algorithm(interval_run, tmp_path, capsys):
+    report = json.loads(json.dumps(interval_run["report"]))
+    report["config"]["solver"]["algorithm"] = "multiplicative"
+    path = tmp_path / "report.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
 # -- eval-cd ----------------------------------------------------------------
+
+
+def test_eval_cd_empty_grid_exits_config(tiny_disk_run, capsys):
+    out = tiny_disk_run["out"]
+    code = cmd_eval_cd(
+        tiny_disk_run["config"], str(out / "report.json"), 100, str(out), True
+    )
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
 
 
 def test_eval_cd_linear_profile(tmp_path):

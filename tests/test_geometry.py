@@ -34,7 +34,7 @@ def interval_cert():
 def thirds_cert():
     cands = CandidateSet(points=np.array([[-1.0], [0.0], [1.0]]), source="t")
     return build_certificate(
-        solve(cands, 2, SolverConfig(algorithm="multiplicative", epsilon=1e-9)), 2
+        solve(cands, 2, SolverConfig(epsilon=1e-9)), 2
     )
 
 
@@ -94,8 +94,7 @@ def test_levelset_membership_quadratic_design():
 
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1), source="g")
-    res = solve(grid, 2, SolverConfig(algorithm="multiplicative",
-                                      max_iters=100_000, prune_threshold=1e-4))
+    res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
     cert = build_certificate(res, 2)
     for pt in grid.points:
         assert levelset_membership(cert, pt)
@@ -114,7 +113,7 @@ def test_all_candidates_inside_converged_ellipsoid():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, size=(40, 2))
     res = solve(CandidateSet(points=pts, source="cloud"), 1,
-                SolverConfig(algorithm="multiplicative"))
+                SolverConfig())
     assert res.converged
     ell = extract_ellipsoid(build_certificate(res, 1), 2)
     for pt in pts:

@@ -4,23 +4,16 @@ import pytest
 from doptdesign import (
     CandidateSet,
     DegenerateDesignError,
-    DesignMeasure,
     SolverConfig,
     TooFewCandidatesError,
-    assemble_information,
-    cd_polynomial,
-    cd_profile,
-    fw_step,
     init_uniform,
-    mult_step,
-    prune,
     solve,
 )
 
 from oracles import (
-    golden_section_max,
     log_det_objective,
     monomial_design_matrix,
+    reference_multiplicative_step,
     simplex_grid_search,
 )
 
@@ -58,96 +51,31 @@ def test_init_uniform_collinear_degenerate():
 
 
 def test_mult_step_fixed_point_at_equal_p():
-    mu = DesignMeasure(candidates=cands1d([-1.0, 1.0]), weights=np.array([0.5, 0.5]))
-    out = mult_step(mu, 1)  # p = (2, 2) = n_d at both atoms
-    assert np.allclose(out.weights, mu.weights, atol=1e-15)
+    # p = (2, 2) = n_d at both atoms: the uniform start is already optimal and
+    # the solver returns it untouched.
+    res = solve(cands1d([-1.0, 1.0]), 1, SolverConfig(max_iters=1))
+    assert res.iterations == 0
+    assert np.allclose(res.design.weights, [0.5, 0.5], atol=1e-15)
 
 
 def test_mult_step_increases_objective():
-    mu = DesignMeasure(
-        candidates=cands1d([-1.0, -1 / 3, 1 / 3, 1.0]),
-        weights=np.full(4, 0.25),
-    )
-    out = mult_step(mu, 1)
-    before = assemble_information(mu, 1).log_det
-    after = assemble_information(out, 1).log_det
-    assert after > before
+    pts = [-1.0, -1 / 3, 1 / 3, 1.0]
+    res = solve(cands1d(pts), 1, SolverConfig(max_iters=1, prune_threshold=0.0))
+    v = monomial_design_matrix(np.array(pts), 1)
+    assert abs(res.trace_objective[0] - log_det_objective(v, np.full(4, 0.25))) < 1e-12
+    assert res.trace_objective[1] > res.trace_objective[0]
 
 
 def test_mult_step_preserves_simplex():
     rng = np.random.default_rng(15)
-    pts = rng.uniform(-1, 1, size=(12, 1))
-    w = rng.dirichlet(np.ones(12))
-    mu = DesignMeasure(candidates=CandidateSet(points=pts, source="r"), weights=w)
-    out = mult_step(mu, 2)
-    assert abs(out.weights.sum() - 1.0) <= 1e-12
-    assert out.weights.min() >= 0.0
-
-
-def test_fw_step_dual_feasible_unchanged():
-    mu = DesignMeasure(candidates=cands1d([-1.0, 1.0]), weights=np.array([0.5, 0.5]))
-    out = fw_step(mu, 1)
-    assert out is mu
-
-
-def test_fw_step_closed_form_alpha():
-    # Weights (3/4, 1/4) on {-1, +1}: p(+1) = 4 with n_d = 2, so the exact
-    # step is alpha = (4-2)/(2*3) = 1/3 and one step lands on the optimum.
-    mu = DesignMeasure(candidates=cands1d([-1.0, 1.0]), weights=np.array([0.75, 0.25]))
-    p = cd_profile(cd_polynomial(mu, 1), mu.candidates.points)
-    assert abs(p[1] - 4.0) < 1e-12
-    out = fw_step(mu, 1)
-    assert np.allclose(out.weights, [0.5, 0.5], atol=1e-12)
-
-
-def test_fw_step_alpha_matches_line_search_oracle():
-    rng = np.random.default_rng(44)
-    pts = rng.uniform(-1, 1, size=(8, 1))
-    w = rng.dirichlet(np.ones(8))
-    mu = DesignMeasure(candidates=CandidateSet(points=pts, source="r"), weights=w)
-    v = monomial_design_matrix(pts, 2)
-    p = cd_profile(cd_polynomial(mu, 2), pts)
-    istar = int(np.argmax(p))
-    pstar = p[istar]
-    if pstar <= 3.0:
-        pytest.skip("random design already dual feasible")
-    e = np.zeros(8)
-    e[istar] = 1.0
-
-    def objective_at(alpha):
-        return log_det_objective(v, (1 - alpha) * w + alpha * e)
-
-    alpha_oracle = golden_section_max(objective_at, 0.0, 1.0)
-    alpha_formula = (pstar - 3.0) / (3.0 * (pstar - 1.0))
-    assert abs(alpha_formula - alpha_oracle) < 1e-6
-    out = fw_step(mu, 2)
-    expected = (1 - alpha_formula) * w + alpha_formula * e
-    assert np.allclose(out.weights, expected, atol=1e-12)
-
-
-def test_fw_step_increase_verified_by_oracle():
-    mu = DesignMeasure(candidates=THREE, weights=np.array([0.8, 0.1, 0.1]))
-    v = monomial_design_matrix(THREE.points, 1)
-    before = log_det_objective(v, mu.weights)
-    out = fw_step(mu, 1)
-    after = log_det_objective(v, out.weights)
-    assert after > before
-    best_alpha = golden_section_max(
-        lambda a: log_det_objective(
-            v, (1 - a) * mu.weights + a * np.array([0.0, 0.0, 1.0])
-        ),
-        0.0,
-        1.0,
-    )
-    p = cd_profile(cd_polynomial(mu, 1), THREE.points)
-    assert int(np.argmax(p)) == 2
-    assert abs(after - log_det_objective(
-        v, (1 - best_alpha) * mu.weights + best_alpha * np.array([0.0, 0.0, 1.0])
-    )) < 1e-10
+    cands = CandidateSet(points=rng.uniform(-1, 1, size=(12, 1)), source="r")
+    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    assert abs(res.design.weights.sum() - 1.0) <= 1e-12
+    assert res.design.weights.min() >= 0.0
 
 
 def test_solve_three_point_linear():
-    cfg = SolverConfig(algorithm="multiplicative", epsilon=1e-6, prune_threshold=1e-4)
+    cfg = SolverConfig(epsilon=1e-6, prune_threshold=1e-4)
     res = solve(THREE, 1, cfg)
     assert res.converged
     assert res.p_max <= 2.0 * (1 + 1e-6)
@@ -163,10 +91,7 @@ def test_solve_three_point_linear():
 
 def test_solve_interval_quadratic_grid():
     grid = cands1d(np.linspace(-1, 1, 201))
-    cfg = SolverConfig(
-        algorithm="multiplicative", epsilon=1e-6, max_iters=200_000,
-        prune_threshold=0.02,
-    )
+    cfg = SolverConfig(epsilon=1e-6, max_iters=200_000, prune_threshold=0.02)
     res = solve(grid, 2, cfg)
     assert res.converged
     pts = sorted(res.design.candidates.points[:, 0].tolist())
@@ -187,18 +112,16 @@ def test_solve_iterates_stay_on_simplex():
     rng = np.random.default_rng(100)
     pts = rng.uniform(-1, 1, size=(15, 1))
     cands = CandidateSet(points=pts, source="r")
-    for algorithm in ("multiplicative", "fedorov-wynn", "hybrid"):
-        res = solve(cands, 2, SolverConfig(algorithm=algorithm, max_iters=500))
-        assert abs(res.design.weights.sum() - 1.0) <= 1e-12
-        assert res.design.weights.min() >= 0.0
+    res = solve(cands, 2, SolverConfig(max_iters=500))
+    assert abs(res.design.weights.sum() - 1.0) <= 1e-12
+    assert res.design.weights.min() >= 0.0
 
 
 def test_solve_fixed_point_detection():
-    # p(x_i) = n_d at all candidates: both algorithms stop immediately.
-    for algorithm in ("multiplicative", "fedorov-wynn", "hybrid"):
-        res = solve(SQUARE, 1, SolverConfig(algorithm=algorithm))
-        assert res.iterations == 0
-        assert res.converged
+    # p(x_i) = n_d at all candidates: the solver stops immediately.
+    res = solve(SQUARE, 1, SolverConfig())
+    assert res.iterations == 0
+    assert res.converged
 
 
 def test_solve_objective_monotone_multiplicative():
@@ -209,8 +132,7 @@ def test_solve_objective_monotone_multiplicative():
         cands = CandidateSet(points=pts, source="r")
         res = solve(
             cands, 2,
-            SolverConfig(algorithm="multiplicative", max_iters=400,
-                         prune_threshold=0.0),
+            SolverConfig(max_iters=400, prune_threshold=0.0),
         )
         assert (np.diff(res.trace_objective) >= -1e-12).all()
 
@@ -220,7 +142,7 @@ def test_solve_pmax_never_below_nd():
     pts = rng.uniform(-1, 1, size=(20, 1))
     res = solve(
         CandidateSet(points=pts, source="r"), 2,
-        SolverConfig(algorithm="multiplicative", max_iters=300, prune_threshold=0.0),
+        SolverConfig(max_iters=300, prune_threshold=0.0),
     )
     assert (res.trace_p_max >= 3.0 - 1e-9).all()
     assert res.p_max >= 3.0 - 1e-9
@@ -232,8 +154,7 @@ def test_solve_micro_oracle_equivalence():
         total = int(rng.integers(3, 6))
         pts = np.sort(rng.uniform(-1, 1, size=total))
         cands = cands1d(pts)
-        res = solve(cands, 2, SolverConfig(algorithm="multiplicative",
-                                           epsilon=1e-8, max_iters=50_000))
+        res = solve(cands, 2, SolverConfig(epsilon=1e-8, max_iters=50_000))
         v = monomial_design_matrix(pts, 2)
         oracle = simplex_grid_search(v, step=1e-3)
         assert abs(res.objective - oracle) <= 5e-3
@@ -241,55 +162,61 @@ def test_solve_micro_oracle_equivalence():
 
 def test_solve_nonconvergence_is_not_an_error():
     grid = cands1d(np.linspace(-1, 1, 101))
-    res = solve(grid, 3, SolverConfig(algorithm="multiplicative", max_iters=25))
+    res = solve(grid, 3, SolverConfig(max_iters=25))
     assert not res.converged
     assert res.iterations == 25
     assert res.trace_objective.shape[0] == 26  # every evaluated iterate logged
 
 
-def test_hybrid_terminal_phase_is_slow_but_sound():
-    # The vertex-direction phase dilutes off-support mass only by (1-alpha)
-    # per step with alpha ~ gap, so its terminal convergence is sublinear.
-    # A budget-capped hybrid run must still return a near-optimal objective
-    # with a valid trace; it just reports converged=False.
-    res = solve(THREE, 1, SolverConfig(algorithm="hybrid", max_iters=3000))
-    assert not res.converged
-    assert res.p_max <= 2.0 * (1 + 1e-3)
-    assert abs(res.objective) < 1e-3  # optimum is log det I_2 = 0
-    assert res.trace_p_max.shape[0] == res.trace_objective.shape[0]
+def test_default_config_converges_on_simplex_cloud():
+    # Degree-1 design on a seeded cloud inside the simplex with vertices
+    # (-1,-1,-1), (3,-1,-1), (-1,3,-1), (-1,-1,3): the optimal design puts
+    # mass 1/4 on each vertex, so M = diag(1, 4, 4, 4) and log det M = log 16.
+    vertices = np.array(
+        [[-1.0, -1.0, -1.0], [3.0, -1.0, -1.0], [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]]
+    )
+    rng = np.random.default_rng(2024)
+    interior = rng.dirichlet(np.ones(4), size=300) @ vertices
+    cands = CandidateSet(points=np.vstack([vertices, interior]), source="cloud")
+    cfg = SolverConfig()
+    res = solve(cands, 1, cfg)
+    assert res.converged
+    assert abs(res.objective - np.log(16.0)) <= 4 * np.log1p(cfg.epsilon)
 
 
 def test_prune_drops_tiny_weight():
-    mu = DesignMeasure(candidates=THREE, weights=np.array([0.5, 1e-12, 0.5]))
-    out, rolled_back = prune(mu, 1e-7, d=1)
-    assert not rolled_back
-    assert out.candidates.points[:, 0].tolist() == [-1.0, 1.0]
-    assert np.allclose(out.weights, [0.5, 0.5])
+    # The weight at 0 contracts geometrically (p(0) = 1 < n_d = 2).
+    res = solve(THREE, 1, SolverConfig(prune_threshold=1e-4))
+    assert not res.prune_rolled_back
+    assert res.support_indices.tolist() == [0, 2]
+    assert res.design.candidates.points[:, 0].tolist() == [-1.0, 1.0]
+    assert np.allclose(res.design.weights, [0.5, 0.5])
+    assert res.p_values.shape == (3,)  # still reported on every candidate
 
 
 def test_prune_unchanged_when_all_above():
-    mu = DesignMeasure(candidates=THREE, weights=np.array([0.4, 0.2, 0.4]))
-    out, rolled_back = prune(mu, 0.1, d=1)
-    assert out is mu
-    assert not rolled_back
+    res = solve(SQUARE, 1, SolverConfig(prune_threshold=0.1))
+    assert not res.prune_rolled_back
+    assert res.support_indices.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(res.design.candidates.points, SQUARE.points)
 
 
 def test_prune_rollback_on_degeneracy():
-    mu = DesignMeasure(candidates=THREE, weights=np.array([0.9, 0.05, 0.05]))
-    out, rolled_back = prune(mu, 0.4, d=1)  # would leave one atom, n_d = 2
-    assert rolled_back
-    assert out is mu
+    # After one step every weight is near 1/10 < 0.4, so pruning would keep
+    # fewer than n_d = 2 atoms: the unpruned design is kept and flagged.
+    grid = cands1d(np.linspace(-1, 1, 10))
+    res = solve(grid, 1, SolverConfig(max_iters=1, prune_threshold=0.4))
+    assert res.prune_rolled_back
+    assert res.support_indices.tolist() == list(range(10))
+    assert abs(res.design.weights.sum() - 1.0) <= 1e-12
 
 
 def test_prune_threshold_range_enforced():
-    mu = DesignMeasure(candidates=THREE, weights=np.array([0.4, 0.2, 0.4]))
     with pytest.raises(ValueError):
-        prune(mu, 0.6, d=1)  # 1/n_d = 0.5
+        solve(THREE, 1, SolverConfig(prune_threshold=0.6))  # 1/n_d = 0.5
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="newton")
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
@@ -304,13 +231,12 @@ def test_solve_rejects_bad_prune_threshold():
 
 
 def test_mult_step_matches_solver_iteration():
-    # One public mult_step equals the first solver loop update.
+    # The solver's first update equals an independent multiplicative step.
     rng = np.random.default_rng(50)
     pts = rng.uniform(-1, 1, size=(9, 1))
     cands = CandidateSet(points=pts, source="r")
-    mu0 = init_uniform(cands, 2)
-    stepped = mult_step(mu0, 2)
-    res = solve(cands, 2, SolverConfig(algorithm="multiplicative", max_iters=1,
-                                       prune_threshold=0.0))
-    after_one = assemble_information(stepped, 2).log_det
-    assert abs(res.trace_objective[1] - after_one) < 1e-12
+    v = monomial_design_matrix(pts, 2)
+    stepped = reference_multiplicative_step(v, init_uniform(cands, 2).weights)
+    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
+    assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
