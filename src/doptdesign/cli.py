@@ -56,6 +56,9 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 _DEFAULT_VALIDATION_RESOLUTION = 101
+#: Relative agreement `certify` demands between a stored number and its
+#: recomputation (the same tolerance as the benchmark's independent check).
+_CERTIFY_RTOL = 1e-9
 _DEFAULT_OUTPUT = {"report_json": "report.json", "support_csv": "support.csv"}
 
 
@@ -510,15 +513,88 @@ def _load_report(path: str) -> dict:
 
 
 def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False) -> int:
+    """Rebuild a report's certificate from its design and audit it.
+
+    Only the config and the design (points and weights) are read from the
+    report.  Every design point must be a candidate of the config; points
+    are written with round-trip precision, so the match is exact, and a point
+    off the candidate set exits 1.  The certificate is then rebuilt by
+    build_certificate from p over all candidates, and each stored objective,
+    p_max, gap and x_hat must agree with the rebuilt one to a relative
+    _CERTIFY_RTOL (measured against at least 1, so values near 0 compare
+    absolutely); a mismatch exits 1.  The gates run on the rebuilt
+    certificate, never on the stored numbers.
+    """
     try:
         report = _load_report(report_path)
         cfg = parse_config(report["config"])
-        space, _ = build_problem(cfg)
-    except (ConfigError, KeyError, EmptyCandidateSetError) as err:
+        space, cands = build_problem(cfg)
+        points = np.array(report["design"]["points"], dtype=float)
+        weights = np.array(report["design"]["weights"], dtype=float)
+        if points.ndim != 2 or points.shape[1] != cfg["dimension"]:
+            raise ConfigError(
+                f"report design points must be rows of {cfg['dimension']} coordinates"
+            )
+        stored = {
+            "n_d": float(report["n_d"]),
+            "objective": float(report["objective"]),
+            "p_max": float(report["p_max"]),
+            "gap": float(report["certificate"]["gap"]),
+            "x_hat": np.array(report["certificate"]["x_hat"], dtype=float),
+        }
+        row = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
+        support = [row.get(pt) for pt in map(tuple, points.tolist())]
+        if None in support:
+            print(
+                f"error: report design point {points[support.index(None)].tolist()} "
+                "is not a candidate of its config",
+                file=sys.stderr,
+            )
+            return EXIT_GATE_FAILED
+        support = np.array(support, dtype=int)
+        design = DesignMeasure(
+            candidates=CandidateSet(points=cands.points[support], source=cands.source),
+            weights=weights,
+        )
+    except (ConfigError, KeyError, TypeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    n_d = report["n_d"]
+    d = cfg["degree"]
+    basis = enumerate_basis(cfg["dimension"], d)
+    try:
+        factor = assemble_information(design, d)
+        p_values = quad_form_inv_many(factor, vandermonde(basis, cands.points))
+        rebuilt = SimpleNamespace(
+            design=design,
+            candidates=cands,
+            p_values=p_values,
+            p_max=float(p_values.max()),
+            support_indices=support,
+        )
+        cert = build_certificate(rebuilt, d)
+    except DegenerateDesignError as err:
+        print(f"error: degenerate design in report: {err}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    recomputed = {
+        "n_d": cert.n_d,
+        "objective": factor.log_det,
+        "p_max": rebuilt.p_max,
+        "gap": cert.gap,
+        "x_hat": cert.x_hat,
+    }
+    for name, value in recomputed.items():
+        value, mine = np.asarray(value, dtype=float), np.asarray(stored[name])
+        tol = _CERTIFY_RTOL * max(1.0, float(np.abs(value).max()))
+        if mine.shape != value.shape or not np.all(np.abs(mine - value) <= tol):
+            print(
+                f"error: report {name} does not match its value recomputed "
+                "from the design",
+                file=sys.stderr,
+            )
+            return EXIT_GATE_FAILED
+
+    n_d = cert.n_d
     epsilon = cfg["solver"]["epsilon"]
     resolution = validation_resolution or cfg["validation_resolution"]
     try:
@@ -526,25 +602,16 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
     except EmptyCandidateSetError as err:
         print(f"error: validation grid: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    # The stored certificate, reduced to the fields the audit reads.
-    stored = SimpleNamespace(
-        basis=enumerate_basis(cfg["dimension"], cfg["degree"]),
-        x_hat=np.array(report["certificate"]["x_hat"], dtype=float),
-        n_d=n_d,
-    )
-    max_violation, _ = validate_dual_feasibility(stored, vgrid)
+    max_violation, _ = validate_dual_feasibility(cert, vgrid)
 
-    gap = report["certificate"]["gap"]
-    gap_ok = gap <= n_d * np.log1p(epsilon)
+    bound = n_d * math.log1p(epsilon)
+    gap_ok = cert.gap <= bound
     violation_ok = max_violation <= n_d * epsilon
     if not quiet:
-        print(f"primal_value={report['certificate']['primal_value']:.12g}")
-        print(f"dual_value={report['certificate']['dual_value']:.12g}")
-        print(f"gap={gap:.6e} (bound {n_d * np.log1p(epsilon):.6e})")
-        print(
-            "complementarity_residual="
-            f"{report['certificate']['complementarity_residual']:.6e}"
-        )
+        print(f"primal_value={cert.primal_value:.12g}")
+        print(f"dual_value={cert.dual_value:.12g}")
+        print(f"gap={cert.gap:.6e} (bound {bound:.6e})")
+        print(f"complementarity_residual={cert.complementarity_residual:.6e}")
         print(
             f"max_violation={max_violation:.6e} on {resolution}-per-axis grid "
             f"(bound {n_d * epsilon:.6e})"

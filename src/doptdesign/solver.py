@@ -1,15 +1,32 @@
 """Log-det maximization over the weight simplex on a candidate set.
 
-The iteration is the classical multiplicative update
+Every step reads the Christoffel-Darboux polynomial p of the current design,
+p(x) = v(x)^T M(w)^{-1} v(x), whose weighted mean over the design is
+identically n_d.  One iteration does two things, each of which never
+decreases log det M(w):
 
-    w_i <- w_i p(x_i) / n_d,
+* a vertex exchange (Todd & Yildirim 2007): the closed-form det-maximizing
+  mass moves from the support atom with the lowest p to the candidate with
+  the highest p, removing the atom outright when the optimum lies past its
+  weight (a drop step); p is then updated exactly by a rank-2 Woodbury step;
+* the classical multiplicative update w_i <- w_i p(x_i) / n_d on that
+  exchanged design's p (Silvey, Titterington & Torsney 1978; monotone by
+  Yu 2010).
 
-where p is the Christoffel-Darboux polynomial of the current design.  It
-keeps the weights on the simplex (the weighted mean of p over the design is
-identically n_d), never decreases log det M(w), and contracts the weight of
-every candidate where p stays below n_d.  It stops once p_max <= n_d (1 +
-epsilon), which is exactly scaled dual feasibility of the design's
-polynomial (the Kiefer-Wolfowitz equivalence test on the candidate set).
+Each evaluation also applies the bound of Harman & Pronzato (2007): a
+candidate whose p lies below a threshold set by p_max - n_d cannot support
+any D-optimal design, so it is removed for good.  The active set is
+compacted only when at most half of it survives, which keeps the rebuilds at
+O(log N), and only when a lower bound on the change in log det is
+nonnegative.
+
+The loop stops once p_max <= n_d (1 + epsilon) on the active rows (the
+Kiefer-Wolfowitz equivalence test).  The eliminated rows are then checked
+with the same factor, and any above the target re-enter with weight zero
+before the loop goes on, so the stop test holds on every candidate.  The
+trace records one (objective, p_max) pair per evaluated iterate, with p_max
+taken over the active rows; the evaluation after a compaction is not logged,
+so without pruning the trace holds iterations + 1 entries.
 
 After the loop terminates, weights below the pruning threshold are dropped
 and the iteration resumes on the reduced set until the stopping test holds
@@ -20,6 +37,7 @@ dual feasibility on everything the solver was given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +89,9 @@ class SolveResult:
     p_values are the Christoffel-Darboux values of the FINAL design at every
     ORIGINAL candidate point (order preserved), so p_max is the dual
     feasibility margin over the whole training set, not just the surviving
-    support.  trace holds one (objective, p_max) pair per evaluated iterate.
+    support.  trace holds one (objective, p_max) pair per evaluated iterate
+    (the start, each iteration, and the start of each polish after pruning),
+    with p_max over the rows still active at that iterate.
     """
 
     design: DesignMeasure
@@ -109,7 +129,7 @@ def init_uniform(cands: CandidateSet, d: int) -> DesignMeasure:
 
 
 class _Loop:
-    """Fused evaluate/step loop over one (possibly pruned) candidate subset.
+    """Fused evaluate/step loop over one active subset of the candidates.
 
     Per iteration: assemble M(w) as a rank-one sum, factorize, evaluate p at
     every active candidate, log the iterate, test, step.  Uses raw LAPACK
@@ -121,15 +141,18 @@ class _Loop:
         self.vt = np.ascontiguousarray(v.T)
         self.w = w
         self.n_d = n_d
-        self.wv = np.empty_like(v)
+        self.wvt = np.empty_like(self.vt)
         self.m = np.empty((n_d, n_d))
+        self.li = None  # L^{-1} of the last evaluated iterate
         self.z = np.empty_like(self.vt)
         self.p = np.empty(v.shape[0])
 
-    def evaluate(self) -> tuple[float, float]:
-        """Objective and p_max of the current iterate; fills self.p."""
-        np.multiply(self.v, self.w[:, None], out=self.wv)
-        np.dot(self.vt, self.wv, out=self.m)
+    def evaluate(self) -> tuple[float, float, int]:
+        """Objective, p_max and argmax p of the current iterate; fills self.p."""
+        # Scaling the contiguous (n_d, N) copy runs along rows of length N;
+        # scaling V by w[:, None] would broadcast along rows of length n_d.
+        np.multiply(self.vt, self.w, out=self.wvt)
+        np.dot(self.wvt, self.v, out=self.m)
         l, info = dpotrf(self.m, lower=1)
         diag = l.diagonal()
         # n_d is small, so scalar min/max over Python floats beat array calls.
@@ -139,27 +162,118 @@ class _Loop:
             raise DegenerateDesignError(
                 "information matrix became singular during iteration"
             )
-        li, _ = dtrtri(l, lower=1)
-        np.dot(li, self.vt, out=self.z)
+        self.li, _ = dtrtri(l, lower=1)
+        np.dot(self.li, self.vt, out=self.z)
         np.einsum("ij,ij->j", self.z, self.z, out=self.p)
         objective = 2.0 * float(np.log(diag).sum())
-        return objective, float(self.p.max())
+        k = int(self.p.argmax())
+        return objective, float(self.p[k]), k
 
-    def step(self) -> None:
-        """Multiplicative update w_i <- w_i p(x_i) / n_d, renormalized."""
+    def step(self, k: int) -> None:
+        """Exchange mass into row k = argmax p, then the multiplicative update."""
+        self.exchange(k)
         self.w *= self.p
         self.w *= 1.0 / self.n_d
         self.w[self.w < _FLUSH] = 0.0
         self.w /= self.w.sum()
 
+    def exchange(self, k: int) -> None:
+        """Move the det-maximizing mass from the lowest-p support atom to row k.
+
+        Moving alpha from row j to row k multiplies det M by
+        r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
+        p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
+        (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j
+        (a drop step).  p is then updated exactly (rank-2 Woodbury), so the
+        multiplicative update sees the exchanged design's own polynomial.
+        """
+        p, w, z = self.p, self.w, self.z
+        j = int(np.where(w > 0.0, p, np.inf).argmin())
+        p_k, p_j = float(p[k]), float(p[j])
+        p_kj = float(np.dot(z[:, k], z[:, j]))
+        delta = p_k * p_j - p_kj * p_kj
+        if j == k or not p_k > p_j or not delta > 0.0:
+            return
+        alpha = min((p_k - p_j) / (2.0 * delta), float(w[j]))
+        w[k] += alpha
+        w[j] -= alpha
+        # M' = M + U diag(alpha, -alpha) U^T with U = [v_k, v_j], so with
+        # a_i = v_k^T M^{-1} v_i and b_i = v_j^T M^{-1} v_i, Woodbury gives
+        # p'_i = p_i - [a_i b_i] G^{-1} [a_i b_i]^T for
+        # G = [[1/alpha + p_k, p_kj], [p_kj, p_j - 1/alpha]], det G = -r/alpha^2.
+        # The 2x2 inverse is written out in Python floats, scaled by alpha so
+        # that no 1/alpha appears.
+        s = alpha / ((1.0 + alpha * p_k) * (1.0 - alpha * p_j) + alpha * alpha * p_kj * p_kj)
+        a, b = np.dot(z[:, [k, j]].T, z)
+        c_aa = -s * (1.0 - alpha * p_j)
+        c_ab = -2.0 * s * alpha * p_kj
+        c_bb = s * (1.0 + alpha * p_k)
+        p += a * (c_aa * a + c_ab * b) + c_bb * b * b
+
+
+def _elimination_threshold(n_d: int, p_max: float) -> float:
+    """Harman & Pronzato (2007): a row with p below this supports no D-optimum.
+
+    The excess is the ABSOLUTE eps = p_max - n_d, as in their bound.  The
+    relative excess p_max / n_d - 1 is n_d times smaller and gives a higher
+    threshold that is not a valid bound: on 1-D grids with known optima, a
+    random design put a true support point at 0.936 of it.
+    """
+    eps = max(p_max - n_d, 0.0)
+    return n_d * (1.0 + 0.5 * eps - 0.5 * math.sqrt(eps * (4.0 + eps - 4.0 / n_d)))
+
+
+def _survivors(loop: _Loop, p_max: float) -> np.ndarray | None:
+    """Mask of the active rows that outlive elimination, or None to keep all.
+
+    Compacting pays only when at most half of the rows survive; at least n_d
+    must survive.  Removing rows of total weight W and sum w_i p_i = S, then
+    renormalizing, changes log det M by at least
+    -n_d log(1 - W) + log(1 - S) (as det(I - A) >= 1 - tr A for
+    0 <= A < I), and compaction waits until that bound is nonnegative.
+    """
+    n_d, p, w = loop.n_d, loop.p, loop.w
+    keep = p >= _elimination_threshold(n_d, p_max)
+    kept = int(np.count_nonzero(keep))
+    if kept < n_d or 2 * kept > p.size:
+        return None
+    gone = ~keep
+    removed = float(w[gone].sum())
+    spent = float(np.dot(w[gone], p[gone]))
+    if not (removed < 1.0 and spent < 1.0):
+        return None
+    if -n_d * math.log1p(-removed) + math.log1p(-spent) < 0.0:
+        return None
+    return keep
+
+
+def _readmit(loop: _Loop, v_full: np.ndarray, active: np.ndarray, dead: np.ndarray,
+             target: float):
+    """Full-set stop test: p on the eliminated rows under the loop's factor.
+
+    Returns None when p <= target on every row of `dead`.  Otherwise the rows
+    above target re-enter the active set with weight zero, and the new
+    (active, weights, dead) are returned, with active kept in candidate order.
+    """
+    z = np.dot(loop.li, v_full[dead].T)
+    back = np.einsum("ij,ij->j", z, z) > target
+    if not back.any():
+        return None
+    merged = np.concatenate([active, dead[back]])
+    order = np.argsort(merged, kind="stable")
+    w = np.concatenate([loop.w, np.zeros(int(back.sum()))])[order]
+    return merged[order], w, dead[~back]
+
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    Iterates the multiplicative update until p_max <= n_d (1 + epsilon) or the
-    iteration budget runs out, prunes sub-threshold weights, and polishes the
-    pruned design until the same test holds on it.  Non-convergence is not an
-    error: the result carries converged=False and the full trace.
+    Iterates exchange-plus-multiplicative steps, eliminating candidates that
+    cannot carry an optimal design, until p_max <= n_d (1 + epsilon) on every
+    candidate or the iteration budget runs out; then prunes sub-threshold
+    weights and polishes the pruned design until the same test holds on it.
+    Non-convergence is not an error: the result carries converged=False and
+    the full trace.
     """
     basis = enumerate_basis(cands.n, d)
     n_d = basis.size
@@ -173,6 +287,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     target = n_d * (1.0 + cfg.epsilon)
 
     active = np.arange(cands.size)
+    dead = active[:0]  # eliminated for good, unless the stop test readmits
     w = np.full(cands.size, 1.0 / cands.size)
     trace_obj: list[float] = []
     trace_pmax: list[float] = []
@@ -183,7 +298,13 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         loop = _Loop(v_full[active], w, n_d)
         local_ok = False
         while True:
-            objective, p_max = loop.evaluate()
+            objective, p_max, k = loop.evaluate()
+            if p_max <= target and dead.size:
+                readmitted = _readmit(loop, v_full, active, dead, target)
+                if readmitted is not None:
+                    active, w, dead = readmitted
+                    loop = _Loop(v_full[active], w, n_d)
+                    objective, p_max, k = loop.evaluate()
             trace_obj.append(objective)
             trace_pmax.append(p_max)
             if p_max <= target:
@@ -191,7 +312,24 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
                 break
             if iterations >= cfg.max_iters:
                 break
-            loop.step()
+            keep = _survivors(loop, p_max)
+            if keep is not None:
+                kept_w = loop.w[keep] / loop.w[keep].sum()
+                compact = _Loop(v_full[active[keep]], kept_w, n_d)
+                # The trace keeps the iterate before compaction.  The log det
+                # bound in _survivors needs sum w_i p_i < 1 over the removed
+                # rows, which keeps the compacted M positive definite in exact
+                # arithmetic; round-off can still break that, and then the
+                # rows stay.
+                try:
+                    objective, p_max, k = compact.evaluate()
+                except DegenerateDesignError:
+                    pass
+                else:
+                    dead = np.concatenate([dead, active[~keep]])
+                    active = active[keep]
+                    loop = compact
+            loop.step(k)
             iterations += 1
         w = loop.w
 

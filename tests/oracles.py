@@ -73,6 +73,40 @@ def reference_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w * p / v.shape[1]
 
 
+def reference_exchange_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One vertex exchange followed by one multiplicative update, densely.
+
+    p and p_kj = v_k^T M^{-1} v_j come from numpy.linalg.inv of the explicitly
+    formed Gram matrix.  Mass alpha moves from the lowest-p support atom j to
+    the highest-p candidate k; the closed-form alpha is checked against a
+    brute-force maximization of det M over [0, w_j] before the update is
+    applied to the exchanged design.
+    """
+    m_inv = np.linalg.inv(v.T @ (w[:, None] * v))
+    p = np.einsum("ij,jk,ik->i", v, m_inv, v)
+    k = int(np.argmax(p))
+    j = int(np.argmin(np.where(w > 0, p, np.inf)))
+    p_kj = float(v[k] @ m_inv @ v[j])
+    delta = p[k] * p[j] - p_kj**2
+    w = w.copy()
+    if j != k and delta > 0 and p[k] > p[j]:
+        alpha = min((p[k] - p[j]) / (2 * delta), w[j])
+
+        def moved(t):
+            out = w.copy()
+            out[k] += t
+            out[j] -= t
+            return out
+
+        ts = np.linspace(0.0, w[j], 20_001)
+        objs = np.array([log_det_objective(v, moved(t)) for t in ts])
+        best = float(objs.max())
+        assert log_det_objective(v, moved(alpha)) >= best - 1e-12
+        assert abs(alpha - ts[int(np.argmax(objs))]) <= 2 * (ts[1] - ts[0])
+        w = moved(alpha)
+    return reference_multiplicative_step(v, w)
+
+
 def _batched_objective(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """log det objective for a batch of weight vectors (rows of `weights`).
 

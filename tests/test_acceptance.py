@@ -66,7 +66,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def classical_runs():
-    """Converged multiplicative runs for d = 1..4 on the 401-point grid."""
+    """Converged default-engine runs (exchange plus multiplicative update,
+    with elimination) for d = 1..4 on the 401-point grid."""
     cands = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
     runs = {}
     for d in (1, 2, 3, 4):

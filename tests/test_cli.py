@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -315,6 +316,76 @@ def test_certify_truncated_run(tmp_path, capsys):
     assert report["converged"] is False
     assert report["certificate"]["gap"] > 0
     assert cmd_certify(str(out / "report.json"), None, quiet=True) == EXIT_GATE_FAILED
+
+
+TRUNCATED_CONFIG = {
+    "dimension": 1,
+    "degree": 1,
+    "set": {"bounding_box": [[-1.0, 1.0]]},
+    "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
+    "solver": {"max_iters": 1, "prune_threshold": 0.0},
+    "validation_resolution": 11,
+}
+
+
+def test_certify_rejects_tampered_report(tmp_path, capsys):
+    # An unconverged report doctored to look certified: gap set to 0 and the
+    # weights replaced by the optimal ones.  The stored numbers no longer
+    # match the design, so certify exits 1 instead of trusting them.
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True) == 1
+    report = json.loads((out / "report.json").read_text())
+    report["certificate"]["gap"] = 0.0
+    report["design"]["weights"] = [0.5, 0.0, 0.0, 0.5]
+    path = tmp_path / "tampered.json"
+    path.write_text(dump_json(report))
+    capsys.readouterr()
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_GATE_FAILED
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("field", ["objective", "p_max", "gap", "x_hat"])
+def test_certify_rejects_one_altered_number(interval_run, tmp_path, capsys, field):
+    report = json.loads(json.dumps(interval_run["report"]))
+    if field == "gap":
+        report["certificate"]["gap"] += 1e-6
+    elif field == "x_hat":
+        report["certificate"]["x_hat"][0][0] *= 1.0 + 1e-7
+    else:
+        report[field] *= 1.0 + 1e-7
+    path = tmp_path / "report.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_GATE_FAILED
+    assert_one_error_line(capsys)
+
+
+def test_certify_rejects_design_off_the_candidates(tmp_path, capsys):
+    # Atoms at +-2 with every stored number rewritten to match them: p is at
+    # most 1.25 < n_d = 2 on [-1, 1], so without the candidate check the
+    # report passes with objective log 4, above the true optimum 0.
+    cfg = json.loads(json.dumps(TRUNCATED_CONFIG))
+    cfg["solver"] = {}
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == 0
+    report = json.loads((out / "report.json").read_text())
+    report["design"] = {"points": [[-2.0], [2.0]], "weights": [0.5, 0.5]}
+    report["objective"] = math.log(4.0)
+    report["p_max"] = 1.25
+    report["certificate"]["gap"] = 0.0
+    report["certificate"]["x_hat"] = [[1.0, 0.0], [0.0, 0.25]]
+    path = tmp_path / "off.json"
+    path.write_text(dump_json(report))
+    capsys.readouterr()
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_GATE_FAILED
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("config", [TRUNCATED_CONFIG, SQUARE_CONFIG, INTERVAL_CONFIG])
+def test_certify_untouched_report_keeps_its_exit_code(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    code = cmd_solve(write_config(tmp_path, config), str(out), True)
+    assert cmd_certify(str(out / "report.json"), None, quiet=True) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_certify_corrupted_report(tmp_path):

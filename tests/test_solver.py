@@ -13,7 +13,7 @@ from doptdesign import (
 from oracles import (
     log_det_objective,
     monomial_design_matrix,
-    reference_multiplicative_step,
+    reference_exchange_multiplicative_step,
     simplex_grid_search,
 )
 
@@ -231,12 +231,27 @@ def test_solve_rejects_bad_prune_threshold():
 
 
 def test_mult_step_matches_solver_iteration():
-    # The solver's first update equals an independent multiplicative step.
+    # The solver's first update equals an independent exchange followed by a
+    # multiplicative step.
     rng = np.random.default_rng(50)
     pts = rng.uniform(-1, 1, size=(9, 1))
     cands = CandidateSet(points=pts, source="r")
     v = monomial_design_matrix(pts, 2)
-    stepped = reference_multiplicative_step(v, init_uniform(cands, 2).weights)
+    stepped = reference_exchange_multiplicative_step(v, init_uniform(cands, 2).weights)
+    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
+    assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
+
+
+def test_exchange_interior_alpha_matches_solver_iteration():
+    # Five points: the det-maximizing exchange (alpha ~ 0.114) stops short of
+    # the donor's whole weight 0.2, so the closed-form alpha itself is tested,
+    # not only the drop step.
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1, 1, size=(5, 1))
+    cands = CandidateSet(points=pts, source="r")
+    v = monomial_design_matrix(pts, 2)
+    stepped = reference_exchange_multiplicative_step(v, np.full(5, 0.2))
     res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
     assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
     assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
