@@ -14,7 +14,6 @@ from .basis import (
     MultiIndexBasis,
     enumerate_basis,
     eval_basis,
-    outer_index_map,
     vandermonde,
 )
 from .certificate import (
@@ -73,7 +72,7 @@ from .solver import (
     init_uniform,
     solve,
 )
-from .spd import SpdFactor, factorize, log_det, quad_form_inv
+from .spd import SpdFactor, factorize, quad_form_inv
 from .spd import solve as spd_solve
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "MultiIndexBasis",
     "enumerate_basis",
     "eval_basis",
-    "outer_index_map",
     "vandermonde",
     "CDCoefficients",
     "DualCertificate",
@@ -129,7 +127,6 @@ __all__ = [
     "solve",
     "SpdFactor",
     "factorize",
-    "log_det",
     "quad_form_inv",
     "spd_solve",
 ]

@@ -119,27 +119,14 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     return out
 
 
-def outer_index_map(basis: MultiIndexBasis) -> dict[tuple[int, int], MultiIndex]:
-    """Map each entry (i, j) of the moment matrix to its monomial exponent.
-
-    Entry (i, j) of the moment matrix carries the moment of
-    x^(indices[i] + indices[j]), a monomial of degree <= 2d.  This map is what
-    makes the moment matrix a linear function of the degree-2d moment vector,
-    and by transposition it fixes the adjoint expansion used in certificates.
-    """
-    idx = basis.indices
-    out: dict[tuple[int, int], MultiIndex] = {}
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            out[(i, j)] = tuple(p + q for p, q in zip(a, b))
-    return out
-
-
 def outer_position_map(basis: MultiIndexBasis, basis2d: MultiIndexBasis) -> np.ndarray:
     """Positions of the pairwise index sums inside the degree-2d basis.
 
     Returns an integer array P of shape (size, size) with
-    basis2d.indices[P[i, j]] == indices[i] + indices[j].
+    basis2d.indices[P[i, j]] == indices[i] + indices[j]: entry (i, j) of the
+    moment matrix carries the moment of that monomial.  This map makes the
+    moment matrix a linear function of the degree-2d moment vector, and by
+    transposition it fixes the adjoint expansion used in certificates.
     """
     if basis2d.n != basis.n or basis2d.d != 2 * basis.d:
         raise SizeMismatchError(

@@ -7,14 +7,16 @@ digits, which round-trips binary64 losslessly and makes reruns of the same
 configuration byte-identical.  Tables are RFC-4180 CSV with a header row.
 
 Exit codes: 0 success, 1 quality gate failed (non-convergence or dual
-violation; the report is still written), 2 configuration or input error,
-3 degenerate design.
+violation; the report is still written) or a report that fails its audit,
+2 configuration or input error, 3 degenerate design.  Every error is one
+`error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -56,8 +58,8 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 _DEFAULT_VALIDATION_RESOLUTION = 101
-#: Relative agreement `certify` demands between a stored number and its
-#: recomputation (the same tolerance as the benchmark's independent check).
+#: Relative agreement the report audit demands between a stored number and
+#: its recomputation (the same tolerance as the benchmark's independent check).
 _CERTIFY_RTOL = 1e-9
 _DEFAULT_OUTPUT = {"report_json": "report.json", "support_csv": "support.csv"}
 
@@ -348,7 +350,10 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
     elif cand_cfg["source"] == "points":
         cands = explicit_candidates(space, np.array(cand_cfg["points"], dtype=float))
     else:
-        pts = np.loadtxt(cand_cfg["path"], ndmin=2)
+        try:
+            pts = np.loadtxt(cand_cfg["path"], ndmin=2)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"point cloud file: {err}") from err
         if pts.shape[1] != n:
             raise ConfigError(
                 f"point cloud has {pts.shape[1]} columns, expected {n}"
@@ -431,35 +436,62 @@ def _write_support_csv(path: Path, cert, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
-    try:
-        cfg = load_config(config_path)
-        space, cands = build_problem(cfg)
-    except (ConfigError, EmptyCandidateSetError, InvalidDimensionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+class _Rejected(Exception):
+    """A report whose design or stored numbers fail the audit."""
 
+
+#: Exit code of each error that a subcommand reports as one `error:` line.
+_EXIT_CODES = {
+    _Rejected: EXIT_GATE_FAILED,
+    ConfigError: EXIT_CONFIG,
+    EmptyCandidateSetError: EXIT_CONFIG,
+    InvalidDimensionError: EXIT_CONFIG,
+    DegenerateDesignError: EXIT_DEGENERATE,
+    NotAnEllipsoidError: EXIT_DEGENERATE,
+    TooFewCandidatesError: EXIT_DEGENERATE,
+}
+
+
+def _one_line_errors(cmd):
+    """Turn an error of `_EXIT_CODES` raised by a subcommand into one
+    `error:` line on stderr and its exit code, never a traceback."""
+
+    @functools.wraps(cmd)
+    def run(*args, **kwargs):
+        try:
+            return cmd(*args, **kwargs)
+        except tuple(_EXIT_CODES) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return next(c for kind, c in _EXIT_CODES.items() if isinstance(err, kind))
+
+    return run
+
+
+def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
+    """The validation or evaluation grid (an empty one raises
+    EmptyCandidateSetError)."""
+    if resolution < 2:
+        raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
+    return grid_candidates(space, resolution)
+
+
+@_one_line_errors
+def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
+    cfg = load_config(config_path)
+    space, cands = build_problem(cfg)
     solver_cfg = SolverConfig(**cfg["solver"])
     d = cfg["degree"]
     timings: dict[str, float] = {}
-    try:
-        t0 = time.perf_counter()
-        result = solve(cands, d, solver_cfg)
-        timings["solve"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        cert = build_certificate(result, d)
-        timings["certificate"] = time.perf_counter() - t0
-    except (TooFewCandidatesError, DegenerateDesignError) as err:
-        print(f"error: degenerate problem: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    t0 = time.perf_counter()
+    result = solve(cands, d, solver_cfg)
+    timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        vgrid = grid_candidates(space, cfg["validation_resolution"])
-    except EmptyCandidateSetError as err:
-        print(f"error: validation grid: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cert = build_certificate(result, d)
+    timings["certificate"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    vgrid = _grid(space, cfg["validation_resolution"])
     max_violation, argmax_point = validate_dual_feasibility(cert, vgrid)
     timings["validation"] = time.perf_counter() - t0
     validation = {
@@ -502,39 +534,29 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     return EXIT_OK if gate_ok else EXIT_GATE_FAILED
 
 
-def _load_report(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"report file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"report is not valid JSON: {err}") from err
+def _audit_report(report_path: str) -> SimpleNamespace:
+    """Rebuild a report's certificate from its config and design, and audit it.
 
+    Only the config and the design (points and weights) are read as input.
+    Every design point must be a candidate of the config; points are written
+    with round-trip precision, so the match is exact.  p is evaluated at all
+    candidates and build_certificate rebuilds the certificate; each stored
+    n_d, objective, p_max, gap and x_hat must agree with its rebuilt value to
+    a relative _CERTIFY_RTOL (measured against at least 1, so values near 0
+    compare absolutely).
 
-def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False) -> int:
-    """Rebuild a report's certificate from its design and audit it.
-
-    Only the config and the design (points and weights) are read from the
-    report.  Every design point must be a candidate of the config; points
-    are written with round-trip precision, so the match is exact, and a point
-    off the candidate set exits 1.  The certificate is then rebuilt by
-    build_certificate from p over all candidates, and each stored objective,
-    p_max, gap and x_hat must agree with the rebuilt one to a relative
-    _CERTIFY_RTOL (measured against at least 1, so values near 0 compare
-    absolutely); a mismatch exits 1.  The gates run on the rebuilt
-    certificate, never on the stored numbers.
+    Returns the rebuilt solve result (cfg, space, candidates, design, factor,
+    p_values, the unfloored p_max, support_indices) with its certificate as
+    `cert`.  Raises ConfigError on an unreadable or malformed report,
+    _Rejected on a design point off the candidates or a mismatch, and
+    DegenerateDesignError on a singular design.
     """
+    path = Path(report_path)
+    if not path.is_file():
+        raise ConfigError(f"report file not found: {path}")
     try:
-        report = _load_report(report_path)
+        report = json.loads(path.read_text())
         cfg = parse_config(report["config"])
-        space, cands = build_problem(cfg)
-        points = np.array(report["design"]["points"], dtype=float)
-        weights = np.array(report["design"]["weights"], dtype=float)
-        if points.ndim != 2 or points.shape[1] != cfg["dimension"]:
-            raise ConfigError(
-                f"report design points must be rows of {cfg['dimension']} coordinates"
-            )
         stored = {
             "n_d": float(report["n_d"]),
             "objective": float(report["objective"]),
@@ -542,40 +564,50 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
             "gap": float(report["certificate"]["gap"]),
             "x_hat": np.array(report["certificate"]["x_hat"], dtype=float),
         }
-        row = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
-        support = [row.get(pt) for pt in map(tuple, points.tolist())]
-        if None in support:
-            print(
-                f"error: report design point {points[support.index(None)].tolist()} "
-                "is not a candidate of its config",
-                file=sys.stderr,
-            )
-            return EXIT_GATE_FAILED
-        support = np.array(support, dtype=int)
+        points = np.array(report["design"]["points"], dtype=float)
+        weights = np.array(report["design"]["weights"], dtype=float)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        what = f"missing key {err}" if isinstance(err, KeyError) else err
+        raise ConfigError(f"malformed report: {what}") from err
+    if points.ndim != 2 or points.shape[1] != cfg["dimension"]:
+        raise ConfigError(
+            f"report design points must be rows of {cfg['dimension']} coordinates"
+        )
+    space, cands = build_problem(cfg)
+    row = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
+    support = [row.get(pt) for pt in map(tuple, points.tolist())]
+    if None in support:
+        raise _Rejected(
+            f"report design point {points[support.index(None)].tolist()} "
+            "is not a candidate of its config"
+        )
+    support = np.array(support, dtype=int)
+    try:
         design = DesignMeasure(
             candidates=CandidateSet(points=cands.points[support], source=cands.source),
             weights=weights,
         )
-    except (ConfigError, KeyError, TypeError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as err:
+        raise ConfigError(f"report design: {err}") from err
 
     d = cfg["degree"]
-    basis = enumerate_basis(cfg["dimension"], d)
-    try:
-        factor = assemble_information(design, d)
-        p_values = quad_form_inv_many(factor, vandermonde(basis, cands.points))
-        rebuilt = SimpleNamespace(
-            design=design,
-            candidates=cands,
-            p_values=p_values,
-            p_max=float(p_values.max()),
-            support_indices=support,
-        )
-        cert = build_certificate(rebuilt, d)
-    except DegenerateDesignError as err:
-        print(f"error: degenerate design in report: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    factor = assemble_information(design, d)
+    p_values = quad_form_inv_many(
+        factor, vandermonde(enumerate_basis(cfg["dimension"], d), cands.points)
+    )
+    rebuilt = SimpleNamespace(
+        cfg=cfg,
+        space=space,
+        candidates=cands,
+        design=design,
+        factor=factor,
+        p_values=p_values,
+        p_max=float(p_values.max()),
+        support_indices=support,
+    )
+    rebuilt.cert = cert = build_certificate(rebuilt, d)
     recomputed = {
         "n_d": cert.n_d,
         "objective": factor.log_det,
@@ -587,22 +619,22 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
         value, mine = np.asarray(value, dtype=float), np.asarray(stored[name])
         tol = _CERTIFY_RTOL * max(1.0, float(np.abs(value).max()))
         if mine.shape != value.shape or not np.all(np.abs(mine - value) <= tol):
-            print(
-                f"error: report {name} does not match its value recomputed "
-                "from the design",
-                file=sys.stderr,
+            raise _Rejected(
+                f"report {name} does not match its value recomputed from the design"
             )
-            return EXIT_GATE_FAILED
+    return rebuilt
 
+
+@_one_line_errors
+def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False) -> int:
+    """Audit a report (`_audit_report`) and gate on its rebuilt certificate,
+    never on the stored numbers."""
+    audit = _audit_report(report_path)
+    cert, cfg = audit.cert, audit.cfg
     n_d = cert.n_d
     epsilon = cfg["solver"]["epsilon"]
     resolution = validation_resolution or cfg["validation_resolution"]
-    try:
-        vgrid = grid_candidates(space, resolution)
-    except EmptyCandidateSetError as err:
-        print(f"error: validation grid: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    max_violation, _ = validate_dual_feasibility(cert, vgrid)
+    max_violation, _ = validate_dual_feasibility(cert, _grid(audit.space, resolution))
 
     bound = n_d * math.log1p(epsilon)
     gap_ok = cert.gap <= bound
@@ -619,6 +651,7 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
     return EXIT_OK if (gap_ok and violation_ok) else EXIT_GATE_FAILED
 
 
+@_one_line_errors
 def cmd_eval_cd(
     config_path: str,
     report_path: str,
@@ -626,49 +659,23 @@ def cmd_eval_cd(
     out_dir: str,
     quiet=False,
 ) -> int:
-    try:
-        cfg = load_config(config_path)
-        report = _load_report(report_path)
-        report_cfg = report["config"]
-        if (
-            report_cfg["dimension"] != cfg["dimension"]
-            or report_cfg["degree"] != cfg["degree"]
-        ):
-            raise ConfigError(
-                "report dimensions do not match config "
-                f"(report n={report_cfg['dimension']} d={report_cfg['degree']}, "
-                f"config n={cfg['dimension']} d={cfg['degree']})"
-            )
-        if grid_resolution < 2:
-            raise ConfigError(f"grid resolution must be >= 2, got {grid_resolution}")
-        space, _ = build_problem(cfg)
-    except (ConfigError, KeyError, EmptyCandidateSetError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    d = cfg["degree"]
-    n_d = report["n_d"]
-    p_max = report["p_max"]
-    design = DesignMeasure(
-        candidates=CandidateSet(
-            points=np.array(report["design"]["points"], dtype=float),
-            source="report",
-        ),
-        weights=np.array(report["design"]["weights"], dtype=float),
-    )
-    try:
-        factor = assemble_information(design, d)
-    except DegenerateDesignError as err:
-        print(f"error: degenerate design in report: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    basis = enumerate_basis(cfg["dimension"], d)
-    try:
-        grid = grid_candidates(space, grid_resolution)
-    except EmptyCandidateSetError as err:
-        print(f"error: evaluation grid: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    p_raw = quad_form_inv_many(factor, vandermonde(basis, grid.points))
-    p_scaled = (n_d / p_max) * p_raw
+    """Tabulate the audited report's p, and p scaled by n_d / p_max, on a
+    grid of the config's set.  Tabulates only: an untouched unconverged
+    report exits 0."""
+    cfg = load_config(config_path)
+    audit = _audit_report(report_path)
+    n, d = audit.cfg["dimension"], audit.cfg["degree"]
+    if (n, d) != (cfg["dimension"], cfg["degree"]):
+        raise ConfigError(
+            f"report dimensions do not match config (report n={n} d={d}, "
+            f"config n={cfg['dimension']} d={cfg['degree']})"
+        )
+    space, _ = build_problem(cfg)
+    grid = _grid(space, grid_resolution)
+    n_d = audit.cert.n_d
+    v = vandermonde(audit.cert.basis, grid.points)
+    p_raw = quad_form_inv_many(audit.factor, v)
+    p_scaled = (n_d / audit.p_max) * p_raw
     inside = p_scaled <= n_d * (1.0 + BOUNDARY_SLACK)
 
     out = Path(out_dir)
@@ -677,8 +684,7 @@ def cmd_eval_cd(
     with csv_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [f"x{j + 1}" for j in range(cfg["dimension"])]
-            + ["p", "p_scaled", "inside_levelset"]
+            [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"]
         )
         for pt, pr, ps, ok in zip(grid.points, p_raw, p_scaled, inside):
             writer.writerow(
@@ -690,25 +696,17 @@ def cmd_eval_cd(
     return EXIT_OK
 
 
+@_one_line_errors
 def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
-    try:
-        report = _load_report(report_path)
-        degree = report["config"]["degree"]
-    except (ConfigError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    if degree != 1:
-        print(
-            f"error: ellipsoid extraction needs a degree-1 report, got degree {degree}",
-            file=sys.stderr,
+    """Extract the enclosing ellipsoid of an audited degree-1 report from its
+    rebuilt x_hat."""
+    audit = _audit_report(report_path)
+    if audit.cfg["degree"] != 1:
+        raise ConfigError(
+            "ellipsoid extraction needs a degree-1 report, "
+            f"got degree {audit.cfg['degree']}"
         )
-        return EXIT_CONFIG
-    x_hat = np.array(report["certificate"]["x_hat"], dtype=float)
-    try:
-        ell = ellipsoid_from_quadratic(x_hat, report["n_d"])
-    except NotAnEllipsoidError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    ell = ellipsoid_from_quadratic(audit.cert.x_hat, audit.cert.n_d)
     payload = _ellipsoid_payload(ell)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -51,7 +51,7 @@ class DesignMeasure:
         if w.size and w.min() < 0.0:
             raise ValueError(f"negative weight {w.min()}")
         total = w.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_SLACK:
+        if not abs(total - 1.0) <= WEIGHT_SUM_SLACK:  # also rejects NaN
             raise ValueError(f"weights sum to {total}, expected 1")
         w = w / total
         w.flags.writeable = False

@@ -102,11 +102,6 @@ def quad_form_inv_many(f: SpdFactor, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", z, z)
 
 
-def log_det(f: SpdFactor) -> float:
-    """log det A, cached at factorization time as 2 * sum(log diag L)."""
-    return f.log_det
-
-
 def inverse(f: SpdFactor) -> np.ndarray:
     """Explicit A^{-1}; used only where a whole matrix must be reported."""
     li = solve_triangular(

@@ -8,7 +8,6 @@ from doptdesign import (
     InvalidDimensionError,
     enumerate_basis,
     eval_basis,
-    outer_index_map,
     vandermonde,
 )
 from doptdesign.basis import outer_position_map
@@ -82,23 +81,23 @@ def test_eval_dimension_mismatch():
 
 
 def test_outer_map_univariate_hankel():
-    b = enumerate_basis(1, 1)
-    m = outer_index_map(b)
-    assert m[(0, 0)] == (0,)
-    assert m[(0, 1)] == (1,)
-    assert m[(1, 1)] == (2,)
+    b, b2 = enumerate_basis(1, 1), enumerate_basis(1, 2)
+    pos = outer_position_map(b, b2)
+    assert b2.indices[pos[0, 0]] == (0,)
+    assert b2.indices[pos[0, 1]] == (1,)
+    assert b2.indices[pos[1, 1]] == (2,)
 
 
 def test_outer_map_cross_term():
-    b = enumerate_basis(2, 1)
-    assert outer_index_map(b)[(1, 2)] == (1, 1)
+    b, b2 = enumerate_basis(2, 1), enumerate_basis(2, 2)
+    assert b2.indices[outer_position_map(b, b2)[1, 2]] == (1, 1)
 
 
 def test_outer_map_diagonal_doubles():
-    b = enumerate_basis(2, 2)
-    m = outer_index_map(b)
+    b, b2 = enumerate_basis(2, 2), enumerate_basis(2, 4)
+    pos = outer_position_map(b, b2)
     for k, alpha in enumerate(b.indices):
-        assert m[(k, k)] == tuple(2 * e for e in alpha)
+        assert b2.indices[pos[k, k]] == tuple(2 * e for e in alpha)
 
 
 def test_outer_product_matches_monomial_evaluation():

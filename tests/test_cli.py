@@ -288,6 +288,15 @@ def test_solve_point_cloud_file(tmp_path):
     assert report["converged"] is True
 
 
+def test_solve_malformed_point_cloud_exits_config(tmp_path, capsys):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("-1.0\nnot-a-number\n")
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
+    assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path), True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
 # -- certify ----------------------------------------------------------------
 
 
@@ -328,34 +337,111 @@ TRUNCATED_CONFIG = {
 }
 
 
-def test_certify_rejects_tampered_report(tmp_path, capsys):
+REPORT_COMMANDS = ["certify", "eval-cd", "ellipsoid"]
+
+
+def run_on_report(command, report, tmp_path):
+    """Write `report`, run one report-reading subcommand on it through `main`
+    and return its exit code; eval-cd and ellipsoid write under tmp_path/cmd."""
+    path = tmp_path / "altered.json"
+    path.write_text(dump_json(report))
+    out = ["--out", str(tmp_path / "cmd")]
+    config = write_config(tmp_path, report["config"], "echo.json")
+    argv = {
+        "certify": ["certify", "--report", str(path)],
+        "eval-cd": [
+            "eval-cd", "--config", config, "--report", str(path),
+            "--validation-resolution", "5", *out,
+        ],
+        "ellipsoid": ["ellipsoid", "--report", str(path), *out],
+    }[command]
+    return main([*argv, "--quiet"])
+
+
+def assert_nothing_written(tmp_path):
+    for name in ("cd_profile.csv", "ellipsoid.json"):
+        assert not (tmp_path / "cmd" / name).exists()
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_certify_rejects_tampered_report(tmp_path, capsys, command):
     # An unconverged report doctored to look certified: gap set to 0 and the
     # weights replaced by the optimal ones.  The stored numbers no longer
-    # match the design, so certify exits 1 instead of trusting them.
+    # match the design, so every report reader exits 1 instead of trusting
+    # them.
     out = tmp_path / "out"
     assert cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True) == 1
     report = json.loads((out / "report.json").read_text())
     report["certificate"]["gap"] = 0.0
     report["design"]["weights"] = [0.5, 0.0, 0.0, 0.5]
-    path = tmp_path / "tampered.json"
-    path.write_text(dump_json(report))
     capsys.readouterr()
-    assert cmd_certify(str(path), None, quiet=True) == EXIT_GATE_FAILED
+    assert run_on_report(command, report, tmp_path) == EXIT_GATE_FAILED
     assert_one_error_line(capsys)
+    assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("field", ["objective", "p_max", "gap", "x_hat"])
-def test_certify_rejects_one_altered_number(interval_run, tmp_path, capsys, field):
-    report = json.loads(json.dumps(interval_run["report"]))
+@pytest.mark.parametrize(
+    ("command", "field"),
+    [
+        # certify keeps the ids it had before eval-cd and ellipsoid joined.
+        pytest.param(
+            command, field, id=field if command == "certify" else f"{command}-{field}"
+        )
+        for command in REPORT_COMMANDS
+        for field in ["objective", "p_max", "gap", "x_hat"]
+    ],
+)
+def test_certify_rejects_one_altered_number(
+    interval_run, square_run, tmp_path, capsys, command, field
+):
+    run = square_run if command == "ellipsoid" else interval_run  # ellipsoid: d = 1
+    report = json.loads((run["out"] / "report.json").read_text())
     if field == "gap":
         report["certificate"]["gap"] += 1e-6
     elif field == "x_hat":
         report["certificate"]["x_hat"][0][0] *= 1.0 + 1e-7
-    else:
-        report[field] *= 1.0 + 1e-7
-    path = tmp_path / "report.json"
-    path.write_text(dump_json(report))
-    assert cmd_certify(str(path), None, quiet=True) == EXIT_GATE_FAILED
+    else:  # the square's objective is log det I = 0, so shift, not scale
+        report[field] += 1e-7 * max(1.0, abs(report[field]))
+    assert run_on_report(command, report, tmp_path) == EXIT_GATE_FAILED
+    assert_one_error_line(capsys)
+    assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["eval-cd", "ellipsoid"])
+def test_report_readers_reject_weights_off_the_simplex(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, PAIR_CONFIG), str(out), True) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    report["design"]["weights"] = [0.7, 0.7]
+    assert run_on_report(command, report, tmp_path) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+    assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["eval-cd", "ellipsoid"])
+def test_report_readers_tabulate_an_untouched_unconverged_report(
+    tmp_path, capsys, command
+):
+    # eval-cd and ellipsoid tabulate and extract; only certify gates.
+    out = tmp_path / "out"
+    code = cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True)
+    assert code == EXIT_GATE_FAILED
+    report = json.loads((out / "report.json").read_text())
+    assert run_on_report(command, report, tmp_path) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", REPORT_COMMANDS)
+def test_report_readers_need_the_point_cloud_file(tmp_path, capsys, command):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("-1.0\n1.0\n")
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    cloud.unlink()
+    assert run_on_report(command, report, tmp_path) == EXIT_CONFIG
     assert_one_error_line(capsys)
 
 
@@ -424,8 +510,9 @@ def test_certify_empty_validation_grid_exits_config(tiny_disk_run, capsys):
     report = str(tiny_disk_run["out"] / "report.json")
     assert cmd_certify(report, 101, quiet=True) == EXIT_OK
     capsys.readouterr()
-    assert cmd_certify(report, 100, quiet=True) == EXIT_CONFIG
-    assert_one_error_line(capsys)
+    for resolution in (100, 1):  # a grid that misses the set, and no grid
+        assert cmd_certify(report, resolution, quiet=True) == EXIT_CONFIG
+        assert_one_error_line(capsys)
 
 
 def test_certify_rejects_report_naming_algorithm(interval_run, tmp_path, capsys):

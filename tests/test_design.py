@@ -213,8 +213,9 @@ def test_weights_renormalized_within_slack():
 
 
 def test_weights_rejected_beyond_slack():
-    with pytest.raises(ValueError):
-        univariate_design([-1.0, 1.0], [0.5, 0.6])
+    for w in ([0.5, 0.6], [np.nan, np.nan]):  # a NaN sum is not within slack
+        with pytest.raises(ValueError):
+            univariate_design([-1.0, 1.0], w)
 
 
 def test_negative_weights_rejected():
