@@ -6,127 +6,31 @@ simplex, and certifies optimality through the dual: the Christoffel-Darboux
 polynomial of the optimal design stays below the model dimension n_d on the
 design space, touching it exactly on the optimal support.  For first-degree
 models the dual is the minimum-volume enclosing ellipsoid problem.
+
+The top level holds the calls of the README's Library example, the types
+they return and the errors they raise; everything else is imported from its
+module (`doptdesign.design`, `doptdesign.geometry`, ...).
 """
+
+import types as _types
 
 __version__ = "0.1.0"
 
-from .basis import (
-    MultiIndexBasis,
-    enumerate_basis,
-    eval_basis,
-    vandermonde,
-)
-from .certificate import (
-    CDCoefficients,
-    DualCertificate,
-    adjoint_expand,
-    adjoint_identity_check,
-    build_certificate,
-    contact_points,
-    validate_dual_feasibility,
-)
-from .design import (
-    CDPolynomial,
-    DesignMeasure,
-    MomentVector,
-    assemble_information,
-    cd_eval,
-    cd_polynomial,
-    cd_profile,
-    moment_matrix,
-    moment_vector,
-)
+from .certificate import DualCertificate, build_certificate, validate_dual_feasibility
 from .errors import (
-    ConfigError,
     DegenerateDesignError,
     DimensionMismatchError,
     EmptyCandidateSetError,
     InvalidDimensionError,
-    NotAnEllipsoidError,
     NotPositiveDefiniteError,
-    SizeMismatchError,
     TooFewCandidatesError,
-    WrongDegreeError,
 )
-from .geometry import (
-    Ellipsoid,
-    LevelSetReport,
-    contains,
-    ellipsoid_from_quadratic,
-    extract_ellipsoid,
-    levelset_membership,
-    levelset_report,
-)
-from .semialg import (
-    CandidateSet,
-    SemiAlgebraicSet,
-    SparsePolynomial,
-    eval_poly,
-    explicit_candidates,
-    grid_candidates,
-    membership,
-)
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    init_uniform,
-    solve,
-)
-from .spd import SpdFactor, factorize, quad_form_inv
-from .spd import solve as spd_solve
+from .semialg import CandidateSet, SemiAlgebraicSet, SparsePolynomial, grid_candidates
+from .solver import SolveResult, SolverConfig, solve
 
-__all__ = [
-    "__version__",
-    "MultiIndexBasis",
-    "enumerate_basis",
-    "eval_basis",
-    "vandermonde",
-    "CDCoefficients",
-    "DualCertificate",
-    "adjoint_expand",
-    "adjoint_identity_check",
-    "build_certificate",
-    "contact_points",
-    "validate_dual_feasibility",
-    "CDPolynomial",
-    "DesignMeasure",
-    "MomentVector",
-    "assemble_information",
-    "cd_eval",
-    "cd_polynomial",
-    "cd_profile",
-    "moment_matrix",
-    "moment_vector",
-    "ConfigError",
-    "DegenerateDesignError",
-    "DimensionMismatchError",
-    "EmptyCandidateSetError",
-    "InvalidDimensionError",
-    "NotAnEllipsoidError",
-    "NotPositiveDefiniteError",
-    "SizeMismatchError",
-    "TooFewCandidatesError",
-    "WrongDegreeError",
-    "Ellipsoid",
-    "LevelSetReport",
-    "contains",
-    "ellipsoid_from_quadratic",
-    "extract_ellipsoid",
-    "levelset_membership",
-    "levelset_report",
-    "CandidateSet",
-    "SemiAlgebraicSet",
-    "SparsePolynomial",
-    "eval_poly",
-    "explicit_candidates",
-    "grid_candidates",
-    "membership",
-    "SolveResult",
-    "SolverConfig",
-    "init_uniform",
-    "solve",
-    "SpdFactor",
-    "factorize",
-    "quad_form_inv",
-    "spd_solve",
-]
+# The imports above are the export list; submodules are reached by name.
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -82,19 +82,6 @@ def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
     return basis
 
 
-def eval_basis(basis: MultiIndexBasis, x) -> np.ndarray:
-    """Evaluate the basis vector v(x) at a single point.
-
-    Component k is the monomial x^indices[k]; the constant component is 1.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != basis.n:
-        raise DimensionMismatchError(
-            f"point has {x.shape[0]} coordinates, basis expects {basis.n}"
-        )
-    return vandermonde(basis, x.reshape(1, -1))[0]
-
-
 def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     """Evaluate the basis at many points: row i is v(points[i]).
 

@@ -24,7 +24,6 @@ from . import spd
 from .basis import (
     MultiIndexBasis,
     enumerate_basis,
-    eval_basis,
     outer_position_map,
     vandermonde,
 )
@@ -40,9 +39,6 @@ class CDCoefficients:
 
     basis2d: MultiIndexBasis
     coeffs: np.ndarray
-
-    def evaluate(self, x) -> float:
-        return float(self.coeffs @ eval_basis(self.basis2d, x))
 
     def evaluate_many(self, pts) -> np.ndarray:
         return vandermonde(self.basis2d, np.asarray(pts, dtype=float)) @ self.coeffs

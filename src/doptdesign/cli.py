@@ -276,10 +276,12 @@ def parse_config(raw: dict) -> dict:
         SolverConfig(**solver_norm)
     except ValueError as err:
         raise ConfigError(f"solver.{err}") from err
-    n_d = math.comb(n + d, d)
-    if not solver_norm["prune_threshold"] < 1.0 / n_d:
+    # int / int division is correctly rounded for any n_d; 1.0 / n_d would
+    # first convert n_d to float, which overflows above about 1.8e308.
+    inverse_n_d = 1 / math.comb(n + d, d)
+    if not solver_norm["prune_threshold"] < inverse_n_d:
         raise ConfigError(
-            f"solver.prune_threshold must be below 1/n_d = 1/{n_d}, "
+            f"solver.prune_threshold must be below 1/n_d = {inverse_n_d:.6g}, "
             f"got {solver_norm['prune_threshold']}"
         )
 
@@ -324,7 +326,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an integer of more than 4300 digits
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_config(raw)
 
@@ -475,6 +477,28 @@ def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     return grid_candidates(space, resolution)
 
 
+def _gate(cert, space: SemiAlgebraicSet, resolution: int, epsilon: float):
+    """The quality gate of `solve` and `certify`.
+
+    Samples the dual constraint v(x)^T X v(x) <= n_d on a fresh grid of the
+    set (`validate_dual_feasibility`) and passes when the certified gap is at
+    most n_d log1p(epsilon), which is p_max <= n_d (1 + epsilon) up to
+    rounding, and the worst sampled violation is at most n_d epsilon.
+    """
+    max_violation, argmax_point = validate_dual_feasibility(
+        cert, _grid(space, resolution)
+    )
+    gap_bound = cert.n_d * math.log1p(epsilon)
+    violation_bound = cert.n_d * epsilon
+    return SimpleNamespace(
+        passed=cert.gap <= gap_bound and max_violation <= violation_bound,
+        max_violation=max_violation,
+        argmax_point=argmax_point,
+        gap_bound=gap_bound,
+        violation_bound=violation_bound,
+    )
+
+
 @_one_line_errors
 def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     cfg = load_config(config_path)
@@ -491,13 +515,12 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     timings["certificate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    vgrid = _grid(space, cfg["validation_resolution"])
-    max_violation, argmax_point = validate_dual_feasibility(cert, vgrid)
+    gate = _gate(cert, space, cfg["validation_resolution"], solver_cfg.epsilon)
     timings["validation"] = time.perf_counter() - t0
     validation = {
         "resolution": cfg["validation_resolution"],
-        "max_violation": max_violation,
-        "argmax_point": argmax_point,
+        "max_violation": gate.max_violation,
+        "argmax_point": gate.argmax_point,
     }
 
     ellipsoid = None
@@ -519,7 +542,6 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
         json.dumps({k: round(v, 6) for k, v in timings.items()}, indent=1) + "\n"
     )
 
-    gate_ok = result.converged and max_violation <= cert.n_d * solver_cfg.epsilon
     if not quiet:
         print(f"report: {report_path}")
         print(
@@ -528,10 +550,11 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
         )
         print(
             f"converged={result.converged} iterations={result.iterations} "
-            f"support={len(cert.support_weights)} max_violation={max_violation:.3e}"
+            f"support={len(cert.support_weights)} "
+            f"max_violation={gate.max_violation:.3e}"
         )
         print("timings: " + " ".join(f"{k}={v:.3f}s" for k, v in timings.items()))
-    return EXIT_OK if gate_ok else EXIT_GATE_FAILED
+    return EXIT_OK if gate.passed else EXIT_GATE_FAILED
 
 
 def _audit_report(report_path: str) -> SimpleNamespace:
@@ -631,24 +654,18 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
     never on the stored numbers."""
     audit = _audit_report(report_path)
     cert, cfg = audit.cert, audit.cfg
-    n_d = cert.n_d
-    epsilon = cfg["solver"]["epsilon"]
     resolution = validation_resolution or cfg["validation_resolution"]
-    max_violation, _ = validate_dual_feasibility(cert, _grid(audit.space, resolution))
-
-    bound = n_d * math.log1p(epsilon)
-    gap_ok = cert.gap <= bound
-    violation_ok = max_violation <= n_d * epsilon
+    gate = _gate(cert, audit.space, resolution, cfg["solver"]["epsilon"])
     if not quiet:
         print(f"primal_value={cert.primal_value:.12g}")
         print(f"dual_value={cert.dual_value:.12g}")
-        print(f"gap={cert.gap:.6e} (bound {bound:.6e})")
+        print(f"gap={cert.gap:.6e} (bound {gate.gap_bound:.6e})")
         print(f"complementarity_residual={cert.complementarity_residual:.6e}")
         print(
-            f"max_violation={max_violation:.6e} on {resolution}-per-axis grid "
-            f"(bound {n_d * epsilon:.6e})"
+            f"max_violation={gate.max_violation:.6e} on {resolution}-per-axis grid "
+            f"(bound {gate.violation_bound:.6e})"
         )
-    return EXIT_OK if (gap_ok and violation_ok) else EXIT_GATE_FAILED
+    return EXIT_OK if gate.passed else EXIT_GATE_FAILED
 
 
 @_one_line_errors

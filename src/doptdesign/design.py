@@ -19,7 +19,6 @@ from . import spd
 from .basis import (
     MultiIndexBasis,
     enumerate_basis,
-    eval_basis,
     outer_position_map,
     vandermonde,
 )
@@ -140,11 +139,6 @@ def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
     """Christoffel-Darboux polynomial of a non-degenerate design."""
     basis = enumerate_basis(mu.n, d)
     return CDPolynomial(basis=basis, factor=assemble_information(mu, d), n_d=basis.size)
-
-
-def cd_eval(p: CDPolynomial, x) -> float:
-    """Evaluate p at one point; always >= 0."""
-    return spd.quad_form_inv(p.factor, eval_basis(p.basis, x))
 
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:

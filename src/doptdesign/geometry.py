@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import eval_basis, vandermonde
+from .basis import vandermonde
 from .certificate import DualCertificate
 from .errors import (
     DimensionMismatchError,
@@ -111,12 +111,6 @@ def contains(e: Ellipsoid, x) -> bool:
         )
     diff = x - e.center
     return float(diff @ e.shape @ diff) <= e.radius_sq * (1.0 + BOUNDARY_SLACK)
-
-
-def levelset_membership(cert: DualCertificate, x) -> bool:
-    """Membership in the enclosing sublevel set {v(x)^T X v(x) <= n_d}."""
-    v = eval_basis(cert.basis, x)
-    return float(v @ cert.x_hat @ v) <= cert.n_d * (1.0 + BOUNDARY_SLACK)
 
 
 def levelset_report(

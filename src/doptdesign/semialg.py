@@ -19,6 +19,16 @@ from .errors import DimensionMismatchError, EmptyCandidateSetError
 MultiIndex = tuple[int, ...]
 
 
+def _rows(pts, n: int) -> np.ndarray:
+    """pts as a float array with one point of n coordinates per row."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise DimensionMismatchError(
+            f"expected points of shape (N, {n}), got {pts.shape}"
+        )
+    return pts
+
+
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Polynomial stored as a map from exponent tuple to coefficient.
@@ -46,25 +56,9 @@ class SparsePolynomial:
         object.__setattr__(self, "terms", clean)
 
 
-def eval_poly(p: SparsePolynomial, x) -> float:
-    """Evaluate p at a single point."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != p.n:
-        raise DimensionMismatchError(
-            f"point has {x.shape[0]} coordinates, polynomial expects {p.n}"
-        )
-    total = 0.0
-    for alpha, c in p.terms.items():
-        term = c
-        for xj, e in zip(x, alpha):
-            if e:
-                term *= xj**e
-        total += term
-    return total
-
-
-def _eval_poly_many(p: SparsePolynomial, pts: np.ndarray) -> np.ndarray:
-    """Evaluate p at each row of pts."""
+def eval_poly_many(p: SparsePolynomial, pts) -> np.ndarray:
+    """Evaluate p at each row of pts, an (N, p.n) array."""
+    pts = _rows(pts, p.n)
     vals = np.zeros(pts.shape[0])
     for alpha, c in p.terms.items():
         term = np.full(pts.shape[0], c)
@@ -127,28 +121,17 @@ class CandidateSet:
         return self.points.shape[1]
 
 
-def membership(s: SemiAlgebraicSet, x) -> bool:
-    """Closed membership test: inside the box and every g_j(x) >= 0."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != s.n:
-        raise DimensionMismatchError(
-            f"point has {x.shape[0]} coordinates, set expects {s.n}"
-        )
-    for xj, (lo, hi) in zip(x, s.bounding_box):
-        if xj < lo or xj > hi:
-            return False
-    return all(eval_poly(g, x) >= 0.0 for g in s.inequalities)
-
-
-def membership_mask(s: SemiAlgebraicSet, pts: np.ndarray) -> np.ndarray:
-    """Vectorized membership over rows of pts."""
+def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
+    """Closed membership of each row of pts, an (N, s.n) array: inside the box
+    and every g_j(x) >= 0."""
+    pts = _rows(pts, s.n)
     mask = np.ones(pts.shape[0], dtype=bool)
     for j, (lo, hi) in enumerate(s.bounding_box):
         mask &= (pts[:, j] >= lo) & (pts[:, j] <= hi)
     for g in s.inequalities:
         if not mask.any():
             break
-        mask &= _eval_poly_many(g, pts) >= 0.0
+        mask &= eval_poly_many(g, pts) >= 0.0
     return mask
 
 
@@ -187,10 +170,6 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] == 0:
         raise EmptyCandidateSetError("empty candidate point list")
-    if pts.shape[1] != s.n:
-        raise DimensionMismatchError(
-            f"points have {pts.shape[1]} coordinates, set expects {s.n}"
-        )
     seen: set[tuple[float, ...]] = set()
     kept: list[np.ndarray] = []
     mask = membership_mask(s, pts)

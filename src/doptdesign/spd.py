@@ -81,22 +81,13 @@ def solve(f: SpdFactor, b) -> np.ndarray:
     return solve_triangular(f.chol.T, y, lower=False, check_finite=False)
 
 
-def quad_form_inv(f: SpdFactor, v) -> float:
-    """The quadratic form v^T A^{-1} v, computed as ||L^{-1} v||^2 (always >= 0)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.shape[0] != f.size:
+def quad_form_inv_many(f: SpdFactor, rows) -> np.ndarray:
+    """v^T A^{-1} v for every row v of `rows`, an (N, size) array; each value
+    is computed as ||L^{-1} v||^2, so it is never negative."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != f.size:
         raise DimensionMismatchError(
-            f"vector has length {v.shape[0]}, factor has size {f.size}"
-        )
-    z = solve_triangular(f.chol, v, lower=True, check_finite=False)
-    return float(z @ z)
-
-
-def quad_form_inv_many(f: SpdFactor, rows: np.ndarray) -> np.ndarray:
-    """v^T A^{-1} v for every row v of `rows`."""
-    if rows.shape[1] != f.size:
-        raise DimensionMismatchError(
-            f"vectors have length {rows.shape[1]}, factor has size {f.size}"
+            f"expected vectors of shape (N, {f.size}), got {rows.shape}"
         )
     z = solve_triangular(f.chol, rows.T, lower=True, check_finite=False)
     return np.einsum("ij,ij->j", z, z)

@@ -41,7 +41,10 @@ def monomial_design_matrix(points: np.ndarray, degree: int) -> np.ndarray:
         for alpha in _compositions(total, n):
             col = np.ones(points.shape[0])
             for j, e in enumerate(alpha):
-                col *= points[:, j] ** e
+                power = np.ones(points.shape[0])
+                for _ in range(e):  # x^e as repeated products, rounded as such
+                    power *= points[:, j]
+                col *= power
             cols.append(col)
     return np.column_stack(cols)
 
@@ -60,6 +63,11 @@ def log_det_objective(v: np.ndarray, w: np.ndarray) -> float:
     m = v.T @ (w[:, None] * v)
     sign, val = np.linalg.slogdet(m)
     return val if sign > 0 else -np.inf
+
+
+def dense_quad_form_inv(a: np.ndarray, v: np.ndarray) -> float:
+    """v^T A^{-1} v through numpy.linalg.solve on A, not a Cholesky factor."""
+    return float(v @ np.linalg.solve(a, v))
 
 
 def reference_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:

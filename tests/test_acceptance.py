@@ -15,22 +15,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from doptdesign import (
-    CandidateSet,
+from doptdesign import CandidateSet, SolverConfig, build_certificate, solve
+from doptdesign.basis import enumerate_basis
+from doptdesign.certificate import adjoint_identity_check
+from doptdesign.cli import EXIT_OK, cmd_solve
+from doptdesign.design import (
     DesignMeasure,
-    SolverConfig,
-    adjoint_identity_check,
-    build_certificate,
+    assemble_information,
     cd_polynomial,
     cd_profile,
-    enumerate_basis,
-    extract_ellipsoid,
     moment_vector,
-    solve,
 )
-from doptdesign.cli import EXIT_OK, cmd_solve
+from doptdesign.geometry import extract_ellipsoid
 from doptdesign.spd import inverse as spd_inverse
-from doptdesign.design import assemble_information
 
 from oracles import (
     exact_hankel_inverse_univariate_thirds,

@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from doptdesign import (
-    DimensionMismatchError,
-    InvalidDimensionError,
-    enumerate_basis,
-    eval_basis,
-    vandermonde,
-)
-from doptdesign.basis import outer_position_map
+from doptdesign import DimensionMismatchError, InvalidDimensionError
+from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
+
+from oracles import monomial_design_matrix
 
 
 def test_enumerate_univariate_quadratic():
@@ -59,25 +55,25 @@ def test_degrees_are_graded():
 
 def test_eval_univariate():
     b = enumerate_basis(1, 2)
-    assert np.allclose(eval_basis(b, [2.0]), [1.0, 2.0, 4.0])
+    assert np.allclose(vandermonde(b, [[2.0]]), [[1.0, 2.0, 4.0]])
 
 
 def test_eval_bivariate_linear():
     b = enumerate_basis(2, 1)
-    assert np.allclose(eval_basis(b, [3.0, 5.0]), [1.0, 3.0, 5.0])
+    assert np.allclose(vandermonde(b, [[3.0, 5.0]]), [[1.0, 3.0, 5.0]])
 
 
 def test_eval_at_origin_is_first_unit_vector():
     for n, d in [(1, 3), (2, 2), (3, 2)]:
         b = enumerate_basis(n, d)
-        v = eval_basis(b, np.zeros(n))
+        v = vandermonde(b, np.zeros((1, n)))[0]
         assert v[0] == 1.0
         assert np.all(v[1:] == 0.0)
 
 
 def test_eval_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        eval_basis(enumerate_basis(2, 1), [1.0, 2.0, 3.0])
+        vandermonde(enumerate_basis(2, 1), [[1.0, 2.0, 3.0]])
 
 
 def test_outer_map_univariate_hankel():
@@ -107,16 +103,14 @@ def test_outer_product_matches_monomial_evaluation():
         b2 = enumerate_basis(n, 2 * d)
         pos = outer_position_map(b, b2)
         for _ in range(20):
-            x = rng.uniform(-1, 1, size=n)
-            v = eval_basis(b, x)
+            x = rng.uniform(-1, 1, size=(1, n))
+            v = vandermonde(b, x)[0]
             outer = np.outer(v, v)
-            via_map = eval_basis(b2, x)[pos]
+            via_map = vandermonde(b2, x)[0][pos]
             assert np.allclose(outer, via_map, rtol=1e-12, atol=1e-14)
 
 
 def test_vandermonde_rows_match_eval():
     b = enumerate_basis(2, 3)
     pts = np.random.default_rng(3).uniform(-1, 1, size=(11, 2))
-    v = vandermonde(b, pts)
-    for i, x in enumerate(pts):
-        assert np.array_equal(v[i], eval_basis(b, x))
+    assert np.array_equal(vandermonde(b, pts), monomial_design_matrix(pts, 3))

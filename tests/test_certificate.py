@@ -3,21 +3,20 @@ import pytest
 
 from doptdesign import (
     CandidateSet,
-    DesignMeasure,
-    SizeMismatchError,
     SolverConfig,
-    adjoint_expand,
-    adjoint_identity_check,
     build_certificate,
-    contact_points,
-    enumerate_basis,
-    eval_basis,
-    factorize,
-    moment_matrix,
-    moment_vector,
     solve,
     validate_dual_feasibility,
 )
+from doptdesign.basis import enumerate_basis, vandermonde
+from doptdesign.certificate import (
+    adjoint_expand,
+    adjoint_identity_check,
+    contact_points,
+)
+from doptdesign.design import DesignMeasure, moment_matrix, moment_vector
+from doptdesign.errors import SizeMismatchError
+from doptdesign.spd import factorize
 
 from oracles import monomial_design_matrix
 
@@ -98,7 +97,7 @@ def test_adjoint_identity_point_mass_rank_one():
     y = moment_vector(mu, 1)
     basis = enumerate_basis(2, 1)
     x = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.0], [0.0, -1.0, 3.0]])
-    v = eval_basis(basis, x0)
+    v = vandermonde(basis, x0[None])[0]
     target = v @ x @ v
     assert abs(np.sum(moment_matrix(y, 1) * x) - target) < 1e-12
     assert abs(adjoint_expand(x, basis).coeffs @ y.y - target) < 1e-12
@@ -263,17 +262,17 @@ def test_contact_contains_support():
 
 
 def test_expansion_of_inverse_matches_cd_eval():
-    from doptdesign import cd_eval, cd_polynomial
+    from doptdesign.design import cd_polynomial, cd_profile
     from doptdesign.spd import inverse
 
     mu = design1d([-1.0, -0.3, 0.4, 1.0], [0.3, 0.2, 0.2, 0.3])
     poly = cd_polynomial(mu, 2)
     coeffs = adjoint_expand(inverse(poly.factor), poly.basis)
     rng = np.random.default_rng(99)
-    for _ in range(20):
-        x = rng.uniform(-1, 1, size=1)
-        direct = cd_eval(poly, x)
-        assert abs(coeffs.evaluate(x) - direct) <= 1e-9 * max(1.0, direct)
+    x = rng.uniform(-1, 1, size=(20, 1))
+    direct = cd_profile(poly, x)
+    expanded = coeffs.evaluate_many(x)
+    assert np.all(np.abs(expanded - direct) <= 1e-9 * np.maximum(1.0, direct))
 
 
 def test_coefficients_round_trip_matches_quadratic_form():
@@ -286,8 +285,8 @@ def test_coefficients_round_trip_matches_quadratic_form():
         x = 0.5 * (x + x.T)
         coeffs = adjoint_expand(x, basis)
         for _ in range(20):
-            pt = rng.uniform(-1, 1, size=n)
-            v = eval_basis(basis, pt)
+            pt = rng.uniform(-1, 1, size=(1, n))
+            v = vandermonde(basis, pt)[0]
             direct = v @ x @ v
-            expanded = coeffs.evaluate(pt)
+            expanded = coeffs.evaluate_many(pt)[0]
             assert abs(direct - expanded) <= 1e-9 * max(1.0, abs(direct))

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from doptdesign import ConfigError
 from doptdesign.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,6 +17,7 @@ from doptdesign.cli import (
     main,
     parse_config,
 )
+from doptdesign.errors import ConfigError
 
 INTERVAL_CONFIG = {
     "dimension": 1,
@@ -274,6 +274,23 @@ def test_solve_bad_solver_block_exits_config(tmp_path, capsys, solver):
     cfg["solver"].update(solver)
     code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
     assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "degree",
+    [
+        str(10**400),  # n_d = 10**400 + 1 is too large for a float
+        "9" * 5000,  # more digits than json.loads turns into an int
+    ],
+    ids=["401-digits", "5000-digits"],
+)
+def test_solve_enormous_degree_exits_config(tmp_path, capsys, degree):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(PAIR_CONFIG, degree=0)).replace(
+        '"degree": 0', f'"degree": {degree}'
+    ))
+    assert cmd_solve(str(path), str(tmp_path / "out"), True) == EXIT_CONFIG
     assert_one_error_line(capsys)
 
 

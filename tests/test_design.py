@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from doptdesign import (
-    CandidateSet,
-    DegenerateDesignError,
+from doptdesign import CandidateSet, DegenerateDesignError
+from doptdesign.design import (
     DesignMeasure,
     assemble_information,
-    cd_eval,
     cd_polynomial,
     cd_profile,
     moment_matrix,
@@ -25,7 +23,7 @@ def univariate_design(points, weights):
 
 
 def random_design(rng, n, d_max_points=True, n_points=None):
-    from doptdesign import enumerate_basis
+    from doptdesign.basis import enumerate_basis
 
     d = int(rng.integers(1, 4))
     n_d = enumerate_basis(n, d).size
@@ -99,8 +97,8 @@ def test_cd_eval_two_point():
     # M = I_2, so p(x) = 1 + x^2 and p(1) = 2 = n_d.
     mu = univariate_design([-1.0, 1.0], [0.5, 0.5])
     poly = cd_polynomial(mu, 1)
-    assert abs(cd_eval(poly, [1.0]) - 2.0) < 1e-14
-    assert abs(cd_eval(poly, [0.0]) - 1.0) < 1e-14
+    assert abs(cd_profile(poly, [[1.0]])[0] - 2.0) < 1e-14
+    assert abs(cd_profile(poly, [[0.0]])[0] - 1.0) < 1e-14
 
 
 def test_cd_eval_thirds_quartic():
@@ -108,8 +106,8 @@ def test_cd_eval_thirds_quartic():
     mu = univariate_design([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
     poly = cd_polynomial(mu, 2)
     for x in (-1.0, 0.0, 1.0):
-        assert abs(cd_eval(poly, [x]) - 3.0) < 1e-12
-    assert abs(cd_eval(poly, [0.5]) - 2.15625) < 1e-12
+        assert abs(cd_profile(poly, [[x]])[0] - 3.0) < 1e-12
+    assert abs(cd_profile(poly, [[0.5]])[0] - 2.15625) < 1e-12
 
 
 def test_cd_profile_matches_pointwise():
@@ -118,8 +116,8 @@ def test_cd_profile_matches_pointwise():
     pts = np.array([[-1.0], [0.0], [1.0]])
     prof = cd_profile(poly, pts)
     assert np.allclose(prof, [2.0, 1.0, 2.0])
-    for row, expected in zip(pts, prof):
-        assert abs(cd_eval(poly, row) - expected) < 1e-14
+    for (x,), value in zip(pts, prof):
+        assert abs(value - (1.0 + x * x)) < 1e-14  # M = I_2
 
 
 def test_cd_profile_empty():
@@ -188,9 +186,9 @@ def test_permutation_invariance():
     except DegenerateDesignError:
         return
     assert abs(f1.log_det - f2.log_det) <= 1e-12 * max(1.0, abs(f1.log_det))
-    x = rng.uniform(-1, 1, size=2)
-    p1 = cd_eval(cd_polynomial(mu, d), x)
-    p2 = cd_eval(cd_polynomial(mu_perm, d), x)
+    x = rng.uniform(-1, 1, size=(1, 2))
+    p1 = cd_profile(cd_polynomial(mu, d), x)[0]
+    p2 = cd_profile(cd_polynomial(mu_perm, d), x)[0]
     assert abs(p1 - p2) <= 1e-12 * max(1.0, p1)
 
 

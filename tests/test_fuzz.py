@@ -1,5 +1,5 @@
-"""Property tests: arbitrary solver blocks never crash the configuration path,
-and no altered report crashes the subcommands that read reports."""
+"""Property tests: arbitrary configs never crash the configuration path, and
+no altered report crashes the subcommands that read reports."""
 
 import functools
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doptdesign import ConfigError, SolverConfig
+from doptdesign import SolverConfig
 from doptdesign.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -18,6 +18,7 @@ from doptdesign.cli import (
     main,
     parse_config,
 )
+from doptdesign.errors import ConfigError
 
 # Two points at +-1 with the linear model: the uniform start is optimal, so any
 # accepted solver block converges at iteration 0 and each example stays fast.
@@ -68,6 +69,77 @@ def test_parse_config_returns_config_or_raises_config_error(block):
     assert cfg["solver"]["prune_threshold"] < 1 / 2
 
 
+NUMBERS = st.one_of(
+    st.floats(), st.integers(min_value=-(10**400), max_value=10**400)
+)
+INTS = st.one_of(
+    st.integers(min_value=-2, max_value=12),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.integers(min_value=10**300, max_value=10**400),  # mostly beyond a float
+)
+TERMS = st.lists(
+    st.one_of(
+        st.fixed_dictionaries(
+            {"exponents": st.lists(INTS, max_size=2), "coeff": NUMBERS}
+        ),
+        VALUES,
+    ),
+    max_size=2,
+)
+# Each config entry outside the solver block, with values shaped like it.
+CONFIG_ENTRIES = {
+    "dimension": INTS,
+    "degree": INTS,
+    "validation_resolution": INTS,
+    "seed": INTS,
+    "set": st.fixed_dictionaries(
+        {"bounding_box": st.lists(st.lists(NUMBERS, max_size=3), max_size=2)},
+        optional={"inequalities": st.one_of(st.lists(TERMS, max_size=2), VALUES)},
+    ),
+    "candidates": st.one_of(
+        st.fixed_dictionaries({"source": st.just("grid"), "resolution": INTS}),
+        st.fixed_dictionaries(
+            {
+                "source": st.just("points"),
+                "points": st.lists(st.lists(NUMBERS, max_size=2), max_size=3),
+            }
+        ),
+        st.fixed_dictionaries(
+            {"source": st.just("point_cloud_file"), "path": st.text(max_size=8)}
+        ),
+        st.dictionaries(
+            st.sampled_from(["source", "resolution", "points", "path"]), VALUES,
+            max_size=3,
+        ),
+    ),
+    "output": st.dictionaries(
+        st.sampled_from(["report_json", "support_csv", "trace_json"]),
+        st.one_of(st.text(max_size=4), VALUES),
+        max_size=2,
+    ),
+}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_parse_config_sections_return_config_or_raise_config_error(data):
+    raw = json.loads(json.dumps(PAIR_CONFIG))
+    keys = data.draw(
+        st.sets(st.sampled_from(sorted(CONFIG_ENTRIES)), min_size=1, max_size=2)
+    )
+    for key in sorted(keys):
+        if data.draw(st.booleans(), label=f"delete {key}"):
+            raw.pop(key, None)
+        else:
+            raw[key] = data.draw(st.one_of(CONFIG_ENTRIES[key], VALUES), label=key)
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert cfg["dimension"] >= 1 and cfg["degree"] >= 1
+    assert parse_config(cfg) == cfg  # reports echo cfg, and readers parse it again
+
+
 @settings(max_examples=60, deadline=None)
 @given(SOLVER_BLOCKS)
 def test_cli_solve_never_raises(block):
@@ -89,9 +161,6 @@ def pair_report() -> str:
         return (Path(tmp) / "report.json").read_text()
 
 
-NUMBERS = st.one_of(
-    st.floats(), st.integers(min_value=-(10**400), max_value=10**400)
-)
 JUNK = st.one_of(
     st.none(),
     st.booleans(),

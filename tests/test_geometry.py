@@ -4,16 +4,16 @@ import pytest
 from doptdesign import (
     CandidateSet,
     DimensionMismatchError,
-    NotAnEllipsoidError,
     SolverConfig,
-    WrongDegreeError,
     build_certificate,
+    solve,
+)
+from doptdesign.errors import NotAnEllipsoidError, WrongDegreeError
+from doptdesign.geometry import (
     contains,
     ellipsoid_from_quadratic,
     extract_ellipsoid,
-    levelset_membership,
     levelset_report,
-    solve,
 )
 
 SQUARE = CandidateSet(
@@ -86,27 +86,29 @@ def test_contains_dimension_mismatch():
 def test_levelset_membership_quadratic_design():
     cert = thirds_cert()
     # Exact quartic: p(x) = 3 - 4.5 x^2 + 4.5 x^4.
-    assert levelset_membership(cert, [0.5])  # p = 2.15625 <= 3
     p_outside = 3.0 - 4.5 * 1.2**2 + 4.5 * 1.2**4
     assert p_outside > 3.0
-    assert not levelset_membership(cert, [1.2])
+    probe = CandidateSet(points=np.array([[0.5], [1.2]]), source="probe")
+    # p(0.5) = 2.15625 <= 3 < p(1.2)
+    assert levelset_report(cert, probe).inside.tolist() == [True, False]
 
 
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1), source="g")
     res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
     cert = build_certificate(res, 2)
-    for pt in grid.points:
-        assert levelset_membership(cert, pt)
+    assert levelset_report(cert, grid).inside.all()
 
 
 def test_levelset_agrees_with_ellipsoid_at_degree_one():
     cert = square_cert()
     ell = extract_ellipsoid(cert, 2)
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        x = rng.uniform(-2, 2, size=2)
-        assert levelset_membership(cert, x) == contains(ell, x)
+    probe = CandidateSet(
+        points=np.random.default_rng(14).uniform(-2, 2, size=(100, 2)), source="probe"
+    )
+    inside = levelset_report(cert, probe).inside
+    for x, ok in zip(probe.points, inside):
+        assert ok == contains(ell, x)
 
 
 def test_all_candidates_inside_converged_ellipsoid():

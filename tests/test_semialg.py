@@ -8,11 +8,9 @@ from doptdesign import (
     EmptyCandidateSetError,
     SemiAlgebraicSet,
     SparsePolynomial,
-    eval_poly,
-    explicit_candidates,
     grid_candidates,
-    membership,
 )
+from doptdesign.semialg import eval_poly_many, explicit_candidates, membership_mask
 
 
 def unit_disk():
@@ -30,18 +28,17 @@ def box(n=1):
 
 def test_eval_poly_disk_center_and_corner():
     g = SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    assert eval_poly(g, [0.0, 0.0]) == 1.0
-    assert eval_poly(g, [1.0, 1.0]) == -1.0
+    assert eval_poly_many(g, [[0.0, 0.0], [1.0, 1.0]]).tolist() == [1.0, -1.0]
 
 
 def test_eval_poly_cross_term():
     p = SparsePolynomial(2, {(1, 1): 1.0, (0, 0): 2.0})
-    assert eval_poly(p, [3.0, 4.0]) == 14.0
+    assert eval_poly_many(p, [[3.0, 4.0]]).tolist() == [14.0]
 
 
 def test_eval_poly_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        eval_poly(SparsePolynomial(1, {(1,): 1.0}), [1.0, 2.0])
+        eval_poly_many(SparsePolynomial(1, {(1,): 1.0}), [[1.0, 2.0]])
 
 
 def test_zero_coefficients_dropped():
@@ -52,20 +49,19 @@ def test_zero_coefficients_dropped():
 
 def test_membership_disk():
     s = unit_disk()
-    assert membership(s, [0.5, 0.5])
-    assert membership(s, [1.0, 0.0])  # boundary is included
-    assert not membership(s, [0.9, 0.9])
+    # The boundary point (1, 0) is included.
+    mask = membership_mask(s, [[0.5, 0.5], [1.0, 0.0], [0.9, 0.9]])
+    assert mask.tolist() == [True, True, False]
 
 
 def test_membership_box_only():
-    s = box(n=2)
-    assert membership(s, [1.0, -1.0])
-    assert not membership(s, [2.0, 0.0])
+    mask = membership_mask(box(n=2), [[1.0, -1.0], [2.0, 0.0]])
+    assert mask.tolist() == [True, False]
 
 
 def test_membership_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        membership(box(1), [0.0, 0.0])
+        membership_mask(box(1), [[0.0, 0.0]])
 
 
 def test_grid_interval():
@@ -108,9 +104,9 @@ def test_grid_deterministic():
 
 
 def test_grid_members_all_satisfy_membership():
-    s = unit_disk()
-    for pt in grid_candidates(s, 11).points:
-        assert membership(s, pt)
+    pts = grid_candidates(unit_disk(), 11).points
+    assert np.all(pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0)
+    assert np.all(np.abs(pts) <= 1.0)
 
 
 def test_grid_resolution_too_small():

@@ -6,9 +6,9 @@ from doptdesign import (
     DegenerateDesignError,
     SolverConfig,
     TooFewCandidatesError,
-    init_uniform,
     solve,
 )
+from doptdesign.solver import init_uniform
 
 from oracles import (
     log_det_objective,

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doptdesign import CandidateSet, SolverConfig, enumerate_basis, solve
-from doptdesign import solver
+from doptdesign import CandidateSet, SolverConfig, solve, solver
+from doptdesign.basis import enumerate_basis
 
 from oracles import monomial_design_matrix
 

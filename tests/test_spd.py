@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from doptdesign import (
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    factorize,
-    quad_form_inv,
-    spd_solve,
-)
-from doptdesign.spd import quad_form_inv_many
+from doptdesign import DimensionMismatchError, NotPositiveDefiniteError
+from doptdesign.spd import factorize, quad_form_inv_many
+from doptdesign.spd import solve as spd_solve
 
-from oracles import reference_cholesky
+from oracles import dense_quad_form_inv, reference_cholesky
 
 
 def test_identity_factor():
@@ -68,12 +63,12 @@ def test_solve_dimension_mismatch():
 
 
 def test_quad_form_identity():
-    assert quad_form_inv(factorize(np.eye(2)), np.array([3.0, 4.0])) == 25.0
+    assert quad_form_inv_many(factorize(np.eye(2)), np.array([[3.0, 4.0]]))[0] == 25.0
 
 
 def test_quad_form_diagonal():
     f = factorize(np.diag([4.0, 1.0]))
-    assert quad_form_inv(f, np.array([2.0, 0.0])) == 1.0
+    assert quad_form_inv_many(f, np.array([[2.0, 0.0]]))[0] == 1.0
 
 
 def test_quad_form_explicit_inverse_oracle():
@@ -85,7 +80,7 @@ def test_quad_form_explicit_inverse_oracle():
     assert np.allclose(a @ inv, np.eye(2))
     expected = v @ inv @ v
     assert expected == 0.375
-    assert abs(quad_form_inv(factorize(a), v) - expected) < 1e-15
+    assert abs(quad_form_inv_many(factorize(a), v[None])[0] - expected) < 1e-15
 
 
 def test_log_det_examples():
@@ -135,7 +130,7 @@ def test_quad_form_equals_solve_route():
         a = b.T @ b + np.eye(m)
         f = factorize(a)
         v = rng.standard_normal(m)
-        q = quad_form_inv(f, v)
+        q = quad_form_inv_many(f, v[None])[0]
         assert abs(q - v @ spd_solve(f, v)) <= 1e-12 * max(1.0, abs(q))
 
 
@@ -158,4 +153,11 @@ def test_quad_form_many_matches_single():
     rows = rng.standard_normal((7, 4))
     batch = quad_form_inv_many(f, rows)
     for i, v in enumerate(rows):
-        assert abs(batch[i] - quad_form_inv(f, v)) < 1e-12
+        assert abs(batch[i] - dense_quad_form_inv(a, v)) < 1e-12
+
+
+def test_quad_form_dimension_mismatch():
+    f = factorize(np.eye(2))
+    for rows in (np.ones((1, 3)), np.ones(2)):  # too wide; one row as a vector
+        with pytest.raises(DimensionMismatchError):
+            quad_form_inv_many(f, rows)
