@@ -2,9 +2,10 @@
 
 Configuration is a single JSON document (all keys lower_snake_case; unknown
 keys are a hard error so misspelled tolerances cannot silently weaken a
-certificate).  Reports are JSON with floats serialized to 17 significant
-digits, which round-trips binary64 losslessly and makes reruns of the same
-configuration byte-identical.  Tables are RFC-4180 CSV with a header row.
+certificate).  Reports are JSON and tables are RFC-4180 CSV with a header
+row; both write each float as Python's shortest round-trip repr, which
+parses back to the same binary64 value and makes reruns of the same
+configuration byte-identical.
 
 Exit codes: 0 success, 1 quality gate failed (non-convergence or dual
 violation; the report is still written) or a report that fails its audit,
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -65,54 +65,43 @@ _DEFAULT_OUTPUT = {"report_json": "report.json", "support_csv": "support.csv"}
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON
+# deterministic JSON and CSV
 # ---------------------------------------------------------------------------
 
 
-def format_float(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite value {x} in report")
-    return format(float(x), ".17g")
+def _plain(obj: Any) -> Any:
+    """numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dump_json(obj: Any) -> str:
-    """Serialize with 17-significant-digit floats and stable key order."""
-    out = io.StringIO()
-    _write_json(obj, out)
-    out.write("\n")
-    return out.getvalue()
+    """Compact JSON with shortest round-trip floats and insertion key order.
+
+    Raises ValueError on a non-finite number.
+    """
+    text = json.dumps(obj, default=_plain, allow_nan=False, separators=(",", ":"))
+    return text + "\n"
 
 
-def _write_json(obj: Any, out: io.StringIO) -> None:
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.write(",")
-            out.write(json.dumps(str(key)))
-            out.write(":")
-            _write_json(val, out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        out.write("[")
-        for i, val in enumerate(seq):
-            if i:
-                out.write(",")
-            _write_json(val, out)
-        out.write("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+def _write_csv(path: Path, header: list[str], table: np.ndarray, flags=None) -> None:
+    """Write `header`, then one row per row of the float `table`, followed by
+    the row's entry of the boolean `flags`, if given, as true or false.
+
+    The cells reach csv.writer as Python floats, which it writes as their
+    shortest round-trip repr.  Raises ValueError on a non-finite value.
+    """
+    if not np.isfinite(table).all():
+        raise ValueError(f"non-finite value in {path.name}")
+    rows = table.tolist()
+    if flags is not None:
+        for row, flag in zip(rows, flags.tolist()):
+            row.append("true" if flag else "false")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +206,8 @@ def parse_config(raw: dict) -> dict:
             expo = [_as_int(e, f"{where}.exponents") for e in expo]
             if any(e < 0 for e in expo):
                 raise ConfigError(f"{where}.exponents must be nonnegative")
+            for e in expo:  # evaluation raises past the float range
+                _as_number(e, f"{where}.exponents")
             terms_norm.append(
                 {"exponents": expo, "coeff": _as_number(term["coeff"], f"{where}.coeff")}
             )
@@ -423,16 +414,6 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
     }
 
 
-def _write_support_csv(path: Path, cert, n: int) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(n)] + ["weight", "p"])
-        for pt, w, p in cert.support:
-            writer.writerow(
-                [format_float(c) for c in pt] + [format_float(w), format_float(p)]
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -536,7 +517,11 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / cfg["output"]["report_json"]
     report_path.write_text(dump_json(report))
-    _write_support_csv(out / cfg["output"]["support_csv"], cert, cfg["dimension"])
+    _write_csv(
+        out / cfg["output"]["support_csv"],
+        [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
+        np.column_stack([cert.support_points, cert.support_weights, cert.support_p]),
+    )
     timings["report"] = time.perf_counter() - t0
     (out / "timings.json").write_text(
         json.dumps({k: round(v, 6) for k, v in timings.items()}, indent=1) + "\n"
@@ -698,16 +683,12 @@ def cmd_eval_cd(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "cd_profile.csv"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"]
-        )
-        for pt, pr, ps, ok in zip(grid.points, p_raw, p_scaled, inside):
-            writer.writerow(
-                [format_float(c) for c in pt]
-                + [format_float(pr), format_float(ps), "true" if ok else "false"]
-            )
+    _write_csv(
+        csv_path,
+        [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"],
+        np.column_stack([grid.points, p_raw, p_scaled]),
+        inside,
+    )
     if not quiet:
         print(f"cd profile: {csv_path} ({grid.size} points)")
     return EXIT_OK

@@ -9,7 +9,6 @@ filtered by membership or an explicit point list.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +146,8 @@ def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in s.bounding_box]
-    pts = np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, s.n)
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    pts = np.stack(mesh, axis=-1).reshape(-1, s.n)
     mask = membership_mask(s, pts)
     if not mask.any():
         raise EmptyCandidateSetError(
@@ -170,14 +170,10 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
         pts = pts.reshape(-1, 1)
     if pts.shape[0] == 0:
         raise EmptyCandidateSetError("empty candidate point list")
-    seen: set[tuple[float, ...]] = set()
-    kept: list[np.ndarray] = []
-    mask = membership_mask(s, pts)
-    for ok, row in zip(mask, pts):
-        key = tuple(row)
-        if ok and key not in seen:
-            seen.add(key)
-            kept.append(row)
-    if not kept:
+    members = pts[membership_mask(s, pts)]
+    if members.shape[0] == 0:
         raise EmptyCandidateSetError("all explicit candidate points were rejected")
-    return CandidateSet(points=np.array(kept), source=f"explicit:{len(kept)}")
+    # Adding 0.0 turns -0.0 into 0.0, so the two compare as one point.
+    _, first = np.unique(members + 0.0, axis=0, return_index=True)
+    kept = members[np.sort(first)]
+    return CandidateSet(points=kept, source=f"explicit:{len(kept)}")

@@ -107,27 +107,6 @@ class SolveResult:
     prune_rolled_back: bool = False
 
 
-def init_uniform(cands: CandidateSet, d: int) -> DesignMeasure:
-    """Uniform weights over the candidates; the strictly feasible start.
-
-    Raises:
-        TooFewCandidatesError: if there are fewer candidates than regression
-            functions (the information matrix cannot have full rank).
-        DegenerateDesignError: if even the all-candidate design is rank
-            deficient (the candidates do not determine the model).
-    """
-    basis = enumerate_basis(cands.n, d)
-    if cands.size < basis.size:
-        raise TooFewCandidatesError(
-            f"{cands.size} candidates for {basis.size} regression functions"
-        )
-    mu = DesignMeasure(
-        candidates=cands, weights=np.full(cands.size, 1.0 / cands.size)
-    )
-    assemble_information(mu, d)  # raises DegenerateDesignError when singular
-    return mu
-
-
 class _Loop:
     """Fused evaluate/step loop over one active subset of the candidates.
 
@@ -160,7 +139,8 @@ class _Loop:
         d_min = min(diag.tolist()) if info == 0 else 0.0
         if d_min * d_min <= pivot_tolerance(self.n_d, max(self.m.diagonal().tolist())):
             raise DegenerateDesignError(
-                "information matrix became singular during iteration"
+                "information matrix is singular: the design does not determine "
+                "the model"
             )
         self.li, _ = dtrtri(l, lower=1)
         np.dot(self.li, self.vt, out=self.z)
@@ -273,17 +253,26 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     candidate or the iteration budget runs out; then prunes sub-threshold
     weights and polishes the pruned design until the same test holds on it.
     Non-convergence is not an error: the result carries converged=False and
-    the full trace.
+    the full trace.  The start is the uniform design on every candidate.
+
+    Raises:
+        TooFewCandidatesError: if there are fewer candidates than regression
+            functions (the information matrix cannot have full rank).
+        DegenerateDesignError: if the uniform start is singular (the
+            candidates do not determine the model).
     """
-    basis = enumerate_basis(cands.n, d)
-    n_d = basis.size
+    n_d = math.comb(cands.n + d, d)
+    # Compared before the basis is built, which costs time and memory in n_d.
+    if cands.size < n_d:
+        raise TooFewCandidatesError(
+            f"{cands.size} candidates for {n_d} regression functions"
+        )
     if not cfg.prune_threshold < 1.0 / n_d:
         raise ValueError(
             f"prune_threshold {cfg.prune_threshold} must be below 1/n_d = {1.0 / n_d}"
         )
-    init_uniform(cands, d)  # raises on too few / degenerate candidates
 
-    v_full = vandermonde(basis, cands.points)
+    v_full = vandermonde(enumerate_basis(cands.n, d), cands.points)
     target = n_d * (1.0 + cfg.epsilon)
 
     active = np.arange(cands.size)

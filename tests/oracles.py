@@ -283,3 +283,10 @@ def symmetric_pair_search(atoms: np.ndarray, degree: int, step: float = 1e-3) ->
                 w[:, idx] = chunk[:, gi] / len(grp)
         best = max(best, float(_batched_objective(v, w).max()))
     return best
+
+
+def product_grid(bounding_box, resolution: int) -> np.ndarray:
+    """The box grid built point by point with itertools.product, one row per
+    point, first coordinate varying slowest."""
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounding_box]
+    return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))

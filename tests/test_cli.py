@@ -9,6 +9,7 @@ from doptdesign.cli import (
     EXIT_DEGENERATE,
     EXIT_GATE_FAILED,
     EXIT_OK,
+    _write_csv,
     cmd_certify,
     cmd_ellipsoid,
     cmd_eval_cd,
@@ -291,6 +292,14 @@ def test_solve_enormous_degree_exits_config(tmp_path, capsys, degree):
         '"degree": 0', f'"degree": {degree}'
     ))
     assert cmd_solve(str(path), str(tmp_path / "out"), True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+def test_solve_enormous_exponent_exits_config(tmp_path, capsys):
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["set"]["inequalities"] = [[{"exponents": [10**400], "coeff": 1.0}]]
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
     assert_one_error_line(capsys)
 
 
@@ -641,6 +650,19 @@ def test_main_dispatches_solve(tmp_path, capsys):
 
 
 def test_float_serialization_round_trips():
-    values = [0.1, 1 / 3, np.pi, 2.0 / 3.0, 1e-300, -0.0]
-    for v in values:
-        assert float(format(v, ".17g")) == v
+    values = [0.1, 1 / 3, 1e-300, 5e-324, 1.0, -0.0]
+    for sent in (values, np.array(values)):
+        back = json.loads(dump_json(sent))
+        assert all(type(b) is float for b in back)
+        assert np.array(back).tobytes() == np.array(values).tobytes()
+
+
+def test_dump_json_rejects_non_finite():
+    with pytest.raises(ValueError):
+        dump_json({"p_max": np.float64(np.inf)})
+
+
+def test_csv_rejects_non_finite(tmp_path):
+    table = np.array([[0.5, 1.0], [0.0, np.nan]])
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "t.csv", ["x1", "p"], table)

@@ -12,6 +12,8 @@ from doptdesign import (
 )
 from doptdesign.semialg import eval_poly_many, explicit_candidates, membership_mask
 
+from oracles import product_grid
+
 
 def unit_disk():
     g = SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
@@ -97,6 +99,22 @@ def test_grid_box_count_is_resolution_power():
         assert grid_candidates(box(n), res).size == res**n
 
 
+@pytest.mark.parametrize(
+    "bounding_box, resolution",
+    [
+        (((-1.0, 2.0),), 7),
+        (((-1.0, 1.0), (0.1, 0.7)), 9),
+        (((-3.0, 1.0), (-0.3, 0.3), (1e-3, 5.0)), 6),
+    ],
+)
+def test_grid_matches_product_oracle_bitwise(bounding_box, resolution):
+    s = SemiAlgebraicSet(len(bounding_box), (), bounding_box)
+    pts = grid_candidates(s, resolution).points
+    expected = product_grid(bounding_box, resolution)
+    assert pts.shape == expected.shape
+    assert pts.tobytes() == expected.tobytes()
+
+
 def test_grid_deterministic():
     a = grid_candidates(unit_disk(), 9)
     b = grid_candidates(unit_disk(), 9)
@@ -129,6 +147,11 @@ def test_explicit_filters_outside_points():
 def test_explicit_drops_duplicates_keeps_first():
     cands = explicit_candidates(box(1), [[0.5], [-1.0], [0.5]])
     assert cands.points.tolist() == [[0.5], [-1.0]]
+    # -0.0 and 0.0 are one point; the first spelling is the one kept.
+    rows = [[0.5, -0.0], [0.1, 0.2], [0.5, 0.0], [0.1, 0.2], [0.0, 0.3], [-0.0, 0.3]]
+    cands = explicit_candidates(box(2), rows)
+    expected = np.array([[0.5, -0.0], [0.1, 0.2], [0.0, 0.3]])
+    assert cands.points.tobytes() == expected.tobytes()
 
 
 def test_explicit_all_rejected():

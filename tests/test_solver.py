@@ -8,7 +8,7 @@ from doptdesign import (
     TooFewCandidatesError,
     solve,
 )
-from doptdesign.solver import init_uniform
+from doptdesign import solver
 
 from oracles import (
     log_det_objective,
@@ -32,13 +32,15 @@ SQUARE = CandidateSet(
 
 
 def test_init_uniform_three_points():
-    mu = init_uniform(THREE, 1)
-    assert np.allclose(mu.weights, [1 / 3, 1 / 3, 1 / 3])
+    # The first trace entry is the objective of the uniform start.
+    res = solve(THREE, 1, SolverConfig(max_iters=1, prune_threshold=0.0))
+    v = monomial_design_matrix(THREE.points, 1)
+    assert abs(res.trace_objective[0] - log_det_objective(v, np.full(3, 1 / 3))) < 1e-12
 
 
 def test_init_uniform_too_few():
     with pytest.raises(TooFewCandidatesError):
-        init_uniform(cands1d([-1.0, 1.0]), 2)  # n_d = 3 > 2
+        solve(cands1d([-1.0, 1.0]), 2, SolverConfig())  # n_d = 3 > 2
 
 
 def test_init_uniform_collinear_degenerate():
@@ -47,7 +49,18 @@ def test_init_uniform_collinear_degenerate():
     t = np.linspace(-1, 1, 7)
     line = CandidateSet(points=np.column_stack([t, 2 * t]), source="line")
     with pytest.raises(DegenerateDesignError):
-        init_uniform(line, 2)
+        solve(line, 2, SolverConfig())
+
+
+def test_too_few_candidates_checked_before_the_basis(monkeypatch):
+    # Degree 1000 in 2-D has n_d = 501,501 regression functions; the count
+    # alone rejects two candidates, without enumerating the basis.
+    def no_basis(n, d):
+        raise AssertionError("enumerate_basis called")
+
+    monkeypatch.setattr(solver, "enumerate_basis", no_basis)
+    with pytest.raises(TooFewCandidatesError):
+        solve(SQUARE, 1000, SolverConfig(prune_threshold=0.0))
 
 
 def test_mult_step_fixed_point_at_equal_p():
@@ -237,7 +250,7 @@ def test_mult_step_matches_solver_iteration():
     pts = rng.uniform(-1, 1, size=(9, 1))
     cands = CandidateSet(points=pts, source="r")
     v = monomial_design_matrix(pts, 2)
-    stepped = reference_exchange_multiplicative_step(v, init_uniform(cands, 2).weights)
+    stepped = reference_exchange_multiplicative_step(v, np.full(9, 1 / 9))
     res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
     assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
     assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
