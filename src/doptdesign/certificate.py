@@ -12,6 +12,11 @@ At optimality p_max -> n_d, recovering the unscaled X = M^{-1}, multiplier
 z = -n_d, and gap 0.  Because X is positive definite, the polynomial
 v(x)^T X v(x) is a sum of squares; its degree-2d coefficient expansion is
 produced by the adjoint of the moment-matrix map.
+
+A certificate depends only on its design, its candidates and its degree:
+`build_certificate` builds the design's Christoffel-Darboux polynomial and
+derives every number from that polynomial's values, trusting none stored
+elsewhere (a solver's p values, for one).
 """
 
 from __future__ import annotations
@@ -27,10 +32,16 @@ from .basis import (
     outer_position_map,
     vandermonde,
 )
-from .design import MomentVector, assemble_information, moment_matrix
+from .design import (
+    CDPolynomial,
+    DesignMeasure,
+    MomentVector,
+    cd_polynomial,
+    cd_profile,
+    moment_matrix,
+)
 from .errors import SizeMismatchError
 from .semialg import CandidateSet
-from .solver import SolveResult
 
 
 @dataclass(frozen=True)
@@ -46,16 +57,19 @@ class CDCoefficients:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Scaled dual matrix, multiplier, duality gap and support report.
+    """Scaled dual matrix, multiplier and duality gap of one design.
 
-    dual_value is stated in the normalization where the mass constant cancels
-    (objective log det X); dual_value_mass_form adds the constant n_d + z_hat
-    from the general dual with the probability-mass multiplier.
+    Every number is derived from the design's own polynomial: p_values is p
+    at every candidate and support_p is p at each design point, in the
+    design's order.  dual_value is stated in the normalization where the
+    mass constant cancels (objective log det X); dual_value_mass_form adds
+    the constant n_d + z_hat from the general dual with the
+    probability-mass multiplier.
     """
 
-    d: int
-    n_d: int
-    basis: MultiIndexBasis
+    design: DesignMeasure
+    candidates: CandidateSet
+    polynomial: CDPolynomial
     x_hat: np.ndarray
     z_hat: float
     primal_value: float
@@ -64,21 +78,16 @@ class DualCertificate:
     gap: float
     p_max: float
     complementarity_residual: float
-    support_points: np.ndarray
-    support_weights: np.ndarray
     support_p: np.ndarray
-    candidates: CandidateSet
     p_values: np.ndarray
 
     @property
-    def support(self) -> list[tuple[tuple[float, ...], float, float]]:
-        """Support report as (point, weight, p value) triples."""
-        return [
-            (tuple(pt), float(w), float(p))
-            for pt, w, p in zip(
-                self.support_points, self.support_weights, self.support_p
-            )
-        ]
+    def n_d(self) -> int:
+        return self.polynomial.n_d
+
+    @property
+    def basis(self) -> MultiIndexBasis:
+        return self.polynomial.basis
 
 
 def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> CDCoefficients:
@@ -117,11 +126,13 @@ def adjoint_identity_check(y: MomentVector, x_mat) -> float:
     return abs(lhs - rhs)
 
 
-def build_certificate(result: SolveResult, d: int) -> DualCertificate:
-    """Certificate of the solve result's final design.
+def build_certificate(
+    design: DesignMeasure, candidates: CandidateSet, d: int
+) -> DualCertificate:
+    """Degree-d certificate of a design on a candidate set.
 
-    X = (n_d / p_max) M^{-1} with p_max taken over all original candidates,
-    so the dual constraint holds on the training set by construction; the
+    X = (n_d / p_max) M^{-1} with p_max taken over all candidates, so the
+    dual constraint holds on the training set by construction; the
     multiplier is z = -p_max.  The weighted mean of p over the design is
     identically n_d, so the true supremum of p is never below n_d; flooring
     the computed maximum there keeps the scale factor at most one, making
@@ -129,38 +140,37 @@ def build_certificate(result: SolveResult, d: int) -> DualCertificate:
     through an independent factorization of X, which doubles as the witness
     that the certified polynomial is a sum of squares; it agrees with
     primal_value - gap to round-off.
+
+    Raises:
+        DegenerateDesignError: if the design does not determine the
+            degree-d model.
     """
-    design = result.design
-    basis = enumerate_basis(design.n, d)
-    n_d = basis.size
-    factor = assemble_information(design, d)
-    p_max = max(result.p_max, float(n_d))
-    x_hat = (n_d / p_max) * spd.inverse(factor)
+    poly = cd_polynomial(design, d)
+    n_d = poly.n_d
+    p_values = cd_profile(poly, candidates.points)
+    support_p = cd_profile(poly, design.candidates.points)
+    p_max = max(float(p_values.max()), float(n_d))
+    x_hat = (n_d / p_max) * spd.inverse(poly.factor)
     x_hat = 0.5 * (x_hat + x_hat.T)  # symmetrize away solve round-off
-    primal = -factor.log_det
     dual = spd.factorize(x_hat).log_det  # PD check doubles as SOS witness
     z_hat = -p_max
-    support_p = result.p_values[result.support_indices]
     residual = float(
         np.sum(design.weights * (n_d - (n_d / p_max) * support_p))
     )
     return DualCertificate(
-        d=d,
-        n_d=n_d,
-        basis=basis,
+        design=design,
+        candidates=candidates,
+        polynomial=poly,
         x_hat=x_hat,
         z_hat=z_hat,
-        primal_value=primal,
+        primal_value=-poly.factor.log_det,
         dual_value=dual,
         dual_value_mass_form=dual + n_d + z_hat,
         gap=n_d * float(np.log(p_max / n_d)),
         p_max=p_max,
         complementarity_residual=residual,
-        support_points=design.candidates.points,
-        support_weights=np.asarray(design.weights),
         support_p=support_p,
-        candidates=result.candidates,
-        p_values=result.p_values,
+        p_values=p_values,
     )
 
 

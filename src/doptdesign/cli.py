@@ -30,9 +30,13 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .basis import enumerate_basis, vandermonde
-from .certificate import adjoint_expand, build_certificate, validate_dual_feasibility
-from .design import DesignMeasure, assemble_information, moment_vector
+from .certificate import (
+    DualCertificate,
+    adjoint_expand,
+    build_certificate,
+    validate_dual_feasibility,
+)
+from .design import DesignMeasure, cd_profile, moment_vector
 from .errors import (
     ConfigError,
     DegenerateDesignError,
@@ -40,8 +44,9 @@ from .errors import (
     InvalidDimensionError,
     NotAnEllipsoidError,
     TooFewCandidatesError,
+    WrongDegreeError,
 )
-from .geometry import BOUNDARY_SLACK, ellipsoid_from_quadratic
+from .geometry import BOUNDARY_SLACK, extract_ellipsoid
 from .semialg import (
     CandidateSet,
     SemiAlgebraicSet,
@@ -50,7 +55,6 @@ from .semialg import (
     grid_candidates,
 )
 from .solver import SolverConfig, solve
-from .spd import quad_form_inv_many
 
 EXIT_OK = 0
 EXIT_GATE_FAILED = 1
@@ -267,14 +271,6 @@ def parse_config(raw: dict) -> dict:
         SolverConfig(**solver_norm)
     except ValueError as err:
         raise ConfigError(f"solver.{err}") from err
-    # int / int division is correctly rounded for any n_d; 1.0 / n_d would
-    # first convert n_d to float, which overflows above about 1.8e308.
-    inverse_n_d = 1 / math.comb(n + d, d)
-    if not solver_norm["prune_threshold"] < inverse_n_d:
-        raise ConfigError(
-            f"solver.prune_threshold must be below 1/n_d = {inverse_n_d:.6g}, "
-            f"got {solver_norm['prune_threshold']}"
-        )
 
     validation_resolution = raw.get(
         "validation_resolution", _DEFAULT_VALIDATION_RESOLUTION
@@ -402,10 +398,6 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
             "gap": cert.gap,
             "p_max": cert.p_max,
             "complementarity_residual": cert.complementarity_residual,
-            "support": [
-                {"point": list(pt), "weight": w, "p": p}
-                for (pt, w, p) in cert.support
-            ],
         },
         "moment_vector": {"degree": 2 * d, "values": mv.y},
         "cd_coefficients": {"degree": 2 * d, "values": coeffs.coeffs},
@@ -429,6 +421,7 @@ _EXIT_CODES = {
     ConfigError: EXIT_CONFIG,
     EmptyCandidateSetError: EXIT_CONFIG,
     InvalidDimensionError: EXIT_CONFIG,
+    WrongDegreeError: EXIT_CONFIG,
     DegenerateDesignError: EXIT_DEGENERATE,
     NotAnEllipsoidError: EXIT_DEGENERATE,
     TooFewCandidatesError: EXIT_DEGENERATE,
@@ -492,7 +485,7 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cert = build_certificate(result, d)
+    cert = build_certificate(result.design, cands, d)
     timings["certificate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -507,9 +500,9 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     ellipsoid = None
     if d == 1:
         try:
-            ellipsoid = ellipsoid_from_quadratic(cert.x_hat, cert.n_d)
+            ellipsoid = extract_ellipsoid(cert)
         except NotAnEllipsoidError:
-            ellipsoid = None
+            pass
 
     t0 = time.perf_counter()
     report = _assemble_report(cfg, result, cert, validation, ellipsoid)
@@ -520,7 +513,9 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     _write_csv(
         out / cfg["output"]["support_csv"],
         [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
-        np.column_stack([cert.support_points, cert.support_weights, cert.support_p]),
+        np.column_stack(
+            [result.design.candidates.points, result.design.weights, cert.support_p]
+        ),
     )
     timings["report"] = time.perf_counter() - t0
     (out / "timings.json").write_text(
@@ -535,28 +530,30 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
         )
         print(
             f"converged={result.converged} iterations={result.iterations} "
-            f"support={len(cert.support_weights)} "
+            f"support={result.design.size} "
             f"max_violation={gate.max_violation:.3e}"
         )
         print("timings: " + " ".join(f"{k}={v:.3f}s" for k, v in timings.items()))
     return EXIT_OK if gate.passed else EXIT_GATE_FAILED
 
 
-def _audit_report(report_path: str) -> SimpleNamespace:
+def _audit_report(
+    report_path: str,
+) -> tuple[dict, SemiAlgebraicSet, DualCertificate]:
     """Rebuild a report's certificate from its config and design, and audit it.
 
     Only the config and the design (points and weights) are read as input.
     Every design point must be a candidate of the config; points are written
-    with round-trip precision, so the match is exact.  p is evaluated at all
-    candidates and build_certificate rebuilds the certificate; each stored
+    with round-trip precision, so the match is exact.  build_certificate
+    rebuilds the certificate from the design and the candidates; each stored
     n_d, objective, p_max, gap and x_hat must agree with its rebuilt value to
     a relative _CERTIFY_RTOL (measured against at least 1, so values near 0
-    compare absolutely).
+    compare absolutely).  The stored p_max is the solver's, which is not
+    floored at n_d, so it is compared with the largest rebuilt p.
 
-    Returns the rebuilt solve result (cfg, space, candidates, design, factor,
-    p_values, the unfloored p_max, support_indices) with its certificate as
-    `cert`.  Raises ConfigError on an unreadable or malformed report,
-    _Rejected on a design point off the candidates or a mismatch, and
+    Returns (cfg, space, cert): the report's parsed config, its set and the
+    rebuilt certificate.  Raises ConfigError on an unreadable or malformed
+    report, _Rejected on a design point off the candidates or a mismatch, and
     DegenerateDesignError on a singular design.
     """
     path = Path(report_path)
@@ -591,7 +588,6 @@ def _audit_report(report_path: str) -> SimpleNamespace:
             f"report design point {points[support.index(None)].tolist()} "
             "is not a candidate of its config"
         )
-    support = np.array(support, dtype=int)
     try:
         design = DesignMeasure(
             candidates=CandidateSet(points=cands.points[support], source=cands.source),
@@ -600,26 +596,11 @@ def _audit_report(report_path: str) -> SimpleNamespace:
     except ValueError as err:
         raise ConfigError(f"report design: {err}") from err
 
-    d = cfg["degree"]
-    factor = assemble_information(design, d)
-    p_values = quad_form_inv_many(
-        factor, vandermonde(enumerate_basis(cfg["dimension"], d), cands.points)
-    )
-    rebuilt = SimpleNamespace(
-        cfg=cfg,
-        space=space,
-        candidates=cands,
-        design=design,
-        factor=factor,
-        p_values=p_values,
-        p_max=float(p_values.max()),
-        support_indices=support,
-    )
-    rebuilt.cert = cert = build_certificate(rebuilt, d)
+    cert = build_certificate(design, cands, cfg["degree"])
     recomputed = {
         "n_d": cert.n_d,
-        "objective": factor.log_det,
-        "p_max": rebuilt.p_max,
+        "objective": -cert.primal_value,
+        "p_max": cert.p_values.max(),
         "gap": cert.gap,
         "x_hat": cert.x_hat,
     }
@@ -630,17 +611,16 @@ def _audit_report(report_path: str) -> SimpleNamespace:
             raise _Rejected(
                 f"report {name} does not match its value recomputed from the design"
             )
-    return rebuilt
+    return cfg, space, cert
 
 
 @_one_line_errors
 def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False) -> int:
     """Audit a report (`_audit_report`) and gate on its rebuilt certificate,
     never on the stored numbers."""
-    audit = _audit_report(report_path)
-    cert, cfg = audit.cert, audit.cfg
+    cfg, space, cert = _audit_report(report_path)
     resolution = validation_resolution or cfg["validation_resolution"]
-    gate = _gate(cert, audit.space, resolution, cfg["solver"]["epsilon"])
+    gate = _gate(cert, space, resolution, cfg["solver"]["epsilon"])
     if not quiet:
         print(f"primal_value={cert.primal_value:.12g}")
         print(f"dual_value={cert.dual_value:.12g}")
@@ -665,8 +645,8 @@ def cmd_eval_cd(
     grid of the config's set.  Tabulates only: an untouched unconverged
     report exits 0."""
     cfg = load_config(config_path)
-    audit = _audit_report(report_path)
-    n, d = audit.cfg["dimension"], audit.cfg["degree"]
+    report_cfg, _, cert = _audit_report(report_path)
+    n, d = report_cfg["dimension"], report_cfg["degree"]
     if (n, d) != (cfg["dimension"], cfg["degree"]):
         raise ConfigError(
             f"report dimensions do not match config (report n={n} d={d}, "
@@ -674,10 +654,9 @@ def cmd_eval_cd(
         )
     space, _ = build_problem(cfg)
     grid = _grid(space, grid_resolution)
-    n_d = audit.cert.n_d
-    v = vandermonde(audit.cert.basis, grid.points)
-    p_raw = quad_form_inv_many(audit.factor, v)
-    p_scaled = (n_d / audit.p_max) * p_raw
+    n_d = cert.n_d
+    p_raw = cd_profile(cert.polynomial, grid.points)
+    p_scaled = (n_d / cert.p_values.max()) * p_raw
     inside = p_scaled <= n_d * (1.0 + BOUNDARY_SLACK)
 
     out = Path(out_dir)
@@ -698,14 +677,8 @@ def cmd_eval_cd(
 def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
     """Extract the enclosing ellipsoid of an audited degree-1 report from its
     rebuilt x_hat."""
-    audit = _audit_report(report_path)
-    if audit.cfg["degree"] != 1:
-        raise ConfigError(
-            "ellipsoid extraction needs a degree-1 report, "
-            f"got degree {audit.cfg['degree']}"
-        )
-    ell = ellipsoid_from_quadratic(audit.cert.x_hat, audit.cert.n_d)
-    payload = _ellipsoid_payload(ell)
+    _, _, cert = _audit_report(report_path)
+    payload = _ellipsoid_payload(extract_ellipsoid(cert))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ellipsoid.json"

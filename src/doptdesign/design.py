@@ -11,6 +11,7 @@ evaluated through triangular solves, never expanded into coefficients here
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,11 @@ def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
         DegenerateDesignError: if M(w) is singular, i.e. the weighted
             candidates do not span the regression space.
     """
+    # Compared before the basis is built, which costs time and memory in n_d.
+    if mu.size < math.comb(mu.n + d, d):
+        raise DegenerateDesignError(
+            f"{mu.size} design points cannot determine the degree-{d} model"
+        )
     basis = enumerate_basis(mu.n, d)
     v = vandermonde(basis, mu.candidates.points)
     m = (v * mu.weights[:, None]).T @ v
@@ -137,8 +143,9 @@ def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
 
 def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
     """Christoffel-Darboux polynomial of a non-degenerate design."""
+    factor = assemble_information(mu, d)
     basis = enumerate_basis(mu.n, d)
-    return CDPolynomial(basis=basis, factor=assemble_information(mu, d), n_d=basis.size)
+    return CDPolynomial(basis=basis, factor=factor, n_d=basis.size)
 
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:

@@ -83,7 +83,7 @@ def ellipsoid_from_quadratic(x_hat: np.ndarray, n_d: float) -> Ellipsoid:
     )
 
 
-def extract_ellipsoid(cert: DualCertificate, n: int) -> Ellipsoid:
+def extract_ellipsoid(cert: DualCertificate) -> Ellipsoid:
     """Rewrite a degree-1 certificate's level set in centered ellipsoid form.
 
     Raises:
@@ -91,13 +91,10 @@ def extract_ellipsoid(cert: DualCertificate, n: int) -> Ellipsoid:
         NotAnEllipsoidError: if the quadratic block is not positive definite
             or the squared radius is not positive.
     """
-    if cert.d != 1:
+    if cert.basis.d != 1:
         raise WrongDegreeError(
-            f"ellipsoid extraction needs a degree-1 certificate, got degree {cert.d}"
-        )
-    if n != cert.basis.n:
-        raise DimensionMismatchError(
-            f"certificate lives in dimension {cert.basis.n}, got {n}"
+            "ellipsoid extraction needs a degree-1 certificate, "
+            f"got degree {cert.basis.d}"
         )
     return ellipsoid_from_quadratic(cert.x_hat, cert.n_d)
 
@@ -128,7 +125,7 @@ def levelset_report(
     inside = vals <= cert.n_d * (1.0 + BOUNDARY_SLACK)
     contact = probe.points[vals >= cert.n_d - delta]
     return LevelSetReport(
-        degree2d=2 * cert.d,
+        degree2d=2 * cert.basis.d,
         threshold=float(cert.n_d),
         probe_points=probe.points,
         inside=inside,

@@ -45,7 +45,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .basis import enumerate_basis, vandermonde
 from .design import DesignMeasure, assemble_information
-from .errors import DegenerateDesignError, TooFewCandidatesError
+from .errors import ConfigError, DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
 from .spd import pivot_tolerance, quad_form_inv_many
 
@@ -258,18 +258,23 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     Raises:
         TooFewCandidatesError: if there are fewer candidates than regression
             functions (the information matrix cannot have full rank).
+        ConfigError: if cfg.prune_threshold is not below 1/n_d.
         DegenerateDesignError: if the uniform start is singular (the
             candidates do not determine the model).
     """
     n_d = math.comb(cands.n + d, d)
     # Compared before the basis is built, which costs time and memory in n_d.
     if cands.size < n_d:
+        # str() refuses an int of more than 4,300 digits.
+        count = n_d if n_d < 10**15 else f"about 10^{math.log10(n_d):.0f}"
         raise TooFewCandidatesError(
-            f"{cands.size} candidates for {n_d} regression functions"
+            f"{cands.size} candidates for {count} regression functions"
         )
+    # n_d <= cands.size here, so 1.0 / n_d is a normal float.
     if not cfg.prune_threshold < 1.0 / n_d:
-        raise ValueError(
-            f"prune_threshold {cfg.prune_threshold} must be below 1/n_d = {1.0 / n_d}"
+        raise ConfigError(
+            f"solver.prune_threshold must be below 1/n_d = {1.0 / n_d:.6g}, "
+            f"got {cfg.prune_threshold}"
         )
 
     v_full = vandermonde(enumerate_basis(cands.n, d), cands.points)

@@ -130,7 +130,7 @@ def test_criterion_02_strong_duality_and_weak_duality_trace(classical_runs):
     for d, (res, _) in classical_runs.items():
         if not res.converged:
             continue
-        cert = build_certificate(res, d)
+        cert = build_certificate(res.design, res.candidates, d)
         bound = cert.n_d * np.log1p(1e-6)
         gap_ok &= 0.0 <= cert.gap <= bound + 1e-15
 
@@ -199,7 +199,7 @@ def test_criterion_04_adjoint_identity():
 def test_criterion_05_complementarity(classical_runs):
     worst_converged = 0.0
     for d, (res, _) in classical_runs.items():
-        cert = build_certificate(res, d)
+        cert = build_certificate(res.design, res.candidates, d)
         assert res.converged
         worst_converged = max(
             worst_converged, abs(cert.complementarity_residual) / cert.n_d
@@ -214,7 +214,7 @@ def test_criterion_05_complementarity(classical_runs):
     )
     for cands in (pair, square):
         res = solve(cands, 1, SolverConfig())
-        cert = build_certificate(res, 1)
+        cert = build_certificate(res.design, res.candidates, 1)
         exact_worst = max(exact_worst, abs(cert.complementarity_residual))
     exact_ok = exact_worst <= 1e-12
 
@@ -261,8 +261,8 @@ def test_criterion_07_enclosing_ellipsoid_of_the_square():
     )
     res = solve(square, 1, SolverConfig())
     weights_ok = bool(np.abs(res.design.weights - 0.25).max() <= 1e-6)
-    cert = build_certificate(res, 1)
-    ell = extract_ellipsoid(cert, 2)
+    cert = build_certificate(res.design, res.candidates, 1)
+    ell = extract_ellipsoid(cert)
     center_ok = bool(np.abs(ell.center).max() <= 1e-8)
     shape_ok = bool(np.abs(ell.shape - np.eye(2)).max() <= 1e-8)
     radius_ok = abs(ell.radius_sq - 2.0) <= 1e-8

@@ -105,7 +105,7 @@ def test_adjoint_identity_point_mass_rank_one():
 
 def test_certificate_exact_optimum_pm_one():
     res = solve_pm_one()
-    cert = build_certificate(res, 1)
+    cert = build_certificate(res.design, res.candidates, 1)
     assert abs(cert.gap) <= 1e-12
     assert np.allclose(cert.x_hat, np.eye(2), atol=1e-12)
     assert abs(cert.z_hat + 2.0) <= 1e-12
@@ -117,8 +117,6 @@ def test_certificate_exact_optimum_pm_one():
 def test_certificate_suboptimal_design():
     # Unbalanced weights on {-1, 1}: M = [[1, -0.2], [-0.2, 1]] and the gap
     # upper-bounds the true suboptimality (optimal value is 0).
-    from doptdesign.solver import SolveResult
-
     mu = design1d([-1.0, 1.0], [0.6, 0.4])
     m = monomial_design_matrix(mu.candidates.points, 1)
     m = (m * mu.weights[:, None]).T @ m
@@ -126,23 +124,34 @@ def test_certificate_suboptimal_design():
     inv = np.linalg.inv(m)  # closed-form oracle for p at the atoms
     v = monomial_design_matrix(mu.candidates.points, 1)
     p = np.einsum("ij,jk,ik->i", v, inv, v)
-    res = SolveResult(
-        design=mu,
-        candidates=mu.candidates,
-        objective=float(np.linalg.slogdet(m)[1]),
-        p_values=p,
-        p_max=float(p.max()),
-        iterations=0,
-        converged=False,
-        trace_objective=np.array([]),
-        trace_p_max=np.array([]),
-        support_indices=np.arange(2),
-    )
-    cert = build_certificate(res, 1)
+    cert = build_certificate(mu, mu.candidates, 1)
+    assert np.allclose(cert.p_values, p, rtol=1e-12, atol=0.0)
     assert abs(cert.gap - 2.0 * np.log(cert.p_max / 2.0)) <= 1e-12
     assert cert.gap > 0
     primal_opt = 0.0  # -log det at the balanced design
     assert cert.gap >= cert.primal_value - primal_opt - 1e-12
+
+
+def test_certificate_depends_only_on_the_design_and_degree():
+    # The degree-2 optimal design {-1, 0, 1} certified at degree 1 on the
+    # 21-point grid: M = diag(1, 2/3), p(x) = 1 + 1.5 x^2, p_max = 2.5.
+    grid = cands1d(np.linspace(-1.0, 1.0, 21))
+    mu = design1d([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
+    v = monomial_design_matrix(mu.candidates.points, 1)
+    inv = np.linalg.inv((v * mu.weights[:, None]).T @ v)
+    v_grid = monomial_design_matrix(grid.points, 1)
+    p = np.einsum("ij,jk,ik->i", v_grid, inv, v_grid)
+    p_support = np.einsum("ij,jk,ik->i", v, inv, v)
+    p_max = float(p.max())
+    cert = build_certificate(mu, grid, 1)
+    assert cert.n_d == 2 and cert.basis.d == 1
+    assert abs(p_max - 2.5) <= 1e-12 and abs(cert.p_max - p_max) <= 1e-12
+    assert np.allclose(cert.p_values, p, rtol=1e-12, atol=0.0)
+    assert abs(cert.gap - 2.0 * np.log(1.25)) <= 1e-12
+    residual = float(mu.weights @ (2.0 - (2.0 / p_max) * p_support))
+    assert abs(residual - 0.4) <= 1e-12
+    assert abs(cert.complementarity_residual - residual) <= 1e-12
+    assert np.allclose(cert.x_hat, (2.0 / p_max) * inv, rtol=1e-12, atol=1e-15)
 
 
 def test_weak_duality_on_every_iterate():
@@ -165,7 +174,7 @@ def test_gap_formula_consistency():
             grid, 2,
             SolverConfig(max_iters=iters, prune_threshold=0.0),
         )
-        cert = build_certificate(res, 2)
+        cert = build_certificate(res.design, res.candidates, 2)
         raw = cert.primal_value - cert.dual_value
         assert abs(cert.gap - raw) <= 1e-10 * (1.0 + abs(cert.gap))
         assert cert.gap >= 0.0
@@ -179,7 +188,7 @@ def test_converged_run_gap_and_residual_bounds():
         SolverConfig(epsilon=eps, max_iters=100_000, prune_threshold=1e-4),
     )
     assert res.converged
-    cert = build_certificate(res, 2)
+    cert = build_certificate(res.design, res.candidates, 2)
     assert 0.0 <= cert.gap <= cert.n_d * np.log1p(eps) + 1e-15
     assert abs(cert.complementarity_residual) <= cert.n_d * eps
 
@@ -192,21 +201,21 @@ def test_sos_witness_x_hat_factorizes():
             CandidateSet(points=pts, source="r"), 2,
             SolverConfig(max_iters=50, prune_threshold=0.0),
         )
-        cert = build_certificate(res, 2)
+        cert = build_certificate(res.design, res.candidates, 2)
         factorize(cert.x_hat)  # raises if not positive definite
 
 
 def test_validate_on_training_candidates():
     grid = cands1d(np.linspace(-1, 1, 21))
     res = solve(grid, 2, SolverConfig(max_iters=1000, prune_threshold=0.0))
-    cert = build_certificate(res, 2)
+    cert = build_certificate(res.design, res.candidates, 2)
     violation, _ = validate_dual_feasibility(cert, grid)
     assert violation <= 1e-10
 
 
 def test_validate_fine_grid_degree_one():
     res = solve_pm_one()
-    cert = build_certificate(res, 1)
+    cert = build_certificate(res.design, res.candidates, 1)
     fine = cands1d(np.linspace(-1, 1, 2001))
     violation, argmax_point = validate_dual_feasibility(cert, fine)
     assert violation <= 1e-10
@@ -216,7 +225,7 @@ def test_validate_fine_grid_degree_one():
 def test_validate_detects_coarse_training_grid():
     # Optimal design on {-0.7, 0.6} has p greater than n_d beyond the hull.
     res = solve(cands1d([-0.7, 0.6]), 1, SolverConfig())
-    cert = build_certificate(res, 1)
+    cert = build_certificate(res.design, res.candidates, 1)
     fine = cands1d(np.linspace(-1, 1, 2001))
     violation, argmax_point = validate_dual_feasibility(cert, fine)
     assert violation > 0
@@ -226,7 +235,7 @@ def test_validate_detects_coarse_training_grid():
 def test_contact_points_linear():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
                 SolverConfig(prune_threshold=1e-4))
-    cert = build_certificate(res, 1)
+    cert = build_certificate(res.design, res.candidates, 1)
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
@@ -234,7 +243,7 @@ def test_contact_points_linear():
 def test_contact_points_quadratic_all_three():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 2,
                 SolverConfig(epsilon=1e-9))
-    cert = build_certificate(res, 2)
+    cert = build_certificate(res.design, res.candidates, 2)
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
@@ -242,7 +251,7 @@ def test_contact_points_quadratic_all_three():
 def test_contact_points_degenerate_tolerance():
     res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
                 SolverConfig(prune_threshold=1e-4))
-    cert = build_certificate(res, 1)
+    cert = build_certificate(res.design, res.candidates, 1)
     assert contact_points(cert, delta=float(cert.n_d)).shape[0] == 3
 
 
@@ -255,7 +264,7 @@ def test_contact_contains_support():
     res = solve(cands1d(pts), 2,
                 SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3))
     assert res.converged
-    cert = build_certificate(res, 2)
+    cert = build_certificate(res.design, res.candidates, 2)
     contact = set(map(tuple, contact_points(cert)))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact

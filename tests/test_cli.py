@@ -133,11 +133,17 @@ def test_parse_config_rejects_algorithm_key():
         parse_config(cfg)
 
 
-def test_parse_config_rejects_prune_threshold_at_inverse_nd():
-    cfg = dict(INTERVAL_CONFIG)  # degree 2 on the line: n_d = 3
+def test_solve_rejects_prune_threshold_at_inverse_nd(tmp_path, capsys):
+    # parse_config accepts it: the rule needs n_d, and solve checks it only
+    # once the candidates are known to be enough for n_d.
+    cfg = json.loads(json.dumps(INTERVAL_CONFIG))  # degree 2 on the line: n_d = 3
     cfg["solver"] = {"prune_threshold": 1 / 3}
-    with pytest.raises(ConfigError, match="prune_threshold"):
-        parse_config(cfg)
+    assert parse_config(cfg)["solver"]["prune_threshold"] == 1 / 3
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver.prune_threshold must be below 1/n_d")
+    assert err.count("\n") == 1
 
 
 def test_parse_config_rejects_non_finite_number():
@@ -167,11 +173,11 @@ def test_parse_config_rejects_wrong_exponent_length():
 def test_solve_interval_exit_and_support(interval_run):
     assert interval_run["code"] == EXIT_OK
     report = interval_run["report"]
-    support = report["certificate"]["support"]
-    points = sorted(entry["point"][0] for entry in support)
+    design = report["design"]
+    points = sorted(point[0] for point in design["points"])
     assert points == [-1.0, 0.0, 1.0]
-    for entry in support:
-        assert abs(entry["weight"] - 1 / 3) < 1e-6
+    for weight in design["weights"]:
+        assert abs(weight - 1 / 3) < 1e-6
     assert report["converged"] is True
     assert report["n_d"] == 3
 
@@ -280,11 +286,8 @@ def test_solve_bad_solver_block_exits_config(tmp_path, capsys, solver):
 
 @pytest.mark.parametrize(
     "degree",
-    [
-        str(10**400),  # n_d = 10**400 + 1 is too large for a float
-        "9" * 5000,  # more digits than json.loads turns into an int
-    ],
-    ids=["401-digits", "5000-digits"],
+    ["9" * 5000],  # more digits than json.loads turns into an int
+    ids=["5000-digits"],
 )
 def test_solve_enormous_degree_exits_config(tmp_path, capsys, degree):
     path = tmp_path / "config.json"
@@ -293,6 +296,32 @@ def test_solve_enormous_degree_exits_config(tmp_path, capsys, degree):
     ))
     assert cmd_solve(str(path), str(tmp_path / "out"), True) == EXIT_CONFIG
     assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "degree",
+    [
+        5000,  # n_d = 12,507,501: 1/n_d is below the default prune threshold
+        10**300,  # 1/n_d underflows to 0
+        10**400,  # the degree itself is too large for a float
+        10**3000,  # n_d has more digits than Python turns into a str
+    ],
+    ids=["5000", "301-digits", "401-digits", "3001-digits"],
+)
+def test_solve_impossible_degree_exits_degenerate(tmp_path, capsys, degree):
+    # Two points in the plane fit no model beyond 2 regression functions; the
+    # error says so, and blames no solver setting.
+    cfg = {
+        "dimension": 2,
+        "degree": degree,
+        "set": {"bounding_box": [[-1.0, 1.0], [-1.0, 1.0]]},
+        "candidates": {"source": "points", "points": [[-1.0, 0.0], [1.0, 0.0]]},
+    }
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2 candidates for ") and err.count("\n") == 1, err
+    assert "prune_threshold" not in err
 
 
 def test_solve_enormous_exponent_exits_config(tmp_path, capsys):
@@ -500,6 +529,37 @@ def test_certify_untouched_report_keeps_its_exit_code(tmp_path, capsys, config):
     assert capsys.readouterr().err == ""
 
 
+def test_certify_accepts_report_with_support_list(interval_run, tmp_path, capsys):
+    # Reports written before certificate.support was dropped list each atom
+    # there too; certify reads only the design, so they still pass.
+    report = json.loads(json.dumps(interval_run["report"]))
+    rows = (interval_run["out"] / "support.csv").read_text().split()[1:]
+    report["certificate"]["support"] = [
+        {"point": [float(x)], "weight": float(w), "p": float(p)}
+        for x, w, p in (row.split(",") for row in rows)
+    ]
+    path = tmp_path / "old.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_certify_report_with_impossible_degree_exits_degenerate(
+    tmp_path, capsys
+):
+    # A report config whose degree the design cannot fit is rejected before
+    # the degree's basis (12,507,501 multi-indices here) is built.
+    out = tmp_path / "out"
+    cfg = json.loads(json.dumps(SQUARE_CONFIG))
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    report["config"]["degree"] = 5000
+    path = tmp_path / "report.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_DEGENERATE
+    assert_one_error_line(capsys)
+
+
 def test_certify_corrupted_report(tmp_path):
     path = tmp_path / "r.json"
     path.write_text('{"certificate": ')
@@ -621,11 +681,12 @@ def test_ellipsoid_square(square_run):
     assert abs(ell["radius_sq"] - 2.0) < 1e-8
 
 
-def test_ellipsoid_rejects_degree_two(interval_run):
+def test_ellipsoid_rejects_degree_two(interval_run, capsys):
     code = cmd_ellipsoid(
         str(interval_run["out"] / "report.json"), str(interval_run["out"]), True
     )
     assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
 
 
 def test_ellipsoid_missing_report(tmp_path):

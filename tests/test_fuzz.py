@@ -6,15 +6,17 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doptdesign import SolverConfig
+from doptdesign import SolverConfig, solve
 from doptdesign.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_GATE_FAILED,
     EXIT_OK,
+    build_problem,
     main,
     parse_config,
 )
@@ -65,8 +67,11 @@ def test_parse_config_returns_config_or_raises_config_error(block):
     except ConfigError:
         return
     assert set(cfg["solver"]) == {"epsilon", "max_iters", "prune_threshold"}
-    SolverConfig(**cfg["solver"])
-    assert cfg["solver"]["prune_threshold"] < 1 / 2
+    solver_cfg = SolverConfig(**cfg["solver"])
+    if solver_cfg.prune_threshold >= 1 / 2:  # 1/n_d of PAIR_CONFIG
+        # The bound needs n_d, so solve checks it, after the candidate count.
+        with pytest.raises(ConfigError, match="prune_threshold"):
+            solve(build_problem(cfg)[1], cfg["degree"], solver_cfg)
 
 
 NUMBERS = st.one_of(

@@ -23,23 +23,23 @@ SQUARE = CandidateSet(
 
 
 def square_cert():
-    return build_certificate(solve(SQUARE, 1, SolverConfig()), 1)
+    return build_certificate(solve(SQUARE, 1, SolverConfig()).design, SQUARE, 1)
 
 
 def interval_cert():
     cands = CandidateSet(points=np.array([[-1.0], [1.0]]), source="i")
-    return build_certificate(solve(cands, 1, SolverConfig()), 1)
+    return build_certificate(solve(cands, 1, SolverConfig()).design, cands, 1)
 
 
 def thirds_cert():
     cands = CandidateSet(points=np.array([[-1.0], [0.0], [1.0]]), source="t")
     return build_certificate(
-        solve(cands, 2, SolverConfig(epsilon=1e-9)), 2
+        solve(cands, 2, SolverConfig(epsilon=1e-9)).design, cands, 2
     )
 
 
 def test_square_gives_ball_of_radius_sqrt_two():
-    ell = extract_ellipsoid(square_cert(), 2)
+    ell = extract_ellipsoid(square_cert())
     assert np.allclose(ell.center, 0.0, atol=1e-9)
     assert np.allclose(ell.shape, np.eye(2), atol=1e-9)
     assert abs(ell.radius_sq - 2.0) <= 1e-9
@@ -48,7 +48,7 @@ def test_square_gives_ball_of_radius_sqrt_two():
 
 def test_interval_recovers_itself():
     # X = I_2, so p(x) = 1 + x^2 <= 2 means exactly |x| <= 1.
-    ell = extract_ellipsoid(interval_cert(), 1)
+    ell = extract_ellipsoid(interval_cert())
     assert abs(ell.center[0]) <= 1e-12
     assert np.allclose(ell.shape, [[1.0]], atol=1e-12)
     assert abs(ell.radius_sq - 1.0) <= 1e-12
@@ -56,7 +56,7 @@ def test_interval_recovers_itself():
 
 def test_wrong_degree_rejected():
     with pytest.raises(WrongDegreeError):
-        extract_ellipsoid(thirds_cert(), 1)
+        extract_ellipsoid(thirds_cert())
 
 
 def test_rank_deficient_block_rejected():
@@ -72,7 +72,7 @@ def test_nonpositive_radius_rejected():
 
 
 def test_contains_boundary_and_outside():
-    ell = extract_ellipsoid(square_cert(), 2)
+    ell = extract_ellipsoid(square_cert())
     assert contains(ell, [1.0, 1.0])  # on the boundary
     assert not contains(ell, [1.5, 0.0])  # 2.25 > 2
     assert contains(ell, ell.center)
@@ -80,7 +80,7 @@ def test_contains_boundary_and_outside():
 
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        contains(extract_ellipsoid(square_cert(), 2), [0.0])
+        contains(extract_ellipsoid(square_cert()), [0.0])
 
 
 def test_levelset_membership_quadratic_design():
@@ -96,13 +96,13 @@ def test_levelset_membership_quadratic_design():
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1), source="g")
     res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
-    cert = build_certificate(res, 2)
+    cert = build_certificate(res.design, res.candidates, 2)
     assert levelset_report(cert, grid).inside.all()
 
 
 def test_levelset_agrees_with_ellipsoid_at_degree_one():
     cert = square_cert()
-    ell = extract_ellipsoid(cert, 2)
+    ell = extract_ellipsoid(cert)
     probe = CandidateSet(
         points=np.random.default_rng(14).uniform(-2, 2, size=(100, 2)), source="probe"
     )
@@ -117,7 +117,7 @@ def test_all_candidates_inside_converged_ellipsoid():
     res = solve(CandidateSet(points=pts, source="cloud"), 1,
                 SolverConfig())
     assert res.converged
-    ell = extract_ellipsoid(build_certificate(res, 1), 2)
+    ell = extract_ellipsoid(build_certificate(res.design, res.candidates, 1))
     for pt in pts:
         assert contains(ell, pt)
 
