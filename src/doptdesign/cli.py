@@ -318,6 +318,17 @@ def load_config(path: str | Path) -> dict:
     return parse_config(raw)
 
 
+def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
+    """The candidate, validation or evaluation grid (an empty one raises
+    EmptyCandidateSetError, one too large to allocate ConfigError)."""
+    if resolution < 2:
+        raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
+    try:
+        return grid_candidates(space, resolution)
+    except MemoryError as err:
+        raise ConfigError(f"the {resolution}^{space.n} grid is too large") from err
+
+
 def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
     """Instantiate the design space and candidate set described by a config."""
     n = cfg["dimension"]
@@ -335,7 +346,7 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
     )
     cand_cfg = cfg["candidates"]
     if cand_cfg["source"] == "grid":
-        cands = grid_candidates(space, cand_cfg["resolution"])
+        cands = _grid(space, cand_cfg["resolution"])
     elif cand_cfg["source"] == "points":
         cands = explicit_candidates(space, np.array(cand_cfg["points"], dtype=float))
     else:
@@ -368,6 +379,8 @@ def _ellipsoid_payload(ell) -> dict:
 def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
     d = cfg["degree"]
     mv = moment_vector(result.design, d)
+    # Every number of p comes from cert; p_max is not floored at n_d.
+    p_max = float(cert.p_values.max())
     # Expansion of the design's own polynomial (unscaled inverse information
     # matrix); the certificate block carries the scaled dual matrix.
     coeffs = adjoint_expand(cert.x_hat * (cert.p_max / cert.n_d), cert.basis)
@@ -375,16 +388,16 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
         "artifact_version": __version__,
         "config": cfg,
         "n_d": cert.n_d,
-        "objective": result.objective,
-        "p_max": result.p_max,
+        "objective": -cert.primal_value,
+        "p_max": p_max,
         "iterations": result.iterations,
-        "converged": result.converged,
+        "converged": p_max <= cert.n_d * (1.0 + cfg["solver"]["epsilon"]),
         "prune_rolled_back": result.prune_rolled_back,
         "design": {
             "points": result.design.candidates.points,
             "weights": result.design.weights,
         },
-        "p_values": result.p_values,
+        "p_values": cert.p_values,
         "trace": {
             "objective": result.trace_objective,
             "p_max": result.trace_p_max,
@@ -441,14 +454,6 @@ def _one_line_errors(cmd):
             return next(c for kind, c in _EXIT_CODES.items() if isinstance(err, kind))
 
     return run
-
-
-def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
-    """The validation or evaluation grid (an empty one raises
-    EmptyCandidateSetError)."""
-    if resolution < 2:
-        raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
-    return grid_candidates(space, resolution)
 
 
 def _gate(cert, space: SemiAlgebraicSet, resolution: int, epsilon: float):
@@ -525,11 +530,11 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     if not quiet:
         print(f"report: {report_path}")
         print(
-            f"n_d={cert.n_d} objective={result.objective:.12g} "
-            f"gap={cert.gap:.3e} p_max={result.p_max:.12g}"
+            f"n_d={cert.n_d} objective={report['objective']:.12g} "
+            f"gap={cert.gap:.3e} p_max={report['p_max']:.12g}"
         )
         print(
-            f"converged={result.converged} iterations={result.iterations} "
+            f"converged={report['converged']} iterations={result.iterations} "
             f"support={result.design.size} "
             f"max_violation={gate.max_violation:.3e}"
         )
@@ -548,8 +553,9 @@ def _audit_report(
     rebuilds the certificate from the design and the candidates; each stored
     n_d, objective, p_max, gap and x_hat must agree with its rebuilt value to
     a relative _CERTIFY_RTOL (measured against at least 1, so values near 0
-    compare absolutely).  The stored p_max is the solver's, which is not
-    floored at n_d, so it is compared with the largest rebuilt p.
+    compare absolutely).  The stored p_max is the largest p on the
+    candidates, not floored at n_d as cert.p_max is, so it is compared with
+    the largest rebuilt p.
 
     Returns (cfg, space, cert): the report's parsed config, its set and the
     rebuilt certificate.  Raises ConfigError on an unreadable or malformed
@@ -615,11 +621,12 @@ def _audit_report(
 
 
 @_one_line_errors
-def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False) -> int:
+def cmd_certify(report_path: str, resolution: int | None, quiet=False) -> int:
     """Audit a report (`_audit_report`) and gate on its rebuilt certificate,
     never on the stored numbers."""
     cfg, space, cert = _audit_report(report_path)
-    resolution = validation_resolution or cfg["validation_resolution"]
+    if resolution is None:
+        resolution = cfg["validation_resolution"]
     gate = _gate(cert, space, resolution, cfg["solver"]["epsilon"])
     if not quiet:
         print(f"primal_value={cert.primal_value:.12g}")
@@ -637,13 +644,13 @@ def cmd_certify(report_path: str, validation_resolution: int | None, quiet=False
 def cmd_eval_cd(
     config_path: str,
     report_path: str,
-    grid_resolution: int,
+    grid_resolution: int | None,
     out_dir: str,
     quiet=False,
 ) -> int:
     """Tabulate the audited report's p, and p scaled by n_d / p_max, on a
-    grid of the config's set.  Tabulates only: an untouched unconverged
-    report exits 0."""
+    grid of the config's set (at its validation_resolution unless given).
+    Tabulates only: an untouched unconverged report exits 0."""
     cfg = load_config(config_path)
     report_cfg, _, cert = _audit_report(report_path)
     n, d = report_cfg["dimension"], report_cfg["degree"]
@@ -653,6 +660,8 @@ def cmd_eval_cd(
             f"config n={cfg['dimension']} d={cfg['degree']})"
         )
     space, _ = build_problem(cfg)
+    if grid_resolution is None:
+        grid_resolution = cfg["validation_resolution"]
     grid = _grid(space, grid_resolution)
     n_d = cert.n_d
     p_raw = cd_profile(cert.polynomial, grid.points)
@@ -716,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval-cd", help="tabulate the certified polynomial")
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--report", required=True)
-    p_eval.add_argument("--validation-resolution", type=int, default=101)
+    p_eval.add_argument("--validation-resolution", type=int, default=None)
     p_eval.add_argument("--out", default=".")
     p_eval.add_argument("--quiet", action="store_true")
 

@@ -30,9 +30,9 @@ so without pruning the trace holds iterations + 1 entries.
 
 After the loop terminates, weights below the pruning threshold are dropped
 and the iteration resumes on the reduced set until the stopping test holds
-there as well; final report quantities (p values, p_max, converged) are then
-evaluated against the FULL original candidate set, so a converged flag means
-dual feasibility on everything the solver was given.
+there as well.  The pruned rows, which no stop test saw, are checked once at
+exit, so converged means p <= n_d (1 + epsilon) on every candidate.  p of
+the final design on the candidates is the certificate's to compute.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .basis import enumerate_basis, vandermonde
-from .design import DesignMeasure, assemble_information
+from .design import DesignMeasure
 from .errors import ConfigError, DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
-from .spd import pivot_tolerance, quad_form_inv_many
+from .spd import pivot_tolerance
 
 #: Weights this far below machine range are dead by hundreds of orders of
 #: magnitude; flushing them to exact zero keeps the arithmetic out of the
@@ -84,26 +84,19 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Final design plus the audit data needed to certify it.
+    """Final design, the iteration record and the solver's verdict.
 
-    p_values are the Christoffel-Darboux values of the FINAL design at every
-    ORIGINAL candidate point (order preserved), so p_max is the dual
-    feasibility margin over the whole training set, not just the surviving
-    support.  trace holds one (objective, p_max) pair per evaluated iterate
-    (the start, each iteration, and the start of each polish after pruning),
-    with p_max over the rows still active at that iterate.
+    converged means p <= n_d (1 + epsilon) held on every candidate at the
+    final iterate.  trace holds one (objective, p_max) pair per evaluated
+    iterate (the start, each iteration, and the start of each polish after
+    pruning), with p_max over the rows still active at that iterate.
     """
 
     design: DesignMeasure
-    candidates: CandidateSet
-    objective: float
-    p_values: np.ndarray
-    p_max: float
     iterations: int
     converged: bool
     trace_objective: np.ndarray
     trace_p_max: np.ndarray
-    support_indices: np.ndarray
     prune_rolled_back: bool = False
 
 
@@ -229,7 +222,7 @@ def _survivors(loop: _Loop, p_max: float) -> np.ndarray | None:
 
 def _readmit(loop: _Loop, v_full: np.ndarray, active: np.ndarray, dead: np.ndarray,
              target: float):
-    """Full-set stop test: p on the eliminated rows under the loop's factor.
+    """Full-set stop test: p on the inactive rows under the loop's factor.
 
     Returns None when p <= target on every row of `dead`.  Otherwise the rows
     above target re-enter the active set with weight zero, and the new
@@ -282,6 +275,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
 
     active = np.arange(cands.size)
     dead = active[:0]  # eliminated for good, unless the stop test readmits
+    pruned = active[:0]  # dropped by pruning; checked once at exit
     w = np.full(cands.size, 1.0 / cands.size)
     trace_obj: list[float] = []
     trace_pmax: list[float] = []
@@ -338,6 +332,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         except DegenerateDesignError:
             rolled_back = True
             break
+        pruned = np.concatenate([pruned, active[~keep]])
         active = active[keep]
         w = w[keep] / w[keep].sum()
         if not local_ok:
@@ -347,19 +342,13 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         candidates=CandidateSet(points=cands.points[active], source=cands.source),
         weights=w,
     )
-    factor = assemble_information(design, d)
-    p_values = quad_form_inv_many(factor, v_full)
-    p_max = float(p_values.max())
+    # When local_ok, `loop` last evaluated this very design.
+    converged = local_ok and _readmit(loop, v_full, active, pruned, target) is None
     return SolveResult(
         design=design,
-        candidates=cands,
-        objective=factor.log_det,
-        p_values=p_values,
-        p_max=p_max,
         iterations=iterations,
-        converged=bool(p_max <= target),
+        converged=converged,
         trace_objective=np.array(trace_obj),
         trace_p_max=np.array(trace_pmax),
-        support_indices=active,
         prune_rolled_back=rolled_back,
     )

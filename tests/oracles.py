@@ -65,6 +65,18 @@ def log_det_objective(v: np.ndarray, w: np.ndarray) -> float:
     return val if sign > 0 else -np.inf
 
 
+def christoffel_values(
+    design_points: np.ndarray, weights: np.ndarray, points: np.ndarray, degree: int
+) -> np.ndarray:
+    """p(x) = v(x)^T M(w)^{-1} v(x) at each of `points`, for the design that
+    puts `weights` on `design_points`; M is formed explicitly and p comes from
+    numpy.linalg.solve on it, not from a Cholesky factor."""
+    v = monomial_design_matrix(design_points, degree)
+    m = v.T @ (np.asarray(weights)[:, None] * v)
+    u = monomial_design_matrix(points, degree)
+    return np.einsum("ij,ji->i", u, np.linalg.solve(m, u.T))
+
+
 def dense_quad_form_inv(a: np.ndarray, v: np.ndarray) -> float:
     """v^T A^{-1} v through numpy.linalg.solve on A, not a Cholesky factor."""
     return float(v @ np.linalg.solve(a, v))

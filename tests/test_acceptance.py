@@ -37,6 +37,7 @@ from oracles import (
 )
 
 GRID_401 = np.linspace(-1.0, 1.0, 401)
+CANDS_401 = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
 GRID_CELL = GRID_401[1] - GRID_401[0]
 KNOWN_OPTIMA = {
     1: [-1.0, 1.0],
@@ -65,7 +66,6 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def classical_runs():
     """Converged default-engine runs (exchange plus multiplicative update,
     with elimination) for d = 1..4 on the 401-point grid."""
-    cands = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
     runs = {}
     for d in (1, 2, 3, 4):
         cfg = SolverConfig(
@@ -74,7 +74,7 @@ def classical_runs():
             prune_threshold=0.02,
         )
         start = time.perf_counter()
-        res = solve(cands, d, cfg)
+        res = solve(CANDS_401, d, cfg)
         runs[d] = (res, time.perf_counter() - start)
     return runs
 
@@ -100,17 +100,18 @@ def test_criterion_01_classical_univariate_designs(classical_runs, d):
         np.abs(atoms - t).min() <= GRID_CELL + 1e-12 for t in targets
     )
     weights_ok = bool(np.abs(res.design.weights - 1.0 / (d + 1)).max() <= 1e-3)
-    support_p = res.p_values[res.support_indices]
-    p_ok = bool(np.abs(support_p - n_d).max() <= n_d * 1e-4)
+    cert = build_certificate(res.design, CANDS_401, d)
+    p_ok = bool(np.abs(cert.support_p - n_d).max() <= n_d * 1e-4)
+    objective = -cert.primal_value
     oracle = symmetric_pair_search(atoms, d, step=1e-3)
-    oracle_ok = abs(res.objective - oracle) <= 5e-3
+    oracle_ok = abs(objective - oracle) <= 5e-3
     fast_enough = elapsed < 5.0
 
     ok = (res.converged and right_count and within_cell and weights_ok
           and p_ok and oracle_ok and fast_enough)
     report(
         f"1[d={d}]", ok,
-        f"atoms={atoms.shape[0]} (want {d + 1}), objective={res.objective:.9f}, "
+        f"atoms={atoms.shape[0]} (want {d + 1}), objective={objective:.9f}, "
         f"oracle={oracle:.9f}, time={elapsed:.2f}s",
     )
     assert res.converged
@@ -130,13 +131,12 @@ def test_criterion_02_strong_duality_and_weak_duality_trace(classical_runs):
     for d, (res, _) in classical_runs.items():
         if not res.converged:
             continue
-        cert = build_certificate(res.design, res.candidates, d)
+        cert = build_certificate(res.design, CANDS_401, d)
         bound = cert.n_d * np.log1p(1e-6)
         gap_ok &= 0.0 <= cert.gap <= bound + 1e-15
 
-    cands = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
     res = solve(
-        cands, 3,
+        CANDS_401, 3,
         SolverConfig(max_iters=1000, prune_threshold=0.0),
     )
     n_d = 4.0
@@ -199,7 +199,7 @@ def test_criterion_04_adjoint_identity():
 def test_criterion_05_complementarity(classical_runs):
     worst_converged = 0.0
     for d, (res, _) in classical_runs.items():
-        cert = build_certificate(res.design, res.candidates, d)
+        cert = build_certificate(res.design, CANDS_401, d)
         assert res.converged
         worst_converged = max(
             worst_converged, abs(cert.complementarity_residual) / cert.n_d
@@ -214,7 +214,7 @@ def test_criterion_05_complementarity(classical_runs):
     )
     for cands in (pair, square):
         res = solve(cands, 1, SolverConfig())
-        cert = build_certificate(res.design, res.candidates, 1)
+        cert = build_certificate(res.design, cands, 1)
         exact_worst = max(exact_worst, abs(cert.complementarity_residual))
     exact_ok = exact_worst <= 1e-12
 
@@ -261,7 +261,7 @@ def test_criterion_07_enclosing_ellipsoid_of_the_square():
     )
     res = solve(square, 1, SolverConfig())
     weights_ok = bool(np.abs(res.design.weights - 0.25).max() <= 1e-6)
-    cert = build_certificate(res.design, res.candidates, 1)
+    cert = build_certificate(res.design, square, 1)
     ell = extract_ellipsoid(cert)
     center_ok = bool(np.abs(ell.center).max() <= 1e-8)
     shape_ok = bool(np.abs(ell.shape - np.eye(2)).max() <= 1e-8)
@@ -287,9 +287,10 @@ def test_criterion_08_micro_oracle_equivalence():
         total = int(rng.integers(n_d, 6))
         while True:
             pts = rng.uniform(-1, 1, size=(total, n))
+            cands = CandidateSet(points=pts, source=f"micro{i}")
             try:
                 res = solve(
-                    CandidateSet(points=pts, source=f"micro{i}"), d,
+                    cands, d,
                     SolverConfig(epsilon=1e-8, max_iters=60_000, prune_threshold=0.0),
                 )
                 break
@@ -297,7 +298,8 @@ def test_criterion_08_micro_oracle_equivalence():
                 continue  # resample near-degenerate candidate draws
         v = monomial_design_matrix(pts, d)
         oracle = simplex_grid_search(v, step=1e-3)
-        worst = max(worst, abs(res.objective - oracle))
+        objective = -build_certificate(res.design, cands, d).primal_value
+        worst = max(worst, abs(objective - oracle))
     ok = worst <= 5e-3
     report("8", ok, f"worst |objective - oracle| = {worst:.2e} over 20 instances")
     assert ok

@@ -33,8 +33,14 @@ def design1d(points, weights):
     )
 
 
-def solve_pm_one():
-    return solve(cands1d([-1.0, 1.0]), 1, SolverConfig())
+def solve_and_certify(cands, d, cfg=SolverConfig()):
+    """The solver's result on `cands` and its design's degree-d certificate."""
+    res = solve(cands, d, cfg)
+    return res, build_certificate(res.design, cands, d)
+
+
+def certify_pm_one():
+    return solve_and_certify(cands1d([-1.0, 1.0]), 1)[1]
 
 
 def test_adjoint_expand_identity_matrix():
@@ -104,8 +110,7 @@ def test_adjoint_identity_point_mass_rank_one():
 
 
 def test_certificate_exact_optimum_pm_one():
-    res = solve_pm_one()
-    cert = build_certificate(res.design, res.candidates, 1)
+    cert = certify_pm_one()
     assert abs(cert.gap) <= 1e-12
     assert np.allclose(cert.x_hat, np.eye(2), atol=1e-12)
     assert abs(cert.z_hat + 2.0) <= 1e-12
@@ -170,11 +175,9 @@ def test_gap_formula_consistency():
     # primal - dual difference computed through independent factorizations.
     grid = cands1d(np.linspace(-1, 1, 41))
     for iters in (3, 30, 300):
-        res = solve(
-            grid, 2,
-            SolverConfig(max_iters=iters, prune_threshold=0.0),
+        _, cert = solve_and_certify(
+            grid, 2, SolverConfig(max_iters=iters, prune_threshold=0.0)
         )
-        cert = build_certificate(res.design, res.candidates, 2)
         raw = cert.primal_value - cert.dual_value
         assert abs(cert.gap - raw) <= 1e-10 * (1.0 + abs(cert.gap))
         assert cert.gap >= 0.0
@@ -183,12 +186,11 @@ def test_gap_formula_consistency():
 def test_converged_run_gap_and_residual_bounds():
     grid = cands1d(np.linspace(-1, 1, 51))
     eps = 1e-6
-    res = solve(
+    res, cert = solve_and_certify(
         grid, 2,
         SolverConfig(epsilon=eps, max_iters=100_000, prune_threshold=1e-4),
     )
     assert res.converged
-    cert = build_certificate(res.design, res.candidates, 2)
     assert 0.0 <= cert.gap <= cert.n_d * np.log1p(eps) + 1e-15
     assert abs(cert.complementarity_residual) <= cert.n_d * eps
 
@@ -197,25 +199,24 @@ def test_sos_witness_x_hat_factorizes():
     rng = np.random.default_rng(33)
     for _ in range(10):
         pts = rng.uniform(-1, 1, size=(12, 1))
-        res = solve(
+        _, cert = solve_and_certify(
             CandidateSet(points=pts, source="r"), 2,
             SolverConfig(max_iters=50, prune_threshold=0.0),
         )
-        cert = build_certificate(res.design, res.candidates, 2)
         factorize(cert.x_hat)  # raises if not positive definite
 
 
 def test_validate_on_training_candidates():
     grid = cands1d(np.linspace(-1, 1, 21))
-    res = solve(grid, 2, SolverConfig(max_iters=1000, prune_threshold=0.0))
-    cert = build_certificate(res.design, res.candidates, 2)
+    _, cert = solve_and_certify(
+        grid, 2, SolverConfig(max_iters=1000, prune_threshold=0.0)
+    )
     violation, _ = validate_dual_feasibility(cert, grid)
     assert violation <= 1e-10
 
 
 def test_validate_fine_grid_degree_one():
-    res = solve_pm_one()
-    cert = build_certificate(res.design, res.candidates, 1)
+    cert = certify_pm_one()
     fine = cands1d(np.linspace(-1, 1, 2001))
     violation, argmax_point = validate_dual_feasibility(cert, fine)
     assert violation <= 1e-10
@@ -224,8 +225,7 @@ def test_validate_fine_grid_degree_one():
 
 def test_validate_detects_coarse_training_grid():
     # Optimal design on {-0.7, 0.6} has p greater than n_d beyond the hull.
-    res = solve(cands1d([-0.7, 0.6]), 1, SolverConfig())
-    cert = build_certificate(res.design, res.candidates, 1)
+    _, cert = solve_and_certify(cands1d([-0.7, 0.6]), 1)
     fine = cands1d(np.linspace(-1, 1, 2001))
     violation, argmax_point = validate_dual_feasibility(cert, fine)
     assert violation > 0
@@ -233,25 +233,25 @@ def test_validate_detects_coarse_training_grid():
 
 
 def test_contact_points_linear():
-    res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
-                SolverConfig(prune_threshold=1e-4))
-    cert = build_certificate(res.design, res.candidates, 1)
+    _, cert = solve_and_certify(
+        cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
+    )
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
 
 def test_contact_points_quadratic_all_three():
-    res = solve(cands1d([-1.0, 0.0, 1.0]), 2,
-                SolverConfig(epsilon=1e-9))
-    cert = build_certificate(res.design, res.candidates, 2)
+    _, cert = solve_and_certify(
+        cands1d([-1.0, 0.0, 1.0]), 2, SolverConfig(epsilon=1e-9)
+    )
     pts = contact_points(cert)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
 
 def test_contact_points_degenerate_tolerance():
-    res = solve(cands1d([-1.0, 0.0, 1.0]), 1,
-                SolverConfig(prune_threshold=1e-4))
-    cert = build_certificate(res.design, res.candidates, 1)
+    _, cert = solve_and_certify(
+        cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
+    )
     assert contact_points(cert, delta=float(cert.n_d)).shape[0] == 3
 
 
@@ -261,10 +261,11 @@ def test_contact_contains_support():
     # guarantee needs the pruning threshold comfortably above epsilon / delta.
     rng = np.random.default_rng(19)
     pts = np.sort(rng.uniform(-1, 1, size=25))
-    res = solve(cands1d(pts), 2,
-                SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3))
+    res, cert = solve_and_certify(
+        cands1d(pts), 2,
+        SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3),
+    )
     assert res.converged
-    cert = build_certificate(res.design, res.candidates, 2)
     contact = set(map(tuple, contact_points(cert)))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact

@@ -332,6 +332,26 @@ def test_solve_enormous_exponent_exits_config(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("grid", ["candidates", "validation"])
+def test_solve_unallocatable_grid_exits_config(tmp_path, capsys, grid):
+    # 10^5 points per axis of a cube is 10^15 points, 21 PiB of coordinates:
+    # past the 128 TiB address space, so the allocation fails at once.
+    cfg = {
+        "dimension": 3,
+        "degree": 1,
+        "set": {"bounding_box": [[-1.0, 1.0]] * 3},
+        "candidates": {"source": "grid", "resolution": 3},
+        "validation_resolution": 5,
+    }
+    if grid == "candidates":
+        cfg["candidates"]["resolution"] = 10**5
+    else:
+        cfg["validation_resolution"] = 10**5
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
 def test_solve_point_cloud_file(tmp_path):
     cloud = tmp_path / "cloud.txt"
     cloud.write_text("-1.0\n-0.5\n0.0\n0.5\n1.0\n")
@@ -596,7 +616,7 @@ def test_certify_empty_validation_grid_exits_config(tiny_disk_run, capsys):
     report = str(tiny_disk_run["out"] / "report.json")
     assert cmd_certify(report, 101, quiet=True) == EXIT_OK
     capsys.readouterr()
-    for resolution in (100, 1):  # a grid that misses the set, and no grid
+    for resolution in (100, 1, 0):  # a grid that misses the set, and no grid
         assert cmd_certify(report, resolution, quiet=True) == EXIT_CONFIG
         assert_one_error_line(capsys)
 
@@ -658,6 +678,15 @@ def test_eval_cd_resolution_one_rejected(interval_run):
         True,
     )
     assert code == EXIT_CONFIG
+
+
+def test_eval_cd_defaults_to_the_config_validation_resolution(interval_run, tmp_path):
+    out = tmp_path / "out"
+    report = str(interval_run["out"] / "report.json")
+    argv = ["eval-cd", "--config", interval_run["config"], "--report", report]
+    assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_OK
+    rows = (out / "cd_profile.csv").read_bytes().decode().strip().split("\r\n")
+    assert len(rows) == 1 + 401  # the header, then the config's 401-point grid
 
 
 def test_eval_cd_mismatched_report(tmp_path, interval_run):

@@ -96,7 +96,7 @@ def test_levelset_membership_quadratic_design():
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1), source="g")
     res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
-    cert = build_certificate(res.design, res.candidates, 2)
+    cert = build_certificate(res.design, grid, 2)
     assert levelset_report(cert, grid).inside.all()
 
 
@@ -114,10 +114,10 @@ def test_levelset_agrees_with_ellipsoid_at_degree_one():
 def test_all_candidates_inside_converged_ellipsoid():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, size=(40, 2))
-    res = solve(CandidateSet(points=pts, source="cloud"), 1,
-                SolverConfig())
+    cloud = CandidateSet(points=pts, source="cloud")
+    res = solve(cloud, 1, SolverConfig())
     assert res.converged
-    ell = extract_ellipsoid(build_certificate(res.design, res.candidates, 1))
+    ell = extract_ellipsoid(build_certificate(res.design, cloud, 1))
     for pt in pts:
         assert contains(ell, pt)
 

@@ -11,6 +11,7 @@ from doptdesign import (
 from doptdesign import solver
 
 from oracles import (
+    christoffel_values,
     log_det_objective,
     monomial_design_matrix,
     reference_exchange_multiplicative_step,
@@ -22,6 +23,18 @@ def cands1d(points):
     return CandidateSet(
         points=np.asarray(points, dtype=float).reshape(-1, 1), source="test"
     )
+
+
+def objective(res, d):
+    """log det M of the solver's design, by the slogdet oracle."""
+    v = monomial_design_matrix(res.design.candidates.points, d)
+    return log_det_objective(v, res.design.weights)
+
+
+def p_values(res, cands, d):
+    """p of the solver's design at every candidate, by the dense oracle."""
+    design = res.design
+    return christoffel_values(design.candidates.points, design.weights, cands.points, d)
 
 
 THREE = cands1d([-1.0, 0.0, 1.0])
@@ -91,12 +104,12 @@ def test_solve_three_point_linear():
     cfg = SolverConfig(epsilon=1e-6, prune_threshold=1e-4)
     res = solve(THREE, 1, cfg)
     assert res.converged
-    assert res.p_max <= 2.0 * (1 + 1e-6)
+    assert p_values(res, THREE, 1).max() <= 2.0 * (1 + 1e-6)
     # Brute-force simplex oracle confirms the objective.
     v = monomial_design_matrix(THREE.points, 1)
     oracle = simplex_grid_search(v, step=1e-3)
-    assert abs(res.objective - oracle) <= 5e-3
-    assert abs(res.objective) < 1e-9  # log det I_2
+    assert abs(objective(res, 1) - oracle) <= 5e-3
+    assert abs(objective(res, 1)) < 1e-9  # log det I_2
     w = {tuple(pt): w for pt, w in zip(res.design.candidates.points, res.design.weights)}
     assert abs(w[(-1.0,)] - 0.5) < 1e-6
     assert abs(w[(1.0,)] - 0.5) < 1e-6
@@ -110,15 +123,15 @@ def test_solve_interval_quadratic_grid():
     pts = sorted(res.design.candidates.points[:, 0].tolist())
     assert pts == [-1.0, 0.0, 1.0]
     assert np.allclose(np.sort(res.design.weights), [1 / 3, 1 / 3, 1 / 3], atol=1e-6)
-    assert abs(res.objective - np.log(4.0 / 27.0)) < 1e-6
+    assert abs(objective(res, 2) - np.log(4.0 / 27.0)) < 1e-6
 
 
 def test_solve_square_vertices():
     res = solve(SQUARE, 1, SolverConfig())
     assert res.converged
     assert np.allclose(res.design.weights, 0.25, atol=1e-9)
-    assert abs(res.objective) < 1e-12  # M = I_3 by symmetry
-    assert np.allclose(res.p_values, 3.0, atol=1e-9)
+    assert abs(objective(res, 1)) < 1e-12  # M = I_3 by symmetry
+    assert np.allclose(p_values(res, SQUARE, 1), 3.0, atol=1e-9)
 
 
 def test_solve_iterates_stay_on_simplex():
@@ -152,13 +165,10 @@ def test_solve_objective_monotone_multiplicative():
 
 def test_solve_pmax_never_below_nd():
     rng = np.random.default_rng(70)
-    pts = rng.uniform(-1, 1, size=(20, 1))
-    res = solve(
-        CandidateSet(points=pts, source="r"), 2,
-        SolverConfig(max_iters=300, prune_threshold=0.0),
-    )
+    cands = CandidateSet(points=rng.uniform(-1, 1, size=(20, 1)), source="r")
+    res = solve(cands, 2, SolverConfig(max_iters=300, prune_threshold=0.0))
     assert (res.trace_p_max >= 3.0 - 1e-9).all()
-    assert res.p_max >= 3.0 - 1e-9
+    assert p_values(res, cands, 2).max() >= 3.0 - 1e-9
 
 
 def test_solve_micro_oracle_equivalence():
@@ -170,7 +180,7 @@ def test_solve_micro_oracle_equivalence():
         res = solve(cands, 2, SolverConfig(epsilon=1e-8, max_iters=50_000))
         v = monomial_design_matrix(pts, 2)
         oracle = simplex_grid_search(v, step=1e-3)
-        assert abs(res.objective - oracle) <= 5e-3
+        assert abs(objective(res, 2) - oracle) <= 5e-3
 
 
 def test_solve_nonconvergence_is_not_an_error():
@@ -194,23 +204,24 @@ def test_default_config_converges_on_simplex_cloud():
     cfg = SolverConfig()
     res = solve(cands, 1, cfg)
     assert res.converged
-    assert abs(res.objective - np.log(16.0)) <= 4 * np.log1p(cfg.epsilon)
+    assert abs(objective(res, 1) - np.log(16.0)) <= 4 * np.log1p(cfg.epsilon)
 
 
 def test_prune_drops_tiny_weight():
     # The weight at 0 contracts geometrically (p(0) = 1 < n_d = 2).
     res = solve(THREE, 1, SolverConfig(prune_threshold=1e-4))
     assert not res.prune_rolled_back
-    assert res.support_indices.tolist() == [0, 2]
+    assert np.array_equal(res.design.candidates.points, THREE.points[[0, 2]])
     assert res.design.candidates.points[:, 0].tolist() == [-1.0, 1.0]
     assert np.allclose(res.design.weights, [0.5, 0.5])
-    assert res.p_values.shape == (3,)  # still reported on every candidate
+    # The pruned row is checked at exit: p(0) = 1 <= n_d.
+    assert res.converged
+    assert p_values(res, THREE, 1).tolist() == pytest.approx([2.0, 1.0, 2.0])
 
 
 def test_prune_unchanged_when_all_above():
     res = solve(SQUARE, 1, SolverConfig(prune_threshold=0.1))
     assert not res.prune_rolled_back
-    assert res.support_indices.tolist() == [0, 1, 2, 3]
     assert np.array_equal(res.design.candidates.points, SQUARE.points)
 
 
@@ -220,7 +231,7 @@ def test_prune_rollback_on_degeneracy():
     grid = cands1d(np.linspace(-1, 1, 10))
     res = solve(grid, 1, SolverConfig(max_iters=1, prune_threshold=0.4))
     assert res.prune_rolled_back
-    assert res.support_indices.tolist() == list(range(10))
+    assert np.array_equal(res.design.candidates.points, grid.points)
     assert abs(res.design.weights.sum() - 1.0) <= 1e-12
 
 

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doptdesign import CandidateSet, SolverConfig, solve, solver
+from doptdesign import CandidateSet, DegenerateDesignError, SolverConfig, solve, solver
 from doptdesign.basis import enumerate_basis
 
-from oracles import monomial_design_matrix
+from oracles import christoffel_values, monomial_design_matrix
 
 # Grids on [-1, 1] that contain the continuous D-optimal support of each
 # degree, so the grid optimum is the continuous one and its atoms are known.
@@ -74,8 +74,50 @@ def test_random_problems_converge_on_every_candidate():
         n_d = enumerate_basis(n, d).size
         assert res.converged, (i, n, d, total)
         assert (np.diff(res.trace_objective) >= -1e-12).all(), (i, n, d, total)
-        assert res.p_values.shape == (total,)
-        assert (res.p_values <= n_d * (1.0 + cfg.epsilon)).all()
+        design = res.design
+        p = christoffel_values(design.candidates.points, design.weights, pts, d)
+        assert (p <= n_d * (1.0 + cfg.epsilon)).all()
+
+
+def test_converged_is_the_stop_test_on_every_candidate():
+    # Small budgets and prune thresholds up to 0.9 / n_d: the solver's
+    # verdict must match p <= n_d (1 + epsilon) on every candidate, with p
+    # from the dense oracle, whether the run converges or not.
+    rng = np.random.default_rng(808)
+    verdicts = []
+    for i in range(200):
+        n = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 4))
+        n_d = enumerate_basis(n, d).size
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(n_d, 60)), n))
+        cfg = SolverConfig(
+            max_iters=int(rng.integers(1, 300)),
+            prune_threshold=float(rng.uniform(0.0, 0.9 / n_d)),
+        )
+        try:
+            res = solve(CandidateSet(points=pts, source="r"), d, cfg)
+        except DegenerateDesignError:
+            continue
+        design = res.design
+        p = christoffel_values(design.candidates.points, design.weights, pts, d)
+        assert res.converged == (p.max() <= n_d * (1.0 + cfg.epsilon)), (i, n, d, cfg)
+        verdicts.append(res.converged)
+    assert 50 <= sum(verdicts) <= len(verdicts) - 50  # both verdicts well covered
+
+
+def test_pruned_row_above_target_is_not_converged():
+    # Pruning drops row 1; the polish on the other three converges, but under
+    # the final design p at the pruned row sits 0.64% above n_d = 3.
+    pts = np.array([[0.7, -0.8], [-0.6, -0.6], [-0.4, -0.1], [-1.0, -0.4]])
+    cands = CandidateSet(points=pts, source="t")
+    res = solve(cands, 1, SolverConfig(prune_threshold=0.3))
+    assert res.iterations == 9
+    assert not res.converged
+    assert np.array_equal(res.design.candidates.points, pts[[0, 2, 3]])
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, pts, 1)
+    assert abs(p[1] / 3.0 - 1.0064) <= 1e-9
+    assert (np.delete(p, 1) <= 3.0 * (1.0 + 1e-6)).all()
 
 
 def test_readmit_returns_violating_eliminated_row():
@@ -131,7 +173,9 @@ def test_solve_readmits_rows_wrongly_eliminated(monkeypatch):
     )
     assert readmitted[0]
     assert res.converged
-    assert (res.p_values <= 2.0 * (1 + 1e-6)).all()
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, grid, 1)
+    assert (p <= 2.0 * (1 + 1e-6)).all()
     assert res.trace_objective.shape[0] == res.iterations + 1
-    support = res.support_indices[res.design.weights > 1e-3]
-    assert grid[support].tolist() == [-1.0, 1.0]
+    support = design.candidates.points[design.weights > 1e-3, 0]
+    assert support.tolist() == [-1.0, 1.0]
