@@ -329,8 +329,8 @@ def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
         raise ConfigError(f"the {resolution}^{space.n} grid is too large") from err
 
 
-def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
-    """Instantiate the design space and candidate set described by a config."""
+def _build_set(cfg: dict) -> SemiAlgebraicSet:
+    """The design space described by a config, without its candidates."""
     n = cfg["dimension"]
     ineqs = tuple(
         SparsePolynomial(
@@ -339,11 +339,17 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
         )
         for terms in cfg["set"]["inequalities"]
     )
-    space = SemiAlgebraicSet(
+    return SemiAlgebraicSet(
         n=n,
         inequalities=ineqs,
         bounding_box=tuple((lo, hi) for lo, hi in cfg["set"]["bounding_box"]),
     )
+
+
+def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
+    """Instantiate the design space and candidate set described by a config."""
+    n = cfg["dimension"]
+    space = _build_set(cfg)
     cand_cfg = cfg["candidates"]
     if cand_cfg["source"] == "grid":
         cands = _grid(space, cand_cfg["resolution"])
@@ -659,7 +665,7 @@ def cmd_eval_cd(
             f"report dimensions do not match config (report n={n} d={d}, "
             f"config n={cfg['dimension']} d={cfg['degree']})"
         )
-    space, _ = build_problem(cfg)
+    space = _build_set(cfg)
     if grid_resolution is None:
         grid_resolution = cfg["validation_resolution"]
     grid = _grid(space, grid_resolution)

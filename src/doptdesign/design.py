@@ -117,8 +117,11 @@ def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
 def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
     """Factorize the information matrix M(w) = sum_i w_i v(x_i) v(x_i)^T.
 
-    Assembly uses the rank-one-sum form directly (not the moment-vector
-    detour), which keeps M symmetric positive semidefinite by construction.
+    Assembly uses the rank-one-sum form directly, and p is then evaluated by
+    triangular solves on the factor.  The solver's loop takes the moment
+    route on purpose (M from y = V2^T w, p from its degree-2d coefficients),
+    which is cheaper per iteration; the certificate goes through here, so
+    `certify` checks every solve by an independent numerical route.
 
     Raises:
         DegenerateDesignError: if M(w) is singular, i.e. the weighted

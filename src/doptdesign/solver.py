@@ -13,6 +13,14 @@ decreases log det M(w):
   exchanged design's p (Silvey, Titterington & Torsney 1978; monotone by
   Yu 2010).
 
+Each evaluation works in moment space, the paper's dual pair: the design's
+degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is expanded in
+the degree-2d basis through the adjoint map, c = M_d^*(M(w)^{-1}), so that
+p = V2 c on every candidate.  V2, the degree-2d Vandermonde matrix of the
+candidates, is built once; its first n_d columns are the degree-d one.  The
+certificate evaluates p of the final design by triangular solves instead,
+an independent route.
+
 Each evaluation also applies the bound of Harman & Pronzato (2007): a
 candidate whose p lies below a threshold set by p_max - n_d cannot support
 any D-optimal design, so it is removed for good.  The active set is
@@ -22,11 +30,11 @@ nonnegative.
 
 The loop stops once p_max <= n_d (1 + epsilon) on the active rows (the
 Kiefer-Wolfowitz equivalence test).  The eliminated rows are then checked
-with the same factor, and any above the target re-enter with weight zero
-before the loop goes on, so the stop test holds on every candidate.  The
-trace records one (objective, p_max) pair per evaluated iterate, with p_max
-taken over the active rows; the evaluation after a compaction is not logged,
-so without pruning the trace holds iterations + 1 entries.
+with the same coefficients c, and any above the target re-enter with weight
+zero before the loop goes on, so the stop test holds on every candidate.
+The trace records one (objective, p_max) pair per evaluated iterate, with
+p_max taken over the active rows; the evaluation after a compaction is not
+logged, so without pruning the trace holds iterations + 1 entries.
 
 After the loop terminates, weights below the pruning threshold are dropped
 and the iteration resumes on the reduced set until the stopping test holds
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
-from .basis import enumerate_basis, vandermonde
+from .basis import enumerate_basis, outer_position_map, vandermonde
 from .design import DesignMeasure
 from .errors import ConfigError, DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
@@ -103,41 +111,48 @@ class SolveResult:
 class _Loop:
     """Fused evaluate/step loop over one active subset of the candidates.
 
-    Per iteration: assemble M(w) as a rank-one sum, factorize, evaluate p at
-    every active candidate, log the iterate, test, step.  Uses raw LAPACK
-    (potrf/trtri) because these matrices are tiny and call overhead dominates.
+    v2 holds the active rows of the degree-2d Vandermonde matrix and
+    pos = outer_position_map(basis_d, basis_2d).  Per iteration: y = V2^T w,
+    M(w) = y[pos], its Cholesky factor and M^{-1}, c with c_g the sum of
+    M^{-1}_ij over pos_ij = g, p = V2 c at every active candidate, then log
+    the iterate, test, step.  The two GEMVs on the (N, s) matrix,
+    s = C(n + 2d, n), do O(N s) flops where a rank-one GEMM and a triangular
+    solve on (N, n_d) matrices do O(N n_d^2).  Uses raw LAPACK (potrf/trtri)
+    because these matrices are tiny and call overhead dominates.
     """
 
-    def __init__(self, v: np.ndarray, w: np.ndarray, n_d: int):
-        self.v = v
-        self.vt = np.ascontiguousarray(v.T)
+    def __init__(self, v2: np.ndarray, w: np.ndarray, pos: np.ndarray):
+        n_d = pos.shape[0]
+        self.v2 = v2
+        # The exchange reads rows of length N from this contiguous copy.
+        self.vt = np.ascontiguousarray(v2[:, :n_d].T)
         self.w = w
         self.n_d = n_d
-        self.wvt = np.empty_like(self.vt)
-        self.m = np.empty((n_d, n_d))
-        self.li = None  # L^{-1} of the last evaluated iterate
-        self.z = np.empty_like(self.vt)
-        self.p = np.empty(v.shape[0])
+        self.pos = pos
+        self.pos_flat = pos.ravel()
+        self.y = np.empty(v2.shape[1])
+        self.m_inv = np.empty((n_d, n_d))
+        self.c = None  # p in the degree-2d basis, at the last evaluated iterate
+        self.p = np.empty(v2.shape[0])
 
     def evaluate(self) -> tuple[float, float, int]:
         """Objective, p_max and argmax p of the current iterate; fills self.p."""
-        # Scaling the contiguous (n_d, N) copy runs along rows of length N;
-        # scaling V by w[:, None] would broadcast along rows of length n_d.
-        np.multiply(self.vt, self.w, out=self.wvt)
-        np.dot(self.wvt, self.v, out=self.m)
-        l, info = dpotrf(self.m, lower=1)
+        np.dot(self.w, self.v2, out=self.y)
+        m = self.y[self.pos]
+        l, info = dpotrf(m, lower=1)
         diag = l.diagonal()
         # n_d is small, so scalar min/max over Python floats beat array calls.
         # Squaring is monotone on the positive pivots: min(d)^2 = min(d^2).
         d_min = min(diag.tolist()) if info == 0 else 0.0
-        if d_min * d_min <= pivot_tolerance(self.n_d, max(self.m.diagonal().tolist())):
+        if d_min * d_min <= pivot_tolerance(self.n_d, max(m.diagonal().tolist())):
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
                 "the model"
             )
-        self.li, _ = dtrtri(l, lower=1)
-        np.dot(self.li, self.vt, out=self.z)
-        np.einsum("ij,ij->j", self.z, self.z, out=self.p)
+        li, _ = dtrtri(l, lower=1)
+        np.dot(li.T, li, out=self.m_inv)
+        self.c = np.bincount(self.pos_flat, self.m_inv.ravel(), minlength=self.y.size)
+        np.dot(self.v2, self.c, out=self.p)
         objective = 2.0 * float(np.log(diag).sum())
         k = int(self.p.argmax())
         return objective, float(self.p[k]), k
@@ -160,10 +175,11 @@ class _Loop:
         (a drop step).  p is then updated exactly (rank-2 Woodbury), so the
         multiplicative update sees the exchanged design's own polynomial.
         """
-        p, w, z = self.p, self.w, self.z
+        p, w, vt = self.p, self.w, self.vt
         j = int(np.where(w > 0.0, p, np.inf).argmin())
         p_k, p_j = float(p[k]), float(p[j])
-        p_kj = float(np.dot(z[:, k], z[:, j]))
+        u = np.dot(self.m_inv, vt[:, [k, j]])  # M^{-1} [v_k v_j]
+        p_kj = float(np.dot(u[:, 0], vt[:, j]))
         delta = p_k * p_j - p_kj * p_kj
         if j == k or not p_k > p_j or not delta > 0.0:
             return
@@ -177,7 +193,7 @@ class _Loop:
         # The 2x2 inverse is written out in Python floats, scaled by alpha so
         # that no 1/alpha appears.
         s = alpha / ((1.0 + alpha * p_k) * (1.0 - alpha * p_j) + alpha * alpha * p_kj * p_kj)
-        a, b = np.dot(z[:, [k, j]].T, z)
+        a, b = np.dot(u.T, vt)
         c_aa = -s * (1.0 - alpha * p_j)
         c_ab = -2.0 * s * alpha * p_kj
         c_bb = s * (1.0 + alpha * p_k)
@@ -220,16 +236,18 @@ def _survivors(loop: _Loop, p_max: float) -> np.ndarray | None:
     return keep
 
 
-def _readmit(loop: _Loop, v_full: np.ndarray, active: np.ndarray, dead: np.ndarray,
+def _readmit(loop: _Loop, v2: np.ndarray, active: np.ndarray, dead: np.ndarray,
              target: float):
-    """Full-set stop test: p on the inactive rows under the loop's factor.
+    """Full-set stop test: p on the inactive rows from the loop's coefficients.
+
+    v2 is the degree-2d Vandermonde matrix of every candidate, so p on the
+    rows of `dead` comes from the same formula as the loop's own stop test.
 
     Returns None when p <= target on every row of `dead`.  Otherwise the rows
     above target re-enter the active set with weight zero, and the new
     (active, weights, dead) are returned, with active kept in candidate order.
     """
-    z = np.dot(loop.li, v_full[dead].T)
-    back = np.einsum("ij,ij->j", z, z) > target
+    back = np.dot(v2[dead], loop.c) > target
     if not back.any():
         return None
     merged = np.concatenate([active, dead[back]])
@@ -270,7 +288,9 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             f"got {cfg.prune_threshold}"
         )
 
-    v_full = vandermonde(enumerate_basis(cands.n, d), cands.points)
+    basis_2d = enumerate_basis(cands.n, 2 * d)
+    pos = outer_position_map(enumerate_basis(cands.n, d), basis_2d)
+    v2 = vandermonde(basis_2d, cands.points)
     target = n_d * (1.0 + cfg.epsilon)
 
     active = np.arange(cands.size)
@@ -283,15 +303,15 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     rolled_back = False
 
     while True:
-        loop = _Loop(v_full[active], w, n_d)
+        loop = _Loop(v2[active], w, pos)
         local_ok = False
         while True:
             objective, p_max, k = loop.evaluate()
             if p_max <= target and dead.size:
-                readmitted = _readmit(loop, v_full, active, dead, target)
+                readmitted = _readmit(loop, v2, active, dead, target)
                 if readmitted is not None:
                     active, w, dead = readmitted
-                    loop = _Loop(v_full[active], w, n_d)
+                    loop = _Loop(v2[active], w, pos)
                     objective, p_max, k = loop.evaluate()
             trace_obj.append(objective)
             trace_pmax.append(p_max)
@@ -303,7 +323,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             keep = _survivors(loop, p_max)
             if keep is not None:
                 kept_w = loop.w[keep] / loop.w[keep].sum()
-                compact = _Loop(v_full[active[keep]], kept_w, n_d)
+                compact = _Loop(v2[active[keep]], kept_w, pos)
                 # The trace keeps the iterate before compaction.  The log det
                 # bound in _survivors needs sum w_i p_i < 1 over the removed
                 # rows, which keeps the compacted M positive definite in exact
@@ -328,7 +348,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             rolled_back = True
             break
         try:
-            _Loop(v_full[active[keep]], w[keep] / w[keep].sum(), n_d).evaluate()
+            _Loop(v2[active[keep]], w[keep] / w[keep].sum(), pos).evaluate()
         except DegenerateDesignError:
             rolled_back = True
             break
@@ -343,7 +363,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         weights=w,
     )
     # When local_ok, `loop` last evaluated this very design.
-    converged = local_ok and _readmit(loop, v_full, active, pruned, target) is None
+    converged = local_ok and _readmit(loop, v2, active, pruned, target) is None
     return SolveResult(
         design=design,
         iterations=iterations,

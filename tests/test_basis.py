@@ -53,6 +53,15 @@ def test_degrees_are_graded():
     assert max(degrees) == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_degree_d_basis_is_a_prefix_of_the_degree_2d_basis(n, d):
+    # The solver reads the degree-d Vandermonde matrix as the first n_d
+    # columns of the degree-2d one.
+    basis = enumerate_basis(n, d)
+    assert enumerate_basis(n, 2 * d).indices[: basis.size] == basis.indices
+
+
 def test_eval_univariate():
     b = enumerate_basis(1, 2)
     assert np.allclose(vandermonde(b, [[2.0]]), [[1.0, 2.0, 4.0]])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from doptdesign import cli
 from doptdesign.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -687,6 +688,24 @@ def test_eval_cd_defaults_to_the_config_validation_resolution(interval_run, tmp_
     assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_OK
     rows = (out / "cd_profile.csv").read_bytes().decode().strip().split("\r\n")
     assert len(rows) == 1 + 401  # the header, then the config's 401-point grid
+
+
+def test_eval_cd_builds_one_problem(interval_run, tmp_path, monkeypatch):
+    # The audit needs the report's candidates; --config lends only its set.
+    calls = []
+    real_build_problem = cli.build_problem
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real_build_problem(cfg)
+
+    monkeypatch.setattr(cli, "build_problem", counting)
+    code = cmd_eval_cd(
+        interval_run["config"], str(interval_run["out"] / "report.json"), 5,
+        str(tmp_path), True,
+    )
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_eval_cd_mismatched_report(tmp_path, interval_run):

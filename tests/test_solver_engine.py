@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from doptdesign import CandidateSet, DegenerateDesignError, SolverConfig, solve, solver
-from doptdesign.basis import enumerate_basis
+from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
 from oracles import christoffel_values, monomial_design_matrix
 
@@ -17,6 +17,8 @@ LOBATTO = {
     4: [-1.0, -np.sqrt(3.0 / 7.0), 0.0, np.sqrt(3.0 / 7.0), 1.0],
 }
 GRID_21 = np.linspace(-1.0, 1.0, 21)
+# The loop's moment map for a line model: M(w)_ij = y_{i+j}.
+POS_1D_D1 = outer_position_map(enumerate_basis(1, 1), enumerate_basis(1, 2))
 
 
 def known_optimum_grid(d):
@@ -120,16 +122,52 @@ def test_pruned_row_above_target_is_not_converged():
     assert (np.delete(p, 1) <= 3.0 * (1.0 + 1e-6)).all()
 
 
+def moment_route_p(pts, w, d):
+    """p of the design w on pts at pts, as the solver's loop evaluates it."""
+    basis_2d = enumerate_basis(pts.shape[1], 2 * d)
+    pos = outer_position_map(enumerate_basis(pts.shape[1], d), basis_2d)
+    loop = solver._Loop(vandermonde(basis_2d, pts), w, pos)
+    loop.evaluate()
+    return loop.p
+
+
+def test_moment_route_p_matches_dense_oracle():
+    # The loop assembles M(w) = y[pos] from y = V2^T w and evaluates
+    # p = V2 c from the adjoint c of M^{-1}; the oracle solves with the
+    # rank-one sum M explicitly.
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3):
+        for d in (1, 2, 3, 4):
+            n_d = enumerate_basis(n, d).size
+            for _ in range(5):
+                size = int(rng.integers(n_d, 3 * n_d + 20))
+                pts = rng.uniform(-1.0, 1.0, size=(size, n))
+                w = rng.dirichlet(np.ones(size))
+                p = moment_route_p(pts, w, d)
+                ref = christoffel_values(pts, w, pts, d)
+                assert np.abs(p / ref - 1.0).max() <= 1e-9, (n, d, size)
+
+
+def test_moment_route_p_on_an_uncentered_box():
+    # On [0, 10]^2 at d = 4 the moments reach 10^16 and cond M(w) is 5e9.
+    axis = np.linspace(0.0, 10.0, 21)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    w = np.full(pts.shape[0], 1.0 / pts.shape[0])
+    p = moment_route_p(pts, w, 4)
+    ref = christoffel_values(pts, w, pts, 4)
+    assert np.abs(p / ref - 1.0).max() <= 1e-9
+
+
 def test_readmit_returns_violating_eliminated_row():
     # Active rows -1 and 0 carry the design; the eliminated row at 1 has
     # p = 10 > n_d = 2 under it and must come back with weight zero.
     pts = np.array([[-1.0], [0.0], [1.0], [-0.5]])
-    v = monomial_design_matrix(pts, 1)
-    loop = solver._Loop(v[[0, 1]], np.array([0.5, 0.5]), 2)
+    v2 = monomial_design_matrix(pts, 2)
+    loop = solver._Loop(v2[[0, 1]], np.array([0.5, 0.5]), POS_1D_D1)
     _, p_max, _ = loop.evaluate()
     assert abs(p_max - 2.0) < 1e-12
     active, w, dead = solver._readmit(
-        loop, v, np.array([0, 1]), np.array([2, 3]), 2.0 * (1 + 1e-6)
+        loop, v2, np.array([0, 1]), np.array([2, 3]), 2.0 * (1 + 1e-6)
     )
     assert active.tolist() == [0, 1, 2]
     assert w.tolist() == [0.5, 0.5, 0.0]
@@ -138,10 +176,10 @@ def test_readmit_returns_violating_eliminated_row():
 
 def test_readmit_none_when_eliminated_rows_pass():
     pts = np.array([[-1.0], [1.0], [0.0]])
-    v = monomial_design_matrix(pts, 1)
-    loop = solver._Loop(v[[0, 1]], np.array([0.5, 0.5]), 2)
+    v2 = monomial_design_matrix(pts, 2)
+    loop = solver._Loop(v2[[0, 1]], np.array([0.5, 0.5]), POS_1D_D1)
     loop.evaluate()
-    assert solver._readmit(loop, v, np.array([0, 1]), np.array([2]), 2.000002) is None
+    assert solver._readmit(loop, v2, np.array([0, 1]), np.array([2]), 2.000002) is None
 
 
 def test_solve_readmits_rows_wrongly_eliminated(monkeypatch):
