@@ -21,6 +21,7 @@ from .errors import (
     DegenerateDesignError,
     DimensionMismatchError,
     EmptyCandidateSetError,
+    FloatRangeError,
     InvalidDimensionError,
     NotPositiveDefiniteError,
     TooFewCandidatesError,

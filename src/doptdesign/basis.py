@@ -15,7 +15,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDimensionError, SizeMismatchError
+from .errors import (
+    DimensionMismatchError,
+    FloatRangeError,
+    InvalidDimensionError,
+    SizeMismatchError,
+)
 
 MultiIndex = tuple[int, ...]
 
@@ -53,11 +58,6 @@ class MultiIndexBasis:
         return len(self.indices)
 
     @cached_property
-    def exponents(self) -> np.ndarray:
-        """Indices as an integer array of shape (size, n)."""
-        return np.array(self.indices, dtype=np.int64).reshape(self.size, self.n)
-
-    @cached_property
     def position(self) -> dict[MultiIndex, int]:
         """Inverse lookup: multi-index -> row in the basis."""
         return {a: k for k, a in enumerate(self.indices)}
@@ -85,7 +85,12 @@ def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
 def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     """Evaluate the basis at many points: row i is v(points[i]).
 
-    Returns an array of shape (npoints, basis.size).
+    Returns an array of shape (npoints, basis.size).  This is the one place
+    where monomials are computed, so it is the one place that checks them.
+
+    Raises:
+        FloatRangeError: if a monomial is not a finite float at some
+            point (|x|^k beyond the float range, or a non-finite coordinate).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
@@ -94,15 +99,23 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
         )
     # Powers table per coordinate, then product across coordinates per index.
     npts = pts.shape[0]
-    powers = [
-        np.vander(pts[:, j], basis.d + 1, increasing=True) for j in range(basis.n)
-    ]
     out = np.ones((npts, basis.size))
-    for k, alpha in enumerate(basis.indices):
-        col = out[:, k]
-        for j, e in enumerate(alpha):
-            if e:
-                col *= powers[j][:, e]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [
+            np.vander(pts[:, j], basis.d + 1, increasing=True)
+            for j in range(basis.n)
+        ]
+        for k, alpha in enumerate(basis.indices):
+            col = out[:, k]
+            for j, e in enumerate(alpha):
+                if e:
+                    col *= powers[j][:, e]
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise FloatRangeError(
+            f"a monomial of degree <= {basis.d} is not a finite float "
+            f"at the point {pts[~finite][0].tolist()}"
+        )
     return out
 
 

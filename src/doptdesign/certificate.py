@@ -2,16 +2,18 @@
 
 The certificate pairs the design with the scaled inverse information matrix
 X = (n_d / p_max) M(w)^{-1}.  The scaling makes the dual constraint
-v(x)^T X v(x) <= n_d hold at every training candidate for EVERY iterate, not
-only in the limit, so weak duality is a running numerical check:
+q(x) = v(x)^T X v(x) <= n_d hold at every training candidate for EVERY
+iterate, not only in the limit, so weak duality is a running numerical check:
 
     primal = -log det M(w)      dual = log det X
     gap    = primal - dual      = n_d log(p_max / n_d) >= 0
 
 At optimality p_max -> n_d, recovering the unscaled X = M^{-1}, multiplier
-z = -n_d, and gap 0.  Because X is positive definite, the polynomial
-v(x)^T X v(x) is a sum of squares; its degree-2d coefficient expansion is
-produced by the adjoint of the moment-matrix map.
+z = -n_d, and gap 0.  Because X is positive definite, q is a sum of squares.
+`dual_values` is the one evaluator of q; `adjoint_expand`, the adjoint M_d*
+of the moment map `design.moment_matrix`, gives its degree-2d coefficients
+as a plain array.  The level set {q <= n_d} and its contact points are read
+in `geometry.levelset_report`.
 
 A certificate depends only on its design, its candidates and its degree:
 `build_certificate` builds the design's Christoffel-Darboux polynomial and
@@ -35,24 +37,12 @@ from .basis import (
 from .design import (
     CDPolynomial,
     DesignMeasure,
-    MomentVector,
     cd_polynomial,
     cd_profile,
     moment_matrix,
 )
-from .errors import SizeMismatchError
+from .errors import FloatRangeError, SizeMismatchError
 from .semialg import CandidateSet
-
-
-@dataclass(frozen=True)
-class CDCoefficients:
-    """Degree-2d coefficient vector of a quadratic form in the basis v(x)."""
-
-    basis2d: MultiIndexBasis
-    coeffs: np.ndarray
-
-    def evaluate_many(self, pts) -> np.ndarray:
-        return vandermonde(self.basis2d, np.asarray(pts, dtype=float)) @ self.coeffs
 
 
 @dataclass(frozen=True)
@@ -90,13 +80,13 @@ class DualCertificate:
         return self.polynomial.basis
 
 
-def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> CDCoefficients:
+def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> np.ndarray:
     """Coefficients of the polynomial v(x)^T X v(x) in the degree-2d basis.
 
     The coefficient of the monomial a is the sum of X_ij over all index pairs
-    with indices[i] + indices[j] = a (both triangles).  This is the adjoint of
-    the moment-matrix map: trace(M(y) X) equals the returned coefficients
-    dotted with y for every moment vector y.
+    with indices[i] + indices[j] = a (both triangles).  This is the adjoint
+    M_d* of the moment map `design.moment_matrix`: trace(M_d(y) X) equals the
+    returned coefficients dotted with y for every moment vector y.
     """
     x_mat = np.asarray(x_mat, dtype=float)
     m = basis_d.size
@@ -107,23 +97,15 @@ def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> CDCoefficients:
     basis2d = enumerate_basis(basis_d.n, 2 * basis_d.d)
     coeffs = np.zeros(basis2d.size)
     np.add.at(coeffs, outer_position_map(basis_d, basis2d), x_mat)
-    return CDCoefficients(basis2d=basis2d, coeffs=coeffs)
+    return coeffs
 
 
-def adjoint_identity_check(y: MomentVector, x_mat) -> float:
-    """|trace(M(y) X) - <expand(X), y>|; zero in exact arithmetic."""
+def adjoint_identity_check(y, x_mat, basis_d: MultiIndexBasis) -> float:
+    """|trace(M_d(y) X) - <M_d*(X), y>|; zero in exact arithmetic."""
     x_mat = np.asarray(x_mat, dtype=float)
-    if y.basis2d.d % 2 != 0:
-        raise SizeMismatchError("moment vector degree must be even")
-    d = y.basis2d.d // 2
-    basis_d = enumerate_basis(y.basis2d.n, d)
-    if x_mat.shape != (basis_d.size, basis_d.size):
-        raise SizeMismatchError(
-            f"matrix has shape {x_mat.shape}, expected ({basis_d.size}, {basis_d.size})"
-        )
-    lhs = float(np.sum(moment_matrix(y, d) * x_mat))
-    rhs = float(adjoint_expand(x_mat, basis_d).coeffs @ y.y)
-    return abs(lhs - rhs)
+    coeffs = adjoint_expand(x_mat, basis_d)
+    lhs = float(np.sum(moment_matrix(y, basis_d) * x_mat))
+    return abs(lhs - float(coeffs @ y))
 
 
 def build_certificate(
@@ -174,6 +156,25 @@ def build_certificate(
     )
 
 
+def dual_values(cert: DualCertificate, pts) -> np.ndarray:
+    """q(x) = v(x)^T X v(x) at the rows of an (N, n) array of points.
+
+    Raises:
+        FloatRangeError: if q is not a finite float at some point (q has
+            degree 2d, so it can overflow where v(x) does not).
+    """
+    v = vandermonde(cert.basis, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise FloatRangeError(
+            "the certified polynomial is not a finite float "
+            f"at the point {np.asarray(pts)[~finite][0].tolist()}"
+        )
+    return q
+
+
 def validate_dual_feasibility(
     cert: DualCertificate, validation: CandidateSet
 ) -> tuple[float, np.ndarray]:
@@ -183,22 +184,6 @@ def validate_dual_feasibility(
     positive value means the level set of the certified polynomial pokes
     above n_d between training candidates: the training grid was too coarse.
     """
-    v = vandermonde(cert.basis, validation.points)
-    vals = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+    vals = dual_values(cert, validation.points)
     i = int(np.argmax(vals))
     return float(vals[i] - cert.n_d), validation.points[i]
-
-
-def contact_points(cert: DualCertificate, delta: float | None = None) -> np.ndarray:
-    """Candidates where the scaled polynomial reaches its ceiling n_d - delta.
-
-    At convergence this set contains every support atom of the pruned design.
-    Default delta is n_d * 1e-4, matching terminal solver accuracy with
-    margin.
-    """
-    if delta is None:
-        delta = cert.n_d * 1e-4
-    if not delta > 0:
-        raise ValueError(f"contact tolerance must be positive, got {delta}")
-    scaled = (cert.n_d / cert.p_max) * cert.p_values
-    return cert.candidates.points[scaled >= cert.n_d - delta]

@@ -41,12 +41,13 @@ from .errors import (
     ConfigError,
     DegenerateDesignError,
     EmptyCandidateSetError,
+    FloatRangeError,
     InvalidDimensionError,
     NotAnEllipsoidError,
     TooFewCandidatesError,
     WrongDegreeError,
 )
-from .geometry import BOUNDARY_SLACK, extract_ellipsoid
+from .geometry import extract_ellipsoid, levelset_report
 from .semialg import (
     CandidateSet,
     SemiAlgebraicSet,
@@ -320,12 +321,15 @@ def load_config(path: str | Path) -> dict:
 
 def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     """The candidate, validation or evaluation grid (an empty one raises
-    EmptyCandidateSetError, one too large to allocate ConfigError)."""
+    EmptyCandidateSetError, one too large to allocate or to index
+    ConfigError)."""
     if resolution < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
     try:
         return grid_candidates(space, resolution)
-    except MemoryError as err:
+    except EmptyCandidateSetError:
+        raise
+    except (MemoryError, ValueError) as err:
         raise ConfigError(f"the {resolution}^{space.n} grid is too large") from err
 
 
@@ -384,7 +388,6 @@ def _ellipsoid_payload(ell) -> dict:
 
 def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
     d = cfg["degree"]
-    mv = moment_vector(result.design, d)
     # Every number of p comes from cert; p_max is not floored at n_d.
     p_max = float(cert.p_values.max())
     # Expansion of the design's own polynomial (unscaled inverse information
@@ -418,8 +421,8 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
             "p_max": cert.p_max,
             "complementarity_residual": cert.complementarity_residual,
         },
-        "moment_vector": {"degree": 2 * d, "values": mv.y},
-        "cd_coefficients": {"degree": 2 * d, "values": coeffs.coeffs},
+        "moment_vector": {"degree": 2 * d, "values": moment_vector(result.design, d)},
+        "cd_coefficients": {"degree": 2 * d, "values": coeffs},
         "ellipsoid": None if ellipsoid is None else _ellipsoid_payload(ellipsoid),
         "validation": validation,
     }
@@ -439,6 +442,7 @@ _EXIT_CODES = {
     _Rejected: EXIT_GATE_FAILED,
     ConfigError: EXIT_CONFIG,
     EmptyCandidateSetError: EXIT_CONFIG,
+    FloatRangeError: EXIT_CONFIG,
     InvalidDimensionError: EXIT_CONFIG,
     WrongDegreeError: EXIT_CONFIG,
     DegenerateDesignError: EXIT_DEGENERATE,
@@ -654,9 +658,10 @@ def cmd_eval_cd(
     out_dir: str,
     quiet=False,
 ) -> int:
-    """Tabulate the audited report's p, and p scaled by n_d / p_max, on a
-    grid of the config's set (at its validation_resolution unless given).
-    Tabulates only: an untouched unconverged report exits 0."""
+    """Tabulate the audited report's p, the certified q = (n_d / p_max) p
+    and membership in {q <= n_d} (`levelset_report`) on a grid of the
+    config's set (at its validation_resolution unless given).  Tabulates
+    only: an untouched unconverged report exits 0."""
     cfg = load_config(config_path)
     report_cfg, _, cert = _audit_report(report_path)
     n, d = report_cfg["dimension"], report_cfg["degree"]
@@ -669,10 +674,7 @@ def cmd_eval_cd(
     if grid_resolution is None:
         grid_resolution = cfg["validation_resolution"]
     grid = _grid(space, grid_resolution)
-    n_d = cert.n_d
-    p_raw = cd_profile(cert.polynomial, grid.points)
-    p_scaled = (n_d / cert.p_values.max()) * p_raw
-    inside = p_scaled <= n_d * (1.0 + BOUNDARY_SLACK)
+    level = levelset_report(cert, grid)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -680,8 +682,10 @@ def cmd_eval_cd(
     _write_csv(
         csv_path,
         [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"],
-        np.column_stack([grid.points, p_raw, p_scaled]),
-        inside,
+        np.column_stack(
+            [grid.points, cd_profile(cert.polynomial, grid.points), level.values]
+        ),
+        level.inside,
     )
     if not quiet:
         print(f"cd profile: {csv_path} ({grid.size} points)")

@@ -3,10 +3,12 @@
 A design is a probability measure w on a finite candidate set.  Its degree-2d
 moment vector y collects the weighted monomial sums, and the information
 matrix M(w) = sum_i w_i v(x_i) v(x_i)^T is the Gram matrix of the regression
-functions under w.  The Christoffel-Darboux polynomial of a non-degenerate
-design is p(x) = v(x)^T M(w)^{-1} v(x); it is kept in factored form and
-evaluated through triangular solves, never expanded into coefficients here
-(see `certificate.adjoint_expand` for the degree-2d expansion).
+functions under w; `moment_matrix` fills it from y (the moment map M_d), and
+`certificate.adjoint_expand` is its adjoint.  Both are plain array functions.
+The Christoffel-Darboux polynomial of a non-degenerate design is
+p(x) = v(x)^T M(w)^{-1} v(x); it is kept in factored form and evaluated at
+(N, n) rows of points through triangular solves (`cd_profile`), never
+expanded into coefficients here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .basis import (
     outer_position_map,
     vandermonde,
 )
-from .errors import DegenerateDesignError, NotPositiveDefiniteError
+from .errors import DegenerateDesignError, NotPositiveDefiniteError, SizeMismatchError
 from .semialg import CandidateSet
 
 #: Largest deviation of sum(weights) from 1 that is silently renormalized.
@@ -67,22 +69,6 @@ class DesignMeasure:
 
 
 @dataclass(frozen=True)
-class MomentVector:
-    """Moments of all monomials up to degree 2d under a design measure."""
-
-    basis2d: MultiIndexBasis
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if y.shape[0] != self.basis2d.size:
-            raise ValueError(
-                f"moment vector has length {y.shape[0]}, basis size is {self.basis2d.size}"
-            )
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
 class CDPolynomial:
     """Christoffel-Darboux polynomial of a design, held as a factorization.
 
@@ -97,21 +83,28 @@ class CDPolynomial:
     n_d: int
 
 
-def moment_vector(mu: DesignMeasure, d: int) -> MomentVector:
-    """Degree-2d moment vector: y_a = sum_i w_i x_i^a for all |a| <= 2d."""
-    basis2d = enumerate_basis(mu.n, 2 * d)
-    v2 = vandermonde(basis2d, mu.candidates.points)
-    return MomentVector(basis2d=basis2d, y=v2.T @ mu.weights)
+def moment_vector(mu: DesignMeasure, d: int) -> np.ndarray:
+    """Degree-2d moment vector: y_a = sum_i w_i x_i^a for all |a| <= 2d,
+    in the order of `enumerate_basis(n, 2d)`."""
+    v2 = vandermonde(enumerate_basis(mu.n, 2 * d), mu.candidates.points)
+    return v2.T @ mu.weights
 
 
-def moment_matrix(y: MomentVector, d: int) -> np.ndarray:
-    """Fill the symmetric moment matrix from a degree-2d moment vector."""
-    basis = enumerate_basis(y.basis2d.n, d)
-    if y.basis2d.d != 2 * d:
-        raise ValueError(
-            f"moment vector has degree {y.basis2d.d}, expected {2 * d}"
+def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:
+    """The moment map M_d: fill the symmetric moment matrix over `basis_d`
+    from a degree-2d moment vector y.
+
+    Raises:
+        SizeMismatchError: if y does not have one entry per monomial of
+            degree at most 2d.
+    """
+    basis2d = enumerate_basis(basis_d.n, 2 * basis_d.d)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (basis2d.size,):
+        raise SizeMismatchError(
+            f"moment vector has shape {y.shape}, expected ({basis2d.size},)"
         )
-    return y.y[outer_position_map(basis, y.basis2d)]
+    return y[outer_position_map(basis_d, basis2d)]
 
 
 def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
@@ -152,11 +145,5 @@ def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
 
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:
-    """Evaluate p at many points, preserving order."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.size == 0:
-        return np.zeros(0)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    v = vandermonde(p.basis, pts)
-    return spd.quad_form_inv_many(p.factor, v)
+    """Evaluate p at the rows of an (N, n) array of points, in order."""
+    return spd.quad_form_inv_many(p.factor, vandermonde(p.basis, pts))

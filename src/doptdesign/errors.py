@@ -13,6 +13,10 @@ class SizeMismatchError(ValueError):
     """A matrix or coefficient vector has an incompatible size."""
 
 
+class FloatRangeError(ValueError):
+    """A monomial or polynomial value at some point is beyond the float range."""
+
+
 class EmptyCandidateSetError(ValueError):
     """No candidate point satisfies the set membership conditions."""
 

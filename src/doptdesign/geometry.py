@@ -5,7 +5,9 @@ inequality, so {x : v(x)^T X v(x) <= n_d} is an ellipsoid containing the
 design space, and maximizing log det X shrinks it: the degree-1 design
 problem is the minimum-volume enclosing ellipsoid problem.  For higher
 degree the enclosing set {p(x) <= n_d} is a general sublevel set and only
-the log-det volume proxy is reported.
+the log-det volume proxy is reported.  `levelset_report` is the one
+definition of that set on a probe set: which points lie inside it and which
+touch its boundary.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import vandermonde
-from .certificate import DualCertificate
+from .certificate import DualCertificate, dual_values
 from .errors import (
     DimensionMismatchError,
     NotAnEllipsoidError,
@@ -42,11 +43,11 @@ class Ellipsoid:
 
 @dataclass(frozen=True)
 class LevelSetReport:
-    """Membership of a probe set in {p <= n_d}, plus the contact points."""
+    """The certified polynomial q = v^T X v at each probe point (`values`),
+    membership of each in {q <= n_d} (`inside`), and the probe points where
+    q reaches n_d - delta (`contact`)."""
 
-    degree2d: int
-    threshold: float
-    probe_points: np.ndarray
+    values: np.ndarray
     inside: np.ndarray
     contact: np.ndarray
 
@@ -113,21 +114,21 @@ def contains(e: Ellipsoid, x) -> bool:
 def levelset_report(
     cert: DualCertificate, probe: CandidateSet, delta: float | None = None
 ) -> LevelSetReport:
-    """Evaluate the enclosing level set on a probe set.
+    """Evaluate the enclosing level set {q <= n_d} on a probe set.
 
-    Contact points are probe points where the scaled polynomial reaches
-    n_d - delta (default delta = n_d * 1e-4).
+    A point is inside when q <= n_d (1 + BOUNDARY_SLACK).  Contact points
+    are probe points where q reaches n_d - delta (default delta =
+    n_d * 1e-4, terminal solver accuracy with margin); with the training
+    candidates as probe, at convergence they contain every support atom of
+    the pruned design.
     """
     if delta is None:
         delta = cert.n_d * 1e-4
-    v = vandermonde(cert.basis, probe.points)
-    vals = np.einsum("ij,ij->i", v @ cert.x_hat, v)
-    inside = vals <= cert.n_d * (1.0 + BOUNDARY_SLACK)
-    contact = probe.points[vals >= cert.n_d - delta]
+    if not delta > 0:
+        raise ValueError(f"contact tolerance must be positive, got {delta}")
+    values = dual_values(cert, probe.points)
     return LevelSetReport(
-        degree2d=2 * cert.basis.d,
-        threshold=float(cert.n_d),
-        probe_points=probe.points,
-        inside=inside,
-        contact=contact,
+        values=values,
+        inside=values <= cert.n_d * (1.0 + BOUNDARY_SLACK),
+        contact=probe.points[values >= cert.n_d - delta],
     )

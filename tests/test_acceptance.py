@@ -190,7 +190,9 @@ def test_criterion_04_adjoint_identity():
         )
         x = rng.standard_normal((n_d, n_d))
         x = 0.5 * (x + x.T)
-        worst = max(worst, adjoint_identity_check(moment_vector(mu, d), x))
+        worst = max(worst, adjoint_identity_check(
+            moment_vector(mu, d), x, enumerate_basis(n, d)
+        ))
     ok = worst <= 1e-10
     report("4", ok, f"worst discrepancy {worst:.3e} over 100 pairs")
     assert ok

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doptdesign import DimensionMismatchError, InvalidDimensionError
+from doptdesign import DimensionMismatchError, FloatRangeError, InvalidDimensionError
 from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
 from oracles import monomial_design_matrix
@@ -123,3 +123,16 @@ def test_vandermonde_rows_match_eval():
     b = enumerate_basis(2, 3)
     pts = np.random.default_rng(3).uniform(-1, 1, size=(11, 2))
     assert np.array_equal(vandermonde(b, pts), monomial_design_matrix(pts, 3))
+
+
+@pytest.mark.parametrize("x", [1e80, np.inf, np.nan])
+def test_vandermonde_rejects_monomials_beyond_the_float_range(x):
+    # 1e80^4 = 1e320 overflows; the suite turns any RuntimeWarning into an
+    # error, so this also checks that none is printed.
+    with pytest.raises(FloatRangeError, match="degree <= 4"):
+        vandermonde(enumerate_basis(2, 4), [[0.5, 0.5], [0.5, x]])
+
+
+def test_vandermonde_keeps_large_finite_monomials():
+    v = vandermonde(enumerate_basis(1, 3), [[1e80]])
+    assert v[0].tolist() == [1.0, 1e80, 1e160, 1e240]

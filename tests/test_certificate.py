@@ -9,13 +9,10 @@ from doptdesign import (
     validate_dual_feasibility,
 )
 from doptdesign.basis import enumerate_basis, vandermonde
-from doptdesign.certificate import (
-    adjoint_expand,
-    adjoint_identity_check,
-    contact_points,
-)
+from doptdesign.certificate import adjoint_expand, adjoint_identity_check
 from doptdesign.design import DesignMeasure, moment_matrix, moment_vector
 from doptdesign.errors import SizeMismatchError
+from doptdesign.geometry import levelset_report
 from doptdesign.spd import factorize
 
 from oracles import monomial_design_matrix
@@ -45,12 +42,12 @@ def certify_pm_one():
 
 def test_adjoint_expand_identity_matrix():
     c = adjoint_expand(np.eye(2), enumerate_basis(1, 1))
-    assert np.allclose(c.coeffs, [1.0, 0.0, 1.0])  # 1 + x^2
+    assert np.allclose(c, [1.0, 0.0, 1.0])  # 1 + x^2
 
 
 def test_adjoint_expand_off_diagonal_doubles():
     c = adjoint_expand(np.array([[0.0, 1.0], [1.0, 0.0]]), enumerate_basis(1, 1))
-    assert np.allclose(c.coeffs, [0.0, 2.0, 0.0])  # 2x
+    assert np.allclose(c, [0.0, 2.0, 0.0])  # 2x
 
 
 def test_adjoint_expand_thirds_inverse():
@@ -58,7 +55,7 @@ def test_adjoint_expand_thirds_inverse():
     # 3 - 4.5 x^2 + 4.5 x^4.
     inv = np.array([[3.0, 0.0, -3.0], [0.0, 1.5, 0.0], [-3.0, 0.0, 4.5]])
     c = adjoint_expand(inv, enumerate_basis(1, 2))
-    assert np.allclose(c.coeffs, [3.0, 0.0, -4.5, 0.0, 4.5])
+    assert np.allclose(c, [3.0, 0.0, -4.5, 0.0, 4.5])
 
 
 def test_adjoint_expand_size_mismatch():
@@ -69,10 +66,11 @@ def test_adjoint_expand_size_mismatch():
 def test_adjoint_identity_diagonal():
     mu = design1d([-1.0, 0.25, 1.0], [0.3, 0.4, 0.3])
     y = moment_vector(mu, 1)
-    m = moment_matrix(y, 1)
+    basis = enumerate_basis(1, 1)
+    m = moment_matrix(y, basis)
     x = np.eye(2)
-    assert adjoint_identity_check(y, x) < 1e-14
-    assert abs(np.trace(m @ x) - (y.y[0] + y.y[2])) < 1e-14
+    assert adjoint_identity_check(y, x, basis) < 1e-14
+    assert abs(np.trace(m @ x) - (y[0] + y[2])) < 1e-14
 
 
 def test_adjoint_identity_random():
@@ -80,7 +78,8 @@ def test_adjoint_identity_random():
     for _ in range(30):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 3))
-        n_d = enumerate_basis(n, d).size
+        basis = enumerate_basis(n, d)
+        n_d = basis.size
         total = int(rng.integers(n_d, 30))
         mu = DesignMeasure(
             candidates=CandidateSet(
@@ -91,7 +90,7 @@ def test_adjoint_identity_random():
         y = moment_vector(mu, d)
         x = rng.standard_normal((n_d, n_d))
         x = 0.5 * (x + x.T)
-        assert adjoint_identity_check(y, x) <= 1e-10
+        assert adjoint_identity_check(y, x, basis) <= 1e-10
 
 
 def test_adjoint_identity_point_mass_rank_one():
@@ -105,8 +104,8 @@ def test_adjoint_identity_point_mass_rank_one():
     x = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.0], [0.0, -1.0, 3.0]])
     v = vandermonde(basis, x0[None])[0]
     target = v @ x @ v
-    assert abs(np.sum(moment_matrix(y, 1) * x) - target) < 1e-12
-    assert abs(adjoint_expand(x, basis).coeffs @ y.y - target) < 1e-12
+    assert abs(np.sum(moment_matrix(y, basis) * x) - target) < 1e-12
+    assert abs(adjoint_expand(x, basis) @ y - target) < 1e-12
 
 
 def test_certificate_exact_optimum_pm_one():
@@ -236,7 +235,7 @@ def test_contact_points_linear():
     _, cert = solve_and_certify(
         cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
     )
-    pts = contact_points(cert)
+    pts = levelset_report(cert, cert.candidates).contact
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
 
@@ -244,7 +243,7 @@ def test_contact_points_quadratic_all_three():
     _, cert = solve_and_certify(
         cands1d([-1.0, 0.0, 1.0]), 2, SolverConfig(epsilon=1e-9)
     )
-    pts = contact_points(cert)
+    pts = levelset_report(cert, cert.candidates).contact
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
 
@@ -252,7 +251,8 @@ def test_contact_points_degenerate_tolerance():
     _, cert = solve_and_certify(
         cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
     )
-    assert contact_points(cert, delta=float(cert.n_d)).shape[0] == 3
+    rep = levelset_report(cert, cert.candidates, delta=float(cert.n_d))
+    assert rep.contact.shape[0] == 3
 
 
 def test_contact_contains_support():
@@ -266,7 +266,7 @@ def test_contact_contains_support():
         SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3),
     )
     assert res.converged
-    contact = set(map(tuple, contact_points(cert)))
+    contact = set(map(tuple, levelset_report(cert, cert.candidates).contact))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact
 
@@ -281,7 +281,7 @@ def test_expansion_of_inverse_matches_cd_eval():
     rng = np.random.default_rng(99)
     x = rng.uniform(-1, 1, size=(20, 1))
     direct = cd_profile(poly, x)
-    expanded = coeffs.evaluate_many(x)
+    expanded = vandermonde(enumerate_basis(1, 4), x) @ coeffs
     assert np.all(np.abs(expanded - direct) <= 1e-9 * np.maximum(1.0, direct))
 
 
@@ -294,9 +294,10 @@ def test_coefficients_round_trip_matches_quadratic_form():
         x = rng.standard_normal((basis.size, basis.size))
         x = 0.5 * (x + x.T)
         coeffs = adjoint_expand(x, basis)
+        basis2d = enumerate_basis(n, 2 * d)
         for _ in range(20):
             pt = rng.uniform(-1, 1, size=(1, n))
             v = vandermonde(basis, pt)[0]
             direct = v @ x @ v
-            expanded = coeffs.evaluate_many(pt)[0]
+            expanded = (vandermonde(basis2d, pt) @ coeffs)[0]
             assert abs(direct - expanded) <= 1e-9 * max(1.0, abs(direct))

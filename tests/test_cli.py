@@ -353,6 +353,66 @@ def test_solve_unallocatable_grid_exits_config(tmp_path, capsys, grid):
     assert_one_error_line(capsys)
 
 
+HUGE = 10**21  # np.linspace refuses this many points with a ValueError
+
+
+@pytest.mark.parametrize(
+    "case", ["solve-candidates", "solve-validation", "certify", "eval-cd"]
+)
+def test_unindexable_grid_exits_config(square_run, tmp_path, capsys, case):
+    assert square_run["code"] == EXIT_OK
+    cfg = json.loads(json.dumps(SQUARE_CONFIG))
+    if case == "solve-candidates":
+        cfg["candidates"] = {"source": "grid", "resolution": HUGE}
+    else:
+        cfg["validation_resolution"] = HUGE
+    report = str(square_run["out"] / "report.json")
+    solve = ["solve", "--config", write_config(tmp_path, cfg)]
+    grid = ["--validation-resolution", str(HUGE)]
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "solve-candidates": [*solve, *out],
+        "solve-validation": [*solve, *out],
+        "certify": ["certify", "--report", report, *grid],
+        "eval-cd": ["eval-cd", "--config", square_run["config"], "--report", report,
+                    *grid, *out],
+    }[case]
+    assert main([*argv, "--quiet"]) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+def test_solve_overflowing_monomials_exits_config(tmp_path, capsys):
+    # At x = 1e80 the degree-4 moment x^4 = 1e320 is not a float.  A warning
+    # would fail the suite, which turns RuntimeWarning into an error.
+    cfg = {
+        "dimension": 1,
+        "degree": 2,
+        "set": {"bounding_box": [[-1e80, 1e80]]},
+        "candidates": {"source": "grid", "resolution": 21},
+    }
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+def test_solve_small_points_in_a_huge_box(tmp_path, capsys):
+    # The box alone is no error: the candidates' monomials are finite, so the
+    # solve and the certificate run.  The certified q at the box's corners,
+    # about 1e320, is not a float, so the validation grid is an input error.
+    cfg = {
+        "dimension": 1,
+        "degree": 2,
+        "set": {"bounding_box": [[-1e80, 1e80]]},
+        "candidates": {"source": "points", "points": [[-1.0], [0.0], [1.0]]},
+        "validation_resolution": 2,
+    }
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: the certified polynomial is not a finite float")
+    assert err.count("\n") == 1, err
+
+
 def test_solve_point_cloud_file(tmp_path):
     cloud = tmp_path / "cloud.txt"
     cloud.write_text("-1.0\n-0.5\n0.0\n0.5\n1.0\n")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from doptdesign import CandidateSet, DegenerateDesignError
+from doptdesign import CandidateSet, DegenerateDesignError, DimensionMismatchError
+from doptdesign.basis import enumerate_basis
 from doptdesign.design import (
     DesignMeasure,
     assemble_information,
@@ -23,8 +24,6 @@ def univariate_design(points, weights):
 
 
 def random_design(rng, n, d_max_points=True, n_points=None):
-    from doptdesign.basis import enumerate_basis
-
     d = int(rng.integers(1, 4))
     n_d = enumerate_basis(n, d).size
     total = n_points or int(rng.integers(n_d, 51))
@@ -39,7 +38,7 @@ def random_design(rng, n, d_max_points=True, n_points=None):
 def test_moment_vector_two_point():
     mu = univariate_design([-1.0, 1.0], [0.5, 0.5])
     mv = moment_vector(mu, 1)
-    assert np.allclose(mv.y, [1.0, 0.0, 1.0])
+    assert np.allclose(mv, [1.0, 0.0, 1.0])
 
 
 def test_moment_vector_point_mass_origin():
@@ -47,30 +46,30 @@ def test_moment_vector_point_mass_origin():
     mv = moment_vector(mu, 2)
     expected = np.zeros(5)
     expected[0] = 1.0
-    assert np.allclose(mv.y, expected)
+    assert np.allclose(mv, expected)
 
 
 def test_moment_vector_three_point():
     mu = univariate_design([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    assert np.allclose(moment_vector(mu, 1).y, [1.0, 0.0, 2.0 / 3.0])
+    assert np.allclose(moment_vector(mu, 1), [1.0, 0.0, 2.0 / 3.0])
 
 
 def test_moment_matrix_hankel_fill():
     mu = univariate_design([-1.0, 1.0], [0.5, 0.5])
-    m = moment_matrix(moment_vector(mu, 1), 1)
+    m = moment_matrix(moment_vector(mu, 1), enumerate_basis(1, 1))
     assert np.allclose(m, np.eye(2))
 
 
 def test_moment_matrix_quadratic_hankel():
     mu = univariate_design([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    m = moment_matrix(moment_vector(mu, 2), 2)
+    m = moment_matrix(moment_vector(mu, 2), enumerate_basis(1, 2))
     t = 2.0 / 3.0
     assert np.allclose(m, [[1.0, 0.0, t], [0.0, t, 0.0], [t, 0.0, t]])
 
 
 def test_moment_matrix_point_mass_is_rank_one():
     mu = univariate_design([0.0, 0.5], [1.0, 0.0])
-    m = moment_matrix(moment_vector(mu, 1), 1)
+    m = moment_matrix(moment_vector(mu, 1), enumerate_basis(1, 1))
     e1 = np.array([1.0, 0.0])
     assert np.allclose(m, np.outer(e1, e1))
 
@@ -122,7 +121,13 @@ def test_cd_profile_matches_pointwise():
 
 def test_cd_profile_empty():
     mu = univariate_design([-1.0, 1.0], [0.5, 0.5])
-    assert cd_profile(cd_polynomial(mu, 1), []).size == 0
+    assert cd_profile(cd_polynomial(mu, 1), np.zeros((0, 1))).shape == (0,)
+
+
+def test_cd_profile_takes_rows_only():
+    mu = univariate_design([-1.0, 1.0], [0.5, 0.5])
+    with pytest.raises(DimensionMismatchError):
+        cd_profile(cd_polynomial(mu, 1), np.array([0.0, 1.0]))
 
 
 def test_cd_nonnegative_random():
@@ -163,7 +168,7 @@ def test_assembly_paths_agree():
         mu, d = random_design(rng, n)
         v = monomial_design_matrix(mu.candidates.points, d)
         rank_one = (v * mu.weights[:, None]).T @ v
-        hankel = moment_matrix(moment_vector(mu, d), d)
+        hankel = moment_matrix(moment_vector(mu, d), enumerate_basis(mu.n, d))
         assert np.allclose(rank_one, hankel, rtol=1e-12, atol=1e-14)
 
 
@@ -177,8 +182,8 @@ def test_permutation_invariance():
         ),
         weights=mu.weights[perm],
     )
-    y1 = moment_vector(mu, d).y
-    y2 = moment_vector(mu_perm, d).y
+    y1 = moment_vector(mu, d)
+    y2 = moment_vector(mu_perm, d)
     assert np.allclose(y1, y2, rtol=1e-12, atol=1e-15)
     try:
         f1 = assemble_information(mu, d)

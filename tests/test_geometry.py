@@ -129,10 +129,16 @@ def test_levelset_report_square():
         source="probe",
     )
     rep = levelset_report(cert, probe)
-    assert rep.degree2d == 2
-    assert rep.threshold == 3.0
+    # X = I_3, so q(x) = 1 + |x|^2.
+    assert np.allclose(rep.values, [1.0, 3.0, 2.53, 9.0], rtol=1e-12)
     assert rep.inside.tolist() == [True, True, True, False]
     assert [1.0, 1.0] in rep.contact.tolist()
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_levelset_report_rejects_non_positive_contact_tolerance(delta):
+    with pytest.raises(ValueError, match="contact tolerance"):
+        levelset_report(square_cert(), SQUARE, delta=delta)
 
 
 def test_minimality_of_square_certificate():
