@@ -57,8 +57,6 @@ class DualCertificate:
     probability-mass multiplier.
     """
 
-    design: DesignMeasure
-    candidates: CandidateSet
     polynomial: CDPolynomial
     x_hat: np.ndarray
     z_hat: float
@@ -140,8 +138,6 @@ def build_certificate(
         np.sum(design.weights * (n_d - (n_d / p_max) * support_p))
     )
     return DualCertificate(
-        design=design,
-        candidates=candidates,
         polynomial=poly,
         x_hat=x_hat,
         z_hat=z_hat,

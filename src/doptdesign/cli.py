@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
@@ -158,7 +158,6 @@ def parse_config(raw: dict) -> dict:
             "candidates",
             "solver",
             "validation_resolution",
-            "seed",
             "output",
         },
         required={"dimension", "degree", "set", "candidates"},
@@ -228,8 +227,6 @@ def parse_config(raw: dict) -> dict:
             required={"source", "resolution"}, where="candidates",
         )
         resolution = _as_int(cand_raw["resolution"], "candidates.resolution")
-        if resolution < 2:
-            raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
         cand_norm: dict[str, Any] = {"source": "grid", "resolution": resolution}
     elif source == "points":
         _require_keys(
@@ -277,10 +274,6 @@ def parse_config(raw: dict) -> dict:
         "validation_resolution", _DEFAULT_VALIDATION_RESOLUTION
     )
     validation_resolution = _as_int(validation_resolution, "validation_resolution")
-    if validation_resolution < 2:
-        raise ConfigError(
-            f"validation_resolution must be >= 2, got {validation_resolution}"
-        )
 
     output_raw = raw.get("output", {})
     if not isinstance(output_raw, dict):
@@ -294,7 +287,7 @@ def parse_config(raw: dict) -> dict:
             raise ConfigError(f"output.{key} must be a non-empty string")
         output_norm[key] = val
 
-    norm: dict[str, Any] = {
+    return {
         "dimension": n,
         "degree": d,
         "set": {"bounding_box": box_norm, "inequalities": ineqs_norm},
@@ -303,9 +296,6 @@ def parse_config(raw: dict) -> dict:
         "validation_resolution": validation_resolution,
         "output": output_norm,
     }
-    if "seed" in raw:
-        norm["seed"] = _as_int(raw["seed"], "seed")
-    return norm
 
 
 def load_config(path: str | Path) -> dict:
@@ -320,9 +310,9 @@ def load_config(path: str | Path) -> dict:
 
 
 def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
-    """The candidate, validation or evaluation grid (an empty one raises
-    EmptyCandidateSetError, one too large to allocate or to index
-    ConfigError)."""
+    """The candidate, validation or evaluation grid, and the CLI's one
+    resolution check (a resolution below 2 or a grid too large to allocate or
+    to index raises ConfigError, an empty grid EmptyCandidateSetError)."""
     if resolution < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
     try:
@@ -377,16 +367,7 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
 # ---------------------------------------------------------------------------
 
 
-def _ellipsoid_payload(ell) -> dict:
-    return {
-        "center": ell.center,
-        "shape": ell.shape,
-        "radius_sq": ell.radius_sq,
-        "log_volume_proxy": ell.log_volume_proxy,
-    }
-
-
-def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
+def _assemble_report(cfg, result, cert, validation) -> dict:
     d = cfg["degree"]
     # Every number of p comes from cert; p_max is not floored at n_d.
     p_max = float(cert.p_values.max())
@@ -423,7 +404,6 @@ def _assemble_report(cfg, result, cert, validation, ellipsoid) -> dict:
         },
         "moment_vector": {"degree": 2 * d, "values": moment_vector(result.design, d)},
         "cd_coefficients": {"degree": 2 * d, "values": coeffs},
-        "ellipsoid": None if ellipsoid is None else _ellipsoid_payload(ellipsoid),
         "validation": validation,
     }
 
@@ -466,17 +446,15 @@ def _one_line_errors(cmd):
     return run
 
 
-def _gate(cert, space: SemiAlgebraicSet, resolution: int, epsilon: float):
+def _gate(cert, grid: CandidateSet, epsilon: float):
     """The quality gate of `solve` and `certify`.
 
-    Samples the dual constraint v(x)^T X v(x) <= n_d on a fresh grid of the
-    set (`validate_dual_feasibility`) and passes when the certified gap is at
-    most n_d log1p(epsilon), which is p_max <= n_d (1 + epsilon) up to
-    rounding, and the worst sampled violation is at most n_d epsilon.
+    Samples the dual constraint v(x)^T X v(x) <= n_d on `grid`, a fresh grid
+    of the set (`validate_dual_feasibility`), and passes when the certified
+    gap is at most n_d log1p(epsilon), which is p_max <= n_d (1 + epsilon) up
+    to rounding, and the worst sampled violation is at most n_d epsilon.
     """
-    max_violation, argmax_point = validate_dual_feasibility(
-        cert, _grid(space, resolution)
-    )
+    max_violation, argmax_point = validate_dual_feasibility(cert, grid)
     gap_bound = cert.n_d * math.log1p(epsilon)
     violation_bound = cert.n_d * epsilon
     return SimpleNamespace(
@@ -492,6 +470,10 @@ def _gate(cert, space: SemiAlgebraicSet, resolution: int, epsilon: float):
 def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     cfg = load_config(config_path)
     space, cands = build_problem(cfg)
+    # Built before the solve, so a bad validation grid fails at once.
+    t0 = time.perf_counter()
+    grid = _grid(space, cfg["validation_resolution"])
+    grid_s = time.perf_counter() - t0
     solver_cfg = SolverConfig(**cfg["solver"])
     d = cfg["degree"]
     timings: dict[str, float] = {}
@@ -504,23 +486,16 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     timings["certificate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    gate = _gate(cert, space, cfg["validation_resolution"], solver_cfg.epsilon)
-    timings["validation"] = time.perf_counter() - t0
+    gate = _gate(cert, grid, solver_cfg.epsilon)
+    timings["validation"] = grid_s + time.perf_counter() - t0
     validation = {
         "resolution": cfg["validation_resolution"],
         "max_violation": gate.max_violation,
         "argmax_point": gate.argmax_point,
     }
 
-    ellipsoid = None
-    if d == 1:
-        try:
-            ellipsoid = extract_ellipsoid(cert)
-        except NotAnEllipsoidError:
-            pass
-
     t0 = time.perf_counter()
-    report = _assemble_report(cfg, result, cert, validation, ellipsoid)
+    report = _assemble_report(cfg, result, cert, validation)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / cfg["output"]["report_json"]
@@ -606,7 +581,7 @@ def _audit_report(
         )
     try:
         design = DesignMeasure(
-            candidates=CandidateSet(points=cands.points[support], source=cands.source),
+            candidates=CandidateSet(points=cands.points[support]),
             weights=weights,
         )
     except ValueError as err:
@@ -637,7 +612,7 @@ def cmd_certify(report_path: str, resolution: int | None, quiet=False) -> int:
     cfg, space, cert = _audit_report(report_path)
     if resolution is None:
         resolution = cfg["validation_resolution"]
-    gate = _gate(cert, space, resolution, cfg["solver"]["epsilon"])
+    gate = _gate(cert, _grid(space, resolution), cfg["solver"]["epsilon"])
     if not quiet:
         print(f"primal_value={cert.primal_value:.12g}")
         print(f"dual_value={cert.dual_value:.12g}")
@@ -697,7 +672,7 @@ def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
     """Extract the enclosing ellipsoid of an audited degree-1 report from its
     rebuilt x_hat."""
     _, _, cert = _audit_report(report_path)
-    payload = _ellipsoid_payload(extract_ellipsoid(cert))
+    payload = asdict(extract_ellipsoid(cert))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ellipsoid.json"

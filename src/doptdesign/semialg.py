@@ -103,7 +103,6 @@ class CandidateSet:
     """Finite list of admissible design points, in a fixed deterministic order."""
 
     points: np.ndarray  # shape (N, n)
-    source: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -153,7 +152,7 @@ def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
         raise EmptyCandidateSetError(
             f"no point of the {resolution}^{s.n} grid satisfies membership"
         )
-    return CandidateSet(points=pts[mask], source=f"grid:{resolution}")
+    return CandidateSet(points=pts[mask])
 
 
 def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
@@ -176,4 +175,4 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
     # Adding 0.0 turns -0.0 into 0.0, so the two compare as one point.
     _, first = np.unique(members + 0.0, axis=0, return_index=True)
     kept = members[np.sort(first)]
-    return CandidateSet(points=kept, source=f"explicit:{len(kept)}")
+    return CandidateSet(points=kept)

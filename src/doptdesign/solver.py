@@ -359,7 +359,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             break  # budget exhausted; prune applied once, no polish
 
     design = DesignMeasure(
-        candidates=CandidateSet(points=cands.points[active], source=cands.source),
+        candidates=CandidateSet(points=cands.points[active]),
         weights=w,
     )
     # When local_ok, `loop` last evaluated this very design.

@@ -37,7 +37,7 @@ from oracles import (
 )
 
 GRID_401 = np.linspace(-1.0, 1.0, 401)
-CANDS_401 = CandidateSet(points=GRID_401.reshape(-1, 1), source="grid:401")
+CANDS_401 = CandidateSet(points=GRID_401.reshape(-1, 1))
 GRID_CELL = GRID_401[1] - GRID_401[0]
 KNOWN_OPTIMA = {
     1: [-1.0, 1.0],
@@ -159,9 +159,7 @@ def test_criterion_03_exact_trace_identity():
         n_d = enumerate_basis(n, d).size
         total = int(rng.integers(n_d, 101))
         mu = DesignMeasure(
-            candidates=CandidateSet(
-                points=rng.uniform(-1, 1, size=(total, n)), source="r"
-            ),
+            candidates=CandidateSet(points=rng.uniform(-1, 1, size=(total, n))),
             weights=rng.dirichlet(np.ones(total)),
         )
         poly = cd_polynomial(mu, d)
@@ -183,9 +181,7 @@ def test_criterion_04_adjoint_identity():
         n_d = enumerate_basis(n, d).size
         total = int(rng.integers(n_d, 40))
         mu = DesignMeasure(
-            candidates=CandidateSet(
-                points=rng.uniform(-1, 1, size=(total, n)), source="r"
-            ),
+            candidates=CandidateSet(points=rng.uniform(-1, 1, size=(total, n))),
             weights=rng.dirichlet(np.ones(total)),
         )
         x = rng.standard_normal((n_d, n_d))
@@ -209,10 +205,9 @@ def test_criterion_05_complementarity(classical_runs):
     converged_ok = worst_converged <= 1e-6
 
     exact_worst = 0.0
-    pair = CandidateSet(points=np.array([[-1.0], [1.0]]), source="pm")
+    pair = CandidateSet(points=np.array([[-1.0], [1.0]]))
     square = CandidateSet(
         points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
-        source="sq",
     )
     for cands in (pair, square):
         res = solve(cands, 1, SolverConfig())
@@ -238,9 +233,7 @@ def test_criterion_06_quadratic_closed_forms():
     )
 
     mu = DesignMeasure(
-        candidates=CandidateSet(
-            points=np.array([[-1.0], [0.0], [1.0]]), source="thirds"
-        ),
+        candidates=CandidateSet(points=np.array([[-1.0], [0.0], [1.0]])),
         weights=np.array([1 / 3, 1 / 3, 1 / 3]),
     )
     factor = assemble_information(mu, 2)
@@ -259,7 +252,6 @@ def test_criterion_06_quadratic_closed_forms():
 def test_criterion_07_enclosing_ellipsoid_of_the_square():
     square = CandidateSet(
         points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
-        source="sq",
     )
     res = solve(square, 1, SolverConfig())
     weights_ok = bool(np.abs(res.design.weights - 0.25).max() <= 1e-6)
@@ -289,7 +281,7 @@ def test_criterion_08_micro_oracle_equivalence():
         total = int(rng.integers(n_d, 6))
         while True:
             pts = rng.uniform(-1, 1, size=(total, n))
-            cands = CandidateSet(points=pts, source=f"micro{i}")
+            cands = CandidateSet(points=pts)
             try:
                 res = solve(
                     cands, d,
@@ -318,7 +310,7 @@ def test_criterion_09_multiplicative_monotonicity():
         pts = rng.uniform(-1, 1, size=(total, n))
         try:
             res = solve(
-                CandidateSet(points=pts, source="mono"), d,
+                CandidateSet(points=pts), d,
                 SolverConfig(max_iters=300, prune_threshold=0.0),
             )
         except Exception:

@@ -19,9 +19,7 @@ from oracles import monomial_design_matrix
 
 
 def cands1d(points):
-    return CandidateSet(
-        points=np.asarray(points, dtype=float).reshape(-1, 1), source="test"
-    )
+    return CandidateSet(points=np.asarray(points, dtype=float).reshape(-1, 1))
 
 
 def design1d(points, weights):
@@ -82,9 +80,7 @@ def test_adjoint_identity_random():
         n_d = basis.size
         total = int(rng.integers(n_d, 30))
         mu = DesignMeasure(
-            candidates=CandidateSet(
-                points=rng.uniform(-1, 1, size=(total, n)), source="r"
-            ),
+            candidates=CandidateSet(points=rng.uniform(-1, 1, size=(total, n))),
             weights=rng.dirichlet(np.ones(total)),
         )
         y = moment_vector(mu, d)
@@ -96,7 +92,7 @@ def test_adjoint_identity_random():
 def test_adjoint_identity_point_mass_rank_one():
     x0 = np.array([0.3, -0.7])
     mu = DesignMeasure(
-        candidates=CandidateSet(points=np.vstack([x0, x0 + 1.0]), source="r"),
+        candidates=CandidateSet(points=np.vstack([x0, x0 + 1.0])),
         weights=np.array([1.0, 0.0]),
     )
     y = moment_vector(mu, 1)
@@ -199,7 +195,7 @@ def test_sos_witness_x_hat_factorizes():
     for _ in range(10):
         pts = rng.uniform(-1, 1, size=(12, 1))
         _, cert = solve_and_certify(
-            CandidateSet(points=pts, source="r"), 2,
+            CandidateSet(points=pts), 2,
             SolverConfig(max_iters=50, prune_threshold=0.0),
         )
         factorize(cert.x_hat)  # raises if not positive definite
@@ -232,26 +228,23 @@ def test_validate_detects_coarse_training_grid():
 
 
 def test_contact_points_linear():
-    _, cert = solve_and_certify(
-        cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
-    )
-    pts = levelset_report(cert, cert.candidates).contact
+    cands = cands1d([-1.0, 0.0, 1.0])
+    _, cert = solve_and_certify(cands, 1, SolverConfig(prune_threshold=1e-4))
+    pts = levelset_report(cert, cands).contact
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
 
 def test_contact_points_quadratic_all_three():
-    _, cert = solve_and_certify(
-        cands1d([-1.0, 0.0, 1.0]), 2, SolverConfig(epsilon=1e-9)
-    )
-    pts = levelset_report(cert, cert.candidates).contact
+    cands = cands1d([-1.0, 0.0, 1.0])
+    _, cert = solve_and_certify(cands, 2, SolverConfig(epsilon=1e-9))
+    pts = levelset_report(cert, cands).contact
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
 
 def test_contact_points_degenerate_tolerance():
-    _, cert = solve_and_certify(
-        cands1d([-1.0, 0.0, 1.0]), 1, SolverConfig(prune_threshold=1e-4)
-    )
-    rep = levelset_report(cert, cert.candidates, delta=float(cert.n_d))
+    cands = cands1d([-1.0, 0.0, 1.0])
+    _, cert = solve_and_certify(cands, 1, SolverConfig(prune_threshold=1e-4))
+    rep = levelset_report(cert, cands, delta=float(cert.n_d))
     assert rep.contact.shape[0] == 3
 
 
@@ -260,13 +253,13 @@ def test_contact_contains_support():
     # (complementarity bounds only the weighted sum), so the contact
     # guarantee needs the pruning threshold comfortably above epsilon / delta.
     rng = np.random.default_rng(19)
-    pts = np.sort(rng.uniform(-1, 1, size=25))
+    cands = cands1d(np.sort(rng.uniform(-1, 1, size=25)))
     res, cert = solve_and_certify(
-        cands1d(pts), 2,
+        cands, 2,
         SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3),
     )
     assert res.converged
-    contact = set(map(tuple, levelset_report(cert, cert.candidates).contact))
+    contact = set(map(tuple, levelset_report(cert, cands).contact))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact
 

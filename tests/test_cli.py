@@ -105,16 +105,20 @@ def test_parse_config_fills_defaults():
 
 
 def test_parse_config_rejects_unknown_root_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config(
-            {
-                "dimension": 1,
-                "degree": 1,
-                "set": {"bounding_box": [[-1, 1]]},
-                "candidates": {"source": "grid", "resolution": 5},
-                "epsilonn": 1e-6,
-            }
-        )
+    # Runs are deterministic, so there is no `seed` key either.
+    for key, value in [("epsilonn", 1e-6), ("seed", 1)]:
+        with pytest.raises(
+            ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config"
+        ):
+            parse_config(
+                {
+                    "dimension": 1,
+                    "degree": 1,
+                    "set": {"bounding_box": [[-1, 1]]},
+                    "candidates": {"source": "grid", "resolution": 5},
+                    key: value,
+                }
+            )
 
 
 def test_parse_config_rejects_unknown_solver_key():
@@ -204,11 +208,10 @@ def test_solve_report_has_required_sections(interval_run):
         "certificate",
         "moment_vector",
         "cd_coefficients",
-        "ellipsoid",
         "validation",
     ):
         assert key in report
-    assert report["ellipsoid"] is None  # degree 2 run
+    assert "ellipsoid" not in report  # written only by the ellipsoid command
     assert len(report["moment_vector"]["values"]) == 5
     assert len(report["cd_coefficients"]["values"]) == 5
     # quartic ceiling polynomial: 3 - 4.5 x^2 + 4.5 x^4, scaled by n_d/p_max
@@ -379,6 +382,21 @@ def test_unindexable_grid_exits_config(square_run, tmp_path, capsys, case):
     }[case]
     assert main([*argv, "--quiet"]) == EXIT_CONFIG
     assert_one_error_line(capsys)
+
+
+def test_solve_checks_the_validation_grid_before_solving(
+    tmp_path, capsys, monkeypatch
+):
+    def fail(*args):
+        pytest.fail("solve ran before the validation grid was checked")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    for resolution in (HUGE, 1):
+        cfg = dict(SQUARE_CONFIG, validation_resolution=resolution)
+        out = tmp_path / str(resolution)
+        assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_CONFIG
+        assert_one_error_line(capsys)
+        assert not (out / "report.json").exists()
 
 
 def test_solve_overflowing_monomials_exits_config(tmp_path, capsys):

@@ -18,7 +18,7 @@ from oracles import log_det_objective, monomial_design_matrix
 def univariate_design(points, weights):
     pts = np.asarray(points, dtype=float).reshape(-1, 1)
     return DesignMeasure(
-        candidates=CandidateSet(points=pts, source="test"),
+        candidates=CandidateSet(points=pts),
         weights=np.asarray(weights, dtype=float),
     )
 
@@ -30,7 +30,7 @@ def random_design(rng, n, d_max_points=True, n_points=None):
     pts = rng.uniform(-1, 1, size=(total, n))
     w = rng.dirichlet(np.ones(total))
     mu = DesignMeasure(
-        candidates=CandidateSet(points=pts, source="random"), weights=w
+        candidates=CandidateSet(points=pts), weights=w
     )
     return mu, d
 
@@ -177,9 +177,7 @@ def test_permutation_invariance():
     mu, d = random_design(rng, 2)
     perm = rng.permutation(mu.size)
     mu_perm = DesignMeasure(
-        candidates=CandidateSet(
-            points=mu.candidates.points[perm], source="perm"
-        ),
+        candidates=CandidateSet(points=mu.candidates.points[perm]),
         weights=mu.weights[perm],
     )
     y1 = moment_vector(mu, d)

@@ -96,7 +96,7 @@ CONFIG_ENTRIES = {
     "dimension": INTS,
     "degree": INTS,
     "validation_resolution": INTS,
-    "seed": INTS,
+    "seed": INTS,  # not a key (runs are deterministic): probes the unknown-key path
     "set": st.fixed_dictionaries(
         {"bounding_box": st.lists(st.lists(NUMBERS, max_size=3), max_size=2)},
         optional={"inequalities": st.one_of(st.lists(TERMS, max_size=2), VALUES)},

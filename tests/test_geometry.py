@@ -18,7 +18,6 @@ from doptdesign.geometry import (
 
 SQUARE = CandidateSet(
     points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
-    source="square",
 )
 
 
@@ -27,12 +26,12 @@ def square_cert():
 
 
 def interval_cert():
-    cands = CandidateSet(points=np.array([[-1.0], [1.0]]), source="i")
+    cands = CandidateSet(points=np.array([[-1.0], [1.0]]))
     return build_certificate(solve(cands, 1, SolverConfig()).design, cands, 1)
 
 
 def thirds_cert():
-    cands = CandidateSet(points=np.array([[-1.0], [0.0], [1.0]]), source="t")
+    cands = CandidateSet(points=np.array([[-1.0], [0.0], [1.0]]))
     return build_certificate(
         solve(cands, 2, SolverConfig(epsilon=1e-9)).design, cands, 2
     )
@@ -88,13 +87,13 @@ def test_levelset_membership_quadratic_design():
     # Exact quartic: p(x) = 3 - 4.5 x^2 + 4.5 x^4.
     p_outside = 3.0 - 4.5 * 1.2**2 + 4.5 * 1.2**4
     assert p_outside > 3.0
-    probe = CandidateSet(points=np.array([[0.5], [1.2]]), source="probe")
+    probe = CandidateSet(points=np.array([[0.5], [1.2]]))
     # p(0.5) = 2.15625 <= 3 < p(1.2)
     assert levelset_report(cert, probe).inside.tolist() == [True, False]
 
 
 def test_levelset_holds_on_training_grid():
-    grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1), source="g")
+    grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1))
     res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
     cert = build_certificate(res.design, grid, 2)
     assert levelset_report(cert, grid).inside.all()
@@ -103,9 +102,7 @@ def test_levelset_holds_on_training_grid():
 def test_levelset_agrees_with_ellipsoid_at_degree_one():
     cert = square_cert()
     ell = extract_ellipsoid(cert)
-    probe = CandidateSet(
-        points=np.random.default_rng(14).uniform(-2, 2, size=(100, 2)), source="probe"
-    )
+    probe = CandidateSet(points=np.random.default_rng(14).uniform(-2, 2, size=(100, 2)))
     inside = levelset_report(cert, probe).inside
     for x, ok in zip(probe.points, inside):
         assert ok == contains(ell, x)
@@ -114,7 +111,7 @@ def test_levelset_agrees_with_ellipsoid_at_degree_one():
 def test_all_candidates_inside_converged_ellipsoid():
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, size=(40, 2))
-    cloud = CandidateSet(points=pts, source="cloud")
+    cloud = CandidateSet(points=pts)
     res = solve(cloud, 1, SolverConfig())
     assert res.converged
     ell = extract_ellipsoid(build_certificate(res.design, cloud, 1))
@@ -126,7 +123,6 @@ def test_levelset_report_square():
     cert = square_cert()
     probe = CandidateSet(
         points=np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.3], [2.0, 2.0]]),
-        source="probe",
     )
     rep = levelset_report(cert, probe)
     # X = I_3, so q(x) = 1 + |x|^2.

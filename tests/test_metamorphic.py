@@ -25,7 +25,7 @@ def cloud(n, d):
 
 
 def run(points, d):
-    return solve(CandidateSet(points=points, source="cloud"), d, CFG)
+    return solve(CandidateSet(points=points), d, CFG)
 
 
 @pytest.mark.parametrize("n,d", CASES)

@@ -20,9 +20,7 @@ from oracles import (
 
 
 def cands1d(points):
-    return CandidateSet(
-        points=np.asarray(points, dtype=float).reshape(-1, 1), source="test"
-    )
+    return CandidateSet(points=np.asarray(points, dtype=float).reshape(-1, 1))
 
 
 def objective(res, d):
@@ -40,7 +38,6 @@ def p_values(res, cands, d):
 THREE = cands1d([-1.0, 0.0, 1.0])
 SQUARE = CandidateSet(
     points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
-    source="square",
 )
 
 
@@ -60,7 +57,7 @@ def test_init_uniform_collinear_degenerate():
     # Seven points on a line cannot identify the full bivariate quadratic
     # model (rank 3 < n_d = 6).
     t = np.linspace(-1, 1, 7)
-    line = CandidateSet(points=np.column_stack([t, 2 * t]), source="line")
+    line = CandidateSet(points=np.column_stack([t, 2 * t]))
     with pytest.raises(DegenerateDesignError):
         solve(line, 2, SolverConfig())
 
@@ -94,7 +91,7 @@ def test_mult_step_increases_objective():
 
 def test_mult_step_preserves_simplex():
     rng = np.random.default_rng(15)
-    cands = CandidateSet(points=rng.uniform(-1, 1, size=(12, 1)), source="r")
+    cands = CandidateSet(points=rng.uniform(-1, 1, size=(12, 1)))
     res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
     assert abs(res.design.weights.sum() - 1.0) <= 1e-12
     assert res.design.weights.min() >= 0.0
@@ -137,7 +134,7 @@ def test_solve_square_vertices():
 def test_solve_iterates_stay_on_simplex():
     rng = np.random.default_rng(100)
     pts = rng.uniform(-1, 1, size=(15, 1))
-    cands = CandidateSet(points=pts, source="r")
+    cands = CandidateSet(points=pts)
     res = solve(cands, 2, SolverConfig(max_iters=500))
     assert abs(res.design.weights.sum() - 1.0) <= 1e-12
     assert res.design.weights.min() >= 0.0
@@ -155,7 +152,7 @@ def test_solve_objective_monotone_multiplicative():
     for _ in range(10):
         total = int(rng.integers(4, 12))
         pts = rng.uniform(-1, 1, size=(total, 1))
-        cands = CandidateSet(points=pts, source="r")
+        cands = CandidateSet(points=pts)
         res = solve(
             cands, 2,
             SolverConfig(max_iters=400, prune_threshold=0.0),
@@ -165,7 +162,7 @@ def test_solve_objective_monotone_multiplicative():
 
 def test_solve_pmax_never_below_nd():
     rng = np.random.default_rng(70)
-    cands = CandidateSet(points=rng.uniform(-1, 1, size=(20, 1)), source="r")
+    cands = CandidateSet(points=rng.uniform(-1, 1, size=(20, 1)))
     res = solve(cands, 2, SolverConfig(max_iters=300, prune_threshold=0.0))
     assert (res.trace_p_max >= 3.0 - 1e-9).all()
     assert p_values(res, cands, 2).max() >= 3.0 - 1e-9
@@ -200,7 +197,7 @@ def test_default_config_converges_on_simplex_cloud():
     )
     rng = np.random.default_rng(2024)
     interior = rng.dirichlet(np.ones(4), size=300) @ vertices
-    cands = CandidateSet(points=np.vstack([vertices, interior]), source="cloud")
+    cands = CandidateSet(points=np.vstack([vertices, interior]))
     cfg = SolverConfig()
     res = solve(cands, 1, cfg)
     assert res.converged
@@ -259,7 +256,7 @@ def test_mult_step_matches_solver_iteration():
     # multiplicative step.
     rng = np.random.default_rng(50)
     pts = rng.uniform(-1, 1, size=(9, 1))
-    cands = CandidateSet(points=pts, source="r")
+    cands = CandidateSet(points=pts)
     v = monomial_design_matrix(pts, 2)
     stepped = reference_exchange_multiplicative_step(v, np.full(9, 1 / 9))
     res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
@@ -273,7 +270,7 @@ def test_exchange_interior_alpha_matches_solver_iteration():
     # not only the drop step.
     rng = np.random.default_rng(0)
     pts = rng.uniform(-1, 1, size=(5, 1))
-    cands = CandidateSet(points=pts, source="r")
+    cands = CandidateSet(points=pts)
     v = monomial_design_matrix(pts, 2)
     stepped = reference_exchange_multiplicative_step(v, np.full(5, 0.2))
     res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))

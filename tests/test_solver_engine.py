@@ -72,7 +72,7 @@ def test_random_problems_converge_on_every_candidate():
         if i % 3 == 0:  # a quarter of the rows overwritten by copies of others
             src = rng.integers(0, total, size=total // 4)
             pts[rng.integers(0, total, size=src.size)] = pts[src]
-        res = solve(CandidateSet(points=pts, source="r"), d, cfg)
+        res = solve(CandidateSet(points=pts), d, cfg)
         n_d = enumerate_basis(n, d).size
         assert res.converged, (i, n, d, total)
         assert (np.diff(res.trace_objective) >= -1e-12).all(), (i, n, d, total)
@@ -97,7 +97,7 @@ def test_converged_is_the_stop_test_on_every_candidate():
             prune_threshold=float(rng.uniform(0.0, 0.9 / n_d)),
         )
         try:
-            res = solve(CandidateSet(points=pts, source="r"), d, cfg)
+            res = solve(CandidateSet(points=pts), d, cfg)
         except DegenerateDesignError:
             continue
         design = res.design
@@ -111,7 +111,7 @@ def test_pruned_row_above_target_is_not_converged():
     # Pruning drops row 1; the polish on the other three converges, but under
     # the final design p at the pruned row sits 0.64% above n_d = 3.
     pts = np.array([[0.7, -0.8], [-0.6, -0.6], [-0.4, -0.1], [-1.0, -0.4]])
-    cands = CandidateSet(points=pts, source="t")
+    cands = CandidateSet(points=pts)
     res = solve(cands, 1, SolverConfig(prune_threshold=0.3))
     assert res.iterations == 9
     assert not res.converged
@@ -206,7 +206,7 @@ def test_solve_readmits_rows_wrongly_eliminated(monkeypatch):
     monkeypatch.setattr(solver, "_survivors", left_half)
     monkeypatch.setattr(solver, "_readmit", spy)
     res = solve(
-        CandidateSet(points=grid.reshape(-1, 1), source="g"), 1,
+        CandidateSet(points=grid.reshape(-1, 1)), 1,
         SolverConfig(prune_threshold=0.0),
     )
     assert readmitted[0]
