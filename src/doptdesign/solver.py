@@ -32,9 +32,22 @@ The loop stops once p_max <= n_d (1 + epsilon) on the active rows (the
 Kiefer-Wolfowitz equivalence test).  The eliminated rows are then checked
 with the same coefficients c, and any above the target re-enter with weight
 zero before the loop goes on, so the stop test holds on every candidate.
-The trace records one (objective, p_max) pair per evaluated iterate, with
-p_max taken over the active rows; the evaluation after a compaction is not
-logged, so without pruning the trace holds iterations + 1 entries.
+
+The loop's tail is sublinear, so once p_max <= n_d (1 + max(epsilon, 1e-2))
+(after the same check of the eliminated rows) it hands off to a finish in
+moment space, when there are more candidates than moments.  M(w) depends on
+w only through y, which has s = C(n + 2d, n) entries, so by Caratheodory's
+theorem the design can be swapped for one on at most s atoms with the same
+y.  On so small a support a Newton step on the weights is well posed, and
+candidates that fail the stop test are brought in by the loop's exchange:
+the add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013, JASA).
+When neither step raises log det, the loop takes over again.
+
+max_iters counts loop iterations plus the finish's steps.  The trace records
+one (objective, p_max) pair per evaluated iterate, with p_max taken over the
+active rows, or over every candidate not pruned in the finish; the
+evaluation after a compaction is not logged, so without pruning the trace
+holds iterations + 1 entries.
 
 After the loop terminates, weights below the pruning threshold are dropped
 and the iteration resumes on the reduced set until the stopping test holds
@@ -49,7 +62,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.linalg.lapack import dposv, dpotrf, dtrtri
 
 from .basis import enumerate_basis, outer_position_map, vandermonde
 from .design import DesignMeasure
@@ -64,6 +77,13 @@ from .spd import pivot_tolerance
 #: below the 1e-150 level.
 _FLUSH = 1e-160
 
+#: The loop hands off to `_newton` once p_max <= n_d (1 + max(epsilon,
+#: _HANDOFF)) on its active rows.
+_HANDOFF = 1e-2
+
+#: Halvings of a Newton step before it counts as no ascent.
+_BACKTRACKS = 40
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -71,8 +91,9 @@ class SolverConfig:
 
     epsilon is the relative optimality tolerance on p_max / n_d - 1; through
     the certificate scaling it bounds the duality gap by n_d * log(1+epsilon).
-    prune_threshold must stay below 1/n_d (checked at solve time) so pruning
-    can never empty an optimal support.
+    max_iters bounds the loop's iterations plus the finish's Newton steps and
+    exchanges.  prune_threshold must stay below 1/n_d (checked at solve time)
+    so pruning can never empty an optimal support.
     """
 
     epsilon: float = 1e-6
@@ -95,9 +116,11 @@ class SolveResult:
     """Final design, the iteration record and the solver's verdict.
 
     converged means p <= n_d (1 + epsilon) held on every candidate at the
-    final iterate.  trace holds one (objective, p_max) pair per evaluated
-    iterate (the start, each iteration, and the start of each polish after
-    pruning), with p_max over the rows still active at that iterate.
+    final iterate.  iterations counts loop iterations plus Newton steps and
+    exchanges of the finish.  trace holds one (objective, p_max) pair per
+    evaluated iterate (the start, each iteration or finish step, and the
+    start of each polish after pruning), with p_max over the rows still
+    active at that iterate.
     """
 
     design: DesignMeasure
@@ -131,6 +154,7 @@ class _Loop:
         self.pos = pos
         self.pos_flat = pos.ravel()
         self.y = np.empty(v2.shape[1])
+        self.li = None  # L^{-1} for M(w) = L L^T, at the last evaluated iterate
         self.m_inv = np.empty((n_d, n_d))
         self.c = None  # p in the degree-2d basis, at the last evaluated iterate
         self.p = np.empty(v2.shape[0])
@@ -149,13 +173,27 @@ class _Loop:
                 "information matrix is singular: the design does not determine "
                 "the model"
             )
-        li, _ = dtrtri(l, lower=1)
-        np.dot(li.T, li, out=self.m_inv)
+        self.li, _ = dtrtri(l, lower=1)
+        np.dot(self.li.T, self.li, out=self.m_inv)
         self.c = np.bincount(self.pos_flat, self.m_inv.ravel(), minlength=self.y.size)
         np.dot(self.v2, self.c, out=self.p)
         objective = 2.0 * float(np.log(diag).sum())
         k = int(self.p.argmax())
         return objective, float(self.p[k]), k
+
+    def gain(self, dw: np.ndarray) -> float:
+        """log det M(w + dw) - log det M(w), from the last evaluated iterate.
+
+        The sum of log(1 + lambda) over the eigenvalues of L^{-1} M(dw) L^{-T}
+        stays accurate for a small dw, where the difference of two log dets
+        drowns in their round-off; -inf when M(w + dw) is not positive
+        definite.
+        """
+        b = np.dot(self.li, np.dot(self.li, np.dot(dw, self.v2)[self.pos]).T)
+        lam = np.linalg.eigvalsh(b)
+        if not lam[0] > -1.0:
+            return -np.inf
+        return float(np.log1p(lam).sum())
 
     def step(self, k: int) -> None:
         """Exchange mass into row k = argmax p, then the multiplicative update."""
@@ -256,13 +294,153 @@ def _readmit(loop: _Loop, v2: np.ndarray, active: np.ndarray, dead: np.ndarray,
     return merged[order], w, dead[~back]
 
 
+def _reduce(v2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Caratheodory in moment space: at most rank(v2) atoms with the same y.
+
+    v2 holds the degree-2d Vandermonde rows of the atoms and w their positive
+    weights.  Returns the kept rows and their weights, with w' @ v2[rows] =
+    w @ v2 up to round-off, so M(w) and log det M(w) do not change.
+
+    The atoms are split into 2s + 2 groups, s = v2.shape[1].  One SVD gives
+    the null space of the groups' mean moment vectors, and walking the group
+    masses along each null vector in turn, until the first of them reaches
+    0, empties at least one group per vector; the other null vectors are
+    then eliminated at that group so later walks leave it empty.  Each level
+    roughly halves the atoms, and the last level, on single atoms, leaves
+    rows that are linearly independent.
+    """
+    groups = 2 * v2.shape[1] + 2
+    rows = np.arange(w.size)
+    while True:
+        m = rows.size
+        label = np.arange(m) * min(groups, m) // m
+        starts = np.flatnonzero(np.diff(label, prepend=-1))
+        mass = np.bincount(label, w)
+        mean = np.add.reduceat(w[:, None] * v2[rows], starts) / mass[:, None]
+        # Scaling columns leaves the null space alone and evens out the
+        # moments of different degrees for the rank test.
+        scale = np.abs(mean).max(axis=0)
+        u, sv, _ = np.linalg.svd(mean / np.where(scale > 0.0, scale, 1.0))
+        tol = sv[0] * max(mean.shape) * np.finfo(float).eps
+        null = u[:, int(np.count_nonzero(sv > tol)):]
+        new = mass.copy()
+        for j in range(null.shape[1]):
+            step = null[:, j] if null[:, j].max() > 0.0 else -null[:, j]
+            up = np.flatnonzero(step > 0.0)
+            i = up[np.argmin(new[up] / step[up])]
+            new -= (new[i] / step[i]) * step
+            new[i] = 0.0
+            null[:, j + 1:] -= np.outer(step / step[i], null[i, j + 1:])
+        w = w * (new / mass)[label]
+        kept = (new > 0.0)[label]
+        rows, w = rows[kept], w[kept]
+        if m <= groups:
+            return rows, w / w.sum()
+
+
+def _newton_step(loop: _Loop):
+    """A backtracked Newton step on the weights of loop's evaluated design.
+
+    Maximizes the quadratic model of log det M(w) on the support subject to
+    sum w = 1.  Its Hessian is -(A * A), A = V M^{-1} V^T on the support, and
+    since (A * A) w = p the step is w - u / sum(u) with (A * A) u = 1.  The
+    step is clipped at the first weight to reach 0, which then drops out, and
+    halved until log det rises.  Returns the new weights (0 where an atom
+    drops out) and the rise in log det, or None when no rise is found.
+    """
+    a = np.dot(loop.vt.T, np.dot(loop.m_inv, loop.vt))
+    _, u, info = dposv(a * a, np.ones(loop.w.size))
+    if info != 0:
+        return None
+    w = loop.w
+    delta = w - u / u.sum()
+    shrink = np.flatnonzero(delta < 0.0)
+    ratio = w[shrink] / -delta[shrink]
+    t_max = float(ratio.min()) if shrink.size else np.inf
+    t = min(1.0, t_max)
+    for _ in range(_BACKTRACKS):
+        trial = np.maximum(w + t * delta, 0.0)
+        if t == t_max:
+            trial[shrink[ratio.argmin()]] = 0.0
+        trial /= trial.sum()
+        gain = loop.gain(trial - w)
+        if gain > 0.0:
+            return trial, gain
+        t *= 0.5
+    return None
+
+
+def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
+            support: np.ndarray, w: np.ndarray, target: float, floor: float,
+            budget: int):
+    """Finish on at most s atoms: Newton steps on the support, exchanges in.
+
+    v2 is the degree-2d Vandermonde matrix of every candidate, pool the rows
+    that may enter, and (support, w) the loop's design.  The design is first
+    reduced to at most s atoms with the same moments (`_reduce`).  Then, while
+    p > goal somewhere in pool, each step is a Newton step on the weights
+    (`_newton_step`) while some support atom fails the goal; otherwise, or
+    when Newton finds no rise, the loop's exchange moves mass into the worst
+    candidate of pool.  The support is reduced again after every step.  This
+    is the add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
+    The goal starts at target and is tightened while an atom weighs less
+    than floor, the pruning threshold.
+
+    Returns (support, weights, steps, converged): steps holds one
+    (objective, p_max over pool) pair per step, at most budget of them, and
+    converged means p <= target on every row of pool.  The objective
+    advances by each step's `_Loop.gain`, so it rises with every step.  An
+    exchange that does not raise log det ends the call.
+    """
+    v2_pool = v2[pool]
+    rows, w = _reduce(v2[support], w)
+    support = support[rows]
+    loop = _Loop(v2[support], w, pos)
+    objective, p_support, _ = loop.evaluate()
+    p = np.dot(v2_pool, loop.c)
+    n_d = pos.shape[0]
+    goal = target
+    steps: list[tuple[float, float]] = []
+    while True:
+        k = int(p.argmax())
+        if p[k] <= goal:
+            if loop.w.min() >= floor:
+                return support, loop.w, steps, True
+            # Pruning would drop an atom, most often one that an exchange
+            # just brought in: tighten the goal until it grows or leaves.
+            goal = n_d + 0.5 * (p[k] - n_d)
+        if len(steps) >= budget:
+            return support, loop.w, steps, bool(p[k] <= target)
+        stepped = _newton_step(loop) if p_support > goal else None
+        if stepped is not None:
+            w, gain = stepped
+        else:
+            before = np.append(loop.w, 0.0)
+            loop = _Loop(v2[np.append(support, pool[k])], before.copy(), pos)
+            loop.evaluate()
+            loop.exchange(support.size)
+            gain = loop.gain(loop.w - before)
+            if not gain > 0.0:
+                return support, before[:-1], steps, bool(p[k] <= target)
+            support, w = np.append(support, pool[k]), loop.w
+        objective += gain
+        held = w > 0.0
+        rows, w = _reduce(v2[support[held]], w[held])
+        support = support[held][rows]
+        loop = _Loop(v2[support], w, pos)
+        _, p_support, _ = loop.evaluate()
+        p = np.dot(v2_pool, loop.c)
+        steps.append((objective, float(p.max())))
+
+
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
     Iterates exchange-plus-multiplicative steps, eliminating candidates that
-    cannot carry an optimal design, until p_max <= n_d (1 + epsilon) on every
-    candidate or the iteration budget runs out; then prunes sub-threshold
-    weights and polishes the pruned design until the same test holds on it.
+    cannot carry an optimal design, then finishes with Newton steps on at
+    most s atoms, until p_max <= n_d (1 + epsilon) on every candidate or the
+    iteration budget runs out; then prunes sub-threshold weights and polishes
+    the pruned design until the same test holds on it.
     Non-convergence is not an error: the result carries converged=False and
     the full trace.  The start is the uniform design on every candidate.
 
@@ -292,6 +470,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     pos = outer_position_map(enumerate_basis(cands.n, d), basis_2d)
     v2 = vandermonde(basis_2d, cands.points)
     target = n_d * (1.0 + cfg.epsilon)
+    handoff = n_d * (1.0 + max(cfg.epsilon, _HANDOFF))
 
     active = np.arange(cands.size)
     dead = active[:0]  # eliminated for good, unless the stop test readmits
@@ -305,9 +484,14 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     while True:
         loop = _Loop(v2[active], w, pos)
         local_ok = False
+        # One hand-off to _newton per run of the loop, when there are more
+        # candidates than moments, so that the reduction has work to do.
+        finish = cands.size > v2.shape[1]
         while True:
             objective, p_max, k = loop.evaluate()
-            if p_max <= target and dead.size:
+            # The eliminated rows are checked wherever the loop would stop
+            # or hand off.
+            if p_max <= (handoff if finish else target) and dead.size:
                 readmitted = _readmit(loop, v2, active, dead, target)
                 if readmitted is not None:
                     active, w, dead = readmitted
@@ -320,6 +504,27 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
                 break
             if iterations >= cfg.max_iters:
                 break
+            if finish and p_max <= handoff:
+                finish = False
+                pool = np.union1d(active, dead)
+                held = loop.w > 0.0
+                support, w, steps, local_ok = _newton(
+                    v2, pos, pool, active[held], loop.w[held], target,
+                    cfg.prune_threshold, cfg.max_iters - iterations,
+                )
+                iterations += len(steps)
+                for objective, p_max in steps:
+                    trace_obj.append(objective)
+                    trace_pmax.append(p_max)
+                order = np.argsort(support)
+                active, w = support[order], w[order]
+                dead = np.setdiff1d(pool, active)
+                # The last step's iterate, already logged; unless it passed
+                # the stop test, the loop goes on from it.
+                loop = _Loop(v2[active], w, pos)
+                objective, p_max, k = loop.evaluate()
+                if local_ok or iterations >= cfg.max_iters:
+                    break
             keep = _survivors(loop, p_max)
             if keep is not None:
                 kept_w = loop.w[keep] / loop.w[keep].sum()

@@ -1,10 +1,21 @@
-"""Properties of the solver's exchange step, elimination bound and stop test."""
+"""Properties of the solver's exchange step, elimination bound, stop test,
+support reduction and Newton finish."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from doptdesign import CandidateSet, DegenerateDesignError, SolverConfig, solve, solver
+from doptdesign import (
+    CandidateSet,
+    DegenerateDesignError,
+    SemiAlgebraicSet,
+    SolverConfig,
+    SparsePolynomial,
+    grid_candidates,
+    solve,
+    solver,
+)
 from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
 from oracles import christoffel_values, monomial_design_matrix
@@ -17,6 +28,7 @@ LOBATTO = {
     4: [-1.0, -np.sqrt(3.0 / 7.0), 0.0, np.sqrt(3.0 / 7.0), 1.0],
 }
 GRID_21 = np.linspace(-1.0, 1.0, 21)
+GRID_401 = np.linspace(-1.0, 1.0, 401)
 # The loop's moment map for a line model: M(w)_ij = y_{i+j}.
 POS_1D_D1 = outer_position_map(enumerate_basis(1, 1), enumerate_basis(1, 2))
 
@@ -217,3 +229,98 @@ def test_solve_readmits_rows_wrongly_eliminated(monkeypatch):
     assert res.trace_objective.shape[0] == res.iterations + 1
     support = design.candidates.points[design.weights > 1e-3, 0]
     assert support.tolist() == [-1.0, 1.0]
+
+
+def unit_disk_grid(resolution):
+    g = SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+    disk = SemiAlgebraicSet(
+        n=2, inequalities=(g,), bounding_box=((-1.0, 1.0), (-1.0, 1.0))
+    )
+    return grid_candidates(disk, resolution)
+
+
+def test_disk_d4_converges_at_the_default_epsilon_in_2000_steps():
+    # 7,837 candidates, n_d = 15: the exchange-plus-multiplicative loop alone
+    # takes 81,243 iterations here.
+    cands = unit_disk_grid(101)
+    res = solve(cands, 4, SolverConfig(max_iters=2_000))
+    assert res.converged
+    assert (np.diff(res.trace_objective) >= -1e-12).all()
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, cands.points, 4)
+    assert p.max() <= 15.0 * (1.0 + 1e-6)
+
+
+def test_finish_does_not_end_on_an_atom_below_the_prune_threshold():
+    # Here the finish's last exchange brings an atom in at a weight below the
+    # default prune threshold; pruning it would leave p above the target
+    # there.  The finish tightens its goal until no such atom is left, so
+    # nothing is pruned and no polish runs.
+    res = solve(unit_disk_grid(61), 4, SolverConfig())
+    assert res.converged
+    assert res.trace_objective.shape[0] == res.iterations + 1
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_interval_401_converges_in_500_steps(d):
+    # The exchange-plus-multiplicative loop alone runs out of these 500 steps
+    # at every d >= 3; at d = 3, where the grid optimum has six atoms, it
+    # takes 2,630 iterations.
+    res = solve(CandidateSet(points=GRID_401.reshape(-1, 1)), d,
+                SolverConfig(max_iters=500))
+    assert res.converged
+    assert (np.diff(res.trace_objective) >= -1e-12).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    d=st.integers(1, 3),
+    size=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    circle=st.booleans(),
+)
+def test_reduce_keeps_the_moments_on_at_most_s_atoms(n, d, size, seed, circle):
+    rng = np.random.default_rng(seed)
+    if circle:
+        # On the unit circle x^2 + y^2 = 1 ties the columns of V2: its rank is
+        # 4d + 1 < s, so the null space is larger than size - s.
+        angle = rng.uniform(0.0, 2.0 * np.pi, size)
+        pts = np.column_stack([np.cos(angle), np.sin(angle)])
+        n = 2
+    else:
+        pts = rng.uniform(-1.0, 1.0, size=(size, n))
+    basis_2d = enumerate_basis(n, 2 * d)
+    v2 = vandermonde(basis_2d, pts)
+    w = rng.dirichlet(np.ones(size))
+    rows, kept = solver._reduce(v2, w)
+    assert rows.size <= min(size, 4 * d + 1 if circle else basis_2d.size)
+    assert (kept >= 0.0).all()
+    assert abs(kept.sum() - 1.0) <= 1e-12
+    y = w @ v2
+    assert np.linalg.norm(kept @ v2[rows] - y) <= 1e-12 * np.linalg.norm(y)
+    pos = outer_position_map(enumerate_basis(n, d), basis_2d)
+    before, after = y[pos], (kept @ v2[rows])[pos]
+    if np.linalg.cond(before) < 1e8:  # non-degenerate designs only
+        assert abs(np.linalg.slogdet(after)[1] - np.linalg.slogdet(before)[1]) <= 1e-12
+
+
+def test_loop_takes_over_when_the_finish_stalls(monkeypatch):
+    # A finish that finds no rise hands its design back unconverged; the
+    # loop goes on from it, and the hand-off is not tried again.
+    calls = []
+
+    def stalled(v2, pos, pool, support, w, target, floor, budget):
+        calls.append(support.size)
+        return support, w, [], False
+
+    monkeypatch.setattr(solver, "_newton", stalled)
+    grid = np.linspace(-1.0, 1.0, 41)
+    res = solve(CandidateSet(points=grid.reshape(-1, 1)), 2,
+                SolverConfig(prune_threshold=0.0))
+    assert len(calls) == 1
+    assert res.converged
+    assert res.trace_objective.shape[0] == res.iterations + 1
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, grid, 2)
+    assert p.max() <= 3.0 * (1.0 + 1e-6)
