@@ -294,12 +294,14 @@ def _readmit(loop: _Loop, v2: np.ndarray, active: np.ndarray, dead: np.ndarray,
     return merged[order], w, dead[~back]
 
 
-def _reduce(v2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Caratheodory in moment space: at most rank(v2) atoms with the same y.
+def _reduce(v2: np.ndarray, atoms: np.ndarray,
+            w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Caratheodory in moment space: at most rank(v2[atoms]) atoms, same y.
 
-    v2 holds the degree-2d Vandermonde rows of the atoms and w their positive
-    weights.  Returns the kept rows and their weights, with w' @ v2[rows] =
-    w @ v2 up to round-off, so M(w) and log det M(w) do not change.
+    v2 is the degree-2d Vandermonde matrix, atoms the rows that carry the
+    positive weights w.  Returns the kept atoms and their weights, with
+    w' @ v2[kept] = w @ v2[atoms] up to round-off, so M(w) and log det M(w)
+    do not change.
 
     The atoms are split into 2s + 2 groups, s = v2.shape[1].  One SVD gives
     the null space of the groups' mean moment vectors, and walking the group
@@ -310,13 +312,15 @@ def _reduce(v2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows that are linearly independent.
     """
     groups = 2 * v2.shape[1] + 2
-    rows = np.arange(w.size)
     while True:
-        m = rows.size
+        m = atoms.size
         label = np.arange(m) * min(groups, m) // m
-        starts = np.flatnonzero(np.diff(label, prepend=-1))
+        edges = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
         mass = np.bincount(label, w)
-        mean = np.add.reduceat(w[:, None] * v2[rows], starts) / mass[:, None]
+        # One product per group, so that no (m, s) copy of v2 is made.
+        mean = np.array([
+            np.dot(w[a:b], v2[atoms[a:b]]) for a, b in zip(edges[:-1], edges[1:])
+        ]) / mass[:, None]
         # Scaling columns leaves the null space alone and evens out the
         # moments of different degrees for the rank test.
         scale = np.abs(mean).max(axis=0)
@@ -333,9 +337,9 @@ def _reduce(v2: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             null[:, j + 1:] -= np.outer(step / step[i], null[i, j + 1:])
         w = w * (new / mass)[label]
         kept = (new > 0.0)[label]
-        rows, w = rows[kept], w[kept]
+        atoms, w = atoms[kept], w[kept]
         if m <= groups:
-            return rows, w / w.sum()
+            return atoms, w / w.sum()
 
 
 def _newton_step(loop: _Loop):
@@ -381,8 +385,8 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
     p > goal somewhere in pool, each step is a Newton step on the weights
     (`_newton_step`) while some support atom fails the goal; otherwise, or
     when Newton finds no rise, the loop's exchange moves mass into the worst
-    candidate of pool.  The support is reduced again after every step.  This
-    is the add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
+    candidate of pool, and the grown support is reduced again.  This is the
+    add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
     The goal starts at target and is tightened while an atom weighs less
     than floor, the pruning threshold.
 
@@ -392,12 +396,10 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
     advances by each step's `_Loop.gain`, so it rises with every step.  An
     exchange that does not raise log det ends the call.
     """
-    v2_pool = v2[pool]
-    rows, w = _reduce(v2[support], w)
-    support = support[rows]
+    support, w = _reduce(v2, support, w)
     loop = _Loop(v2[support], w, pos)
     objective, p_support, _ = loop.evaluate()
-    p = np.dot(v2_pool, loop.c)
+    p = np.dot(v2, loop.c)[pool]
     n_d = pos.shape[0]
     goal = target
     steps: list[tuple[float, float]] = []
@@ -414,22 +416,22 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
         stepped = _newton_step(loop) if p_support > goal else None
         if stepped is not None:
             w, gain = stepped
+            support, w = support[w > 0.0], w[w > 0.0]
         else:
+            grown = np.append(support, pool[k])
             before = np.append(loop.w, 0.0)
-            loop = _Loop(v2[np.append(support, pool[k])], before.copy(), pos)
+            loop = _Loop(v2[grown], before.copy(), pos)
             loop.evaluate()
             loop.exchange(support.size)
             gain = loop.gain(loop.w - before)
             if not gain > 0.0:
                 return support, before[:-1], steps, bool(p[k] <= target)
-            support, w = np.append(support, pool[k]), loop.w
+            held = loop.w > 0.0
+            support, w = _reduce(v2, grown[held], loop.w[held])
         objective += gain
-        held = w > 0.0
-        rows, w = _reduce(v2[support[held]], w[held])
-        support = support[held][rows]
         loop = _Loop(v2[support], w, pos)
         _, p_support, _ = loop.evaluate()
-        p = np.dot(v2_pool, loop.c)
+        p = np.dot(v2, loop.c)[pool]
         steps.append((objective, float(p.max())))
 
 
@@ -508,8 +510,10 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
                 finish = False
                 pool = np.union1d(active, dead)
                 held = loop.w > 0.0
+                support, w = active[held], loop.w[held]
+                loop = None  # frees its copy of v2 for the finish
                 support, w, steps, local_ok = _newton(
-                    v2, pos, pool, active[held], loop.w[held], target,
+                    v2, pos, pool, support, w, target,
                     cfg.prune_threshold, cfg.max_iters - iterations,
                 )
                 iterations += len(steps)

@@ -293,7 +293,7 @@ def test_reduce_keeps_the_moments_on_at_most_s_atoms(n, d, size, seed, circle):
     basis_2d = enumerate_basis(n, 2 * d)
     v2 = vandermonde(basis_2d, pts)
     w = rng.dirichlet(np.ones(size))
-    rows, kept = solver._reduce(v2, w)
+    rows, kept = solver._reduce(v2, np.arange(size), w)
     assert rows.size <= min(size, 4 * d + 1 if circle else basis_2d.size)
     assert (kept >= 0.0).all()
     assert abs(kept.sum() - 1.0) <= 1e-12
