@@ -120,7 +120,8 @@ def levelset_report(
     are probe points where q reaches n_d - delta (default delta =
     n_d * 1e-4, terminal solver accuracy with margin); with the training
     candidates as probe, at convergence they contain every support atom of
-    the pruned design.
+    weight at least n_d epsilon / delta, since p averages n_d over the
+    design and exceeds it by at most n_d epsilon.
     """
     if delta is None:
         delta = cert.n_d * 1e-4

@@ -35,25 +35,22 @@ zero before the loop goes on, so the stop test holds on every candidate.
 
 The loop's tail is sublinear, so once p_max <= n_d (1 + max(epsilon, 1e-2))
 (after the same check of the eliminated rows) it hands off to a finish in
-moment space, when there are more candidates than moments.  M(w) depends on
-w only through y, which has s = C(n + 2d, n) entries, so by Caratheodory's
-theorem the design can be swapped for one on at most s atoms with the same
-y.  On so small a support a Newton step on the weights is well posed, and
-candidates that fail the stop test are brought in by the loop's exchange:
-the add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013, JASA).
+moment space.  M(w) depends on w only through y, which has s = C(n + 2d, n)
+entries, so by Caratheodory's theorem the design can be swapped for one on
+at most s atoms with the same y, hence the same M, p and certificate.  On so
+small a support a Newton step on the weights is well posed, and candidates
+that fail the stop test are brought in by the loop's exchange: the
+add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013, JASA).
 When neither step raises log det, the loop takes over again.
 
 max_iters counts loop iterations plus the finish's steps.  The trace records
 one (objective, p_max) pair per evaluated iterate, with p_max taken over the
-active rows, or over every candidate not pruned in the finish; the
-evaluation after a compaction is not logged, so without pruning the trace
-holds iterations + 1 entries.
+active rows, or over every candidate in the finish; the evaluation after a
+compaction is not logged, so the trace holds iterations + 1 entries.
 
-After the loop terminates, weights below the pruning threshold are dropped
-and the iteration resumes on the reduced set until the stopping test holds
-there as well.  The pruned rows, which no stop test saw, are checked once at
-exit, so converged means p <= n_d (1 + epsilon) on every candidate.  p of
-the final design on the candidates is the certificate's to compute.
+The design returned is the last iterate's atoms of positive weight, and
+converged means p <= n_d (1 + epsilon) on every candidate.  p of the final
+design on the candidates is the certificate's to compute.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ from scipy.linalg.lapack import dposv, dpotrf, dtrtri
 
 from .basis import enumerate_basis, outer_position_map, vandermonde
 from .design import DesignMeasure
-from .errors import ConfigError, DegenerateDesignError, TooFewCandidatesError
+from .errors import DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
 from .spd import pivot_tolerance
 
@@ -89,28 +86,22 @@ _BACKTRACKS = 40
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Termination and pruning parameters.
+    """Termination parameters.
 
     epsilon is the relative optimality tolerance on p_max / n_d - 1; through
     the certificate scaling it bounds the duality gap by n_d * log(1+epsilon).
     max_iters bounds the loop's iterations plus the finish's Newton steps and
-    exchanges.  prune_threshold must stay below 1/n_d (checked at solve time)
-    so pruning can never empty an optimal support.
+    exchanges.
     """
 
     epsilon: float = 1e-6
     max_iters: int = 100_000
-    prune_threshold: float = 1e-7
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.prune_threshold >= 0:
-            raise ValueError(
-                f"prune_threshold must be nonnegative, got {self.prune_threshold}"
-            )
 
 
 @dataclass(frozen=True)
@@ -120,9 +111,10 @@ class SolveResult:
     converged means p <= n_d (1 + epsilon) held on every candidate at the
     final iterate.  iterations counts loop iterations plus Newton steps and
     exchanges of the finish.  trace holds one (objective, p_max) pair per
-    evaluated iterate (the start, each iteration or finish step, and the
-    start of each polish after pruning), with p_max over the rows still
-    active at that iterate.
+    evaluated iterate (the start and each iteration or finish step), with
+    p_max over the rows still active at that iterate, so it has
+    iterations + 1 entries.  prune_rolled_back is always False: nothing is
+    pruned, and the field is kept for the benchmark, which reads it.
     """
 
     design: DesignMeasure
@@ -377,20 +369,17 @@ def _newton_step(loop: _Loop):
 
 
 def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
-            support: np.ndarray, w: np.ndarray, target: float, floor: float,
-            budget: int):
+            support: np.ndarray, w: np.ndarray, target: float, budget: int):
     """Finish on at most s atoms: Newton steps on the support, exchanges in.
 
     v2 is the degree-2d Vandermonde matrix of every candidate, pool the rows
     that may enter, and (support, w) the loop's design.  The design is first
     reduced to at most s atoms with the same moments (`_reduce`).  Then, while
-    p > goal somewhere in pool, each step is a Newton step on the weights
-    (`_newton_step`) while some support atom fails the goal; otherwise, or
+    p > target somewhere in pool, each step is a Newton step on the weights
+    (`_newton_step`) while some support atom fails the target; otherwise, or
     when Newton finds no rise, the loop's exchange moves mass into the worst
     candidate of pool, and the grown support is reduced again.  This is the
     add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
-    The goal starts at target and is tightened while an atom weighs less
-    than floor, the pruning threshold.
 
     Returns (support, weights, steps, converged): steps holds one
     (objective, p_max over pool) pair per step, at most budget of them, and
@@ -402,20 +391,12 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
     loop = _Loop(v2[support], w, pos)
     objective, p_support, _ = loop.evaluate()
     p = np.dot(v2, loop.c)[pool]
-    n_d = pos.shape[0]
-    goal = target
     steps: list[tuple[float, float]] = []
     while True:
         k = int(p.argmax())
-        if p[k] <= goal:
-            if loop.w.min() >= floor:
-                return support, loop.w, steps, True
-            # Pruning would drop an atom, most often one that an exchange
-            # just brought in: tighten the goal until it grows or leaves.
-            goal = n_d + 0.5 * (p[k] - n_d)
-        if len(steps) >= budget:
+        if p[k] <= target or len(steps) >= budget:
             return support, loop.w, steps, bool(p[k] <= target)
-        stepped = _newton_step(loop) if p_support > goal else None
+        stepped = _newton_step(loop) if p_support > target else None
         if stepped is not None:
             w, gain = stepped
             support, w = support[w > 0.0], w[w > 0.0]
@@ -427,7 +408,7 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
             loop.exchange(support.size)
             gain = loop.gain(loop.w - before)
             if not gain > 0.0:
-                return support, before[:-1], steps, bool(p[k] <= target)
+                return support, before[:-1], steps, False
             held = loop.w > 0.0
             support, w = _reduce(v2, grown[held], loop.w[held])
         objective += gain
@@ -443,15 +424,14 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     Iterates exchange-plus-multiplicative steps, eliminating candidates that
     cannot carry an optimal design, then finishes with Newton steps on at
     most s atoms, until p_max <= n_d (1 + epsilon) on every candidate or the
-    iteration budget runs out; then prunes sub-threshold weights and polishes
-    the pruned design until the same test holds on it.
+    iteration budget runs out.  The design returned is the last iterate's
+    atoms of positive weight.
     Non-convergence is not an error: the result carries converged=False and
     the full trace.  The start is the uniform design on every candidate.
 
     Raises:
         TooFewCandidatesError: if there are fewer candidates than regression
             functions (the information matrix cannot have full rank).
-        ConfigError: if cfg.prune_threshold is not below 1/n_d.
         DegenerateDesignError: if the uniform start is singular (the
             candidates do not determine the model).
     """
@@ -463,12 +443,6 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         raise TooFewCandidatesError(
             f"{cands.size} candidates for {count} regression functions"
         )
-    # n_d <= cands.size here, so 1.0 / n_d is a normal float.
-    if not cfg.prune_threshold < 1.0 / n_d:
-        raise ConfigError(
-            f"solver.prune_threshold must be below 1/n_d = {1.0 / n_d:.6g}, "
-            f"got {cfg.prune_threshold}"
-        )
 
     basis_2d = enumerate_basis(cands.n, 2 * d)
     pos = outer_position_map(enumerate_basis(cands.n, d), basis_2d)
@@ -478,108 +452,80 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
 
     active = np.arange(cands.size)
     dead = active[:0]  # eliminated for good, unless the stop test readmits
-    pruned = active[:0]  # dropped by pruning; checked once at exit
-    w = np.full(cands.size, 1.0 / cands.size)
+    loop = _Loop(v2[active], np.full(cands.size, 1.0 / cands.size), pos)
     trace_obj: list[float] = []
     trace_pmax: list[float] = []
     iterations = 0
-    rolled_back = False
-
+    converged = False
+    finish = True  # one hand-off to _newton per run
     while True:
-        loop = _Loop(v2[active], w, pos)
-        local_ok = False
-        # One hand-off to _newton per run of the loop, when there are more
-        # candidates than moments, so that the reduction has work to do.
-        finish = cands.size > v2.shape[1]
-        while True:
-            objective, p_max, k = loop.evaluate()
-            # The eliminated rows are checked wherever the loop would stop
-            # or hand off.
-            if p_max <= (handoff if finish else target) and dead.size:
-                readmitted = _readmit(loop, v2, active, dead, target)
-                if readmitted is not None:
-                    active, w, dead = readmitted
-                    loop = _Loop(v2[active], w, pos)
-                    objective, p_max, k = loop.evaluate()
-            trace_obj.append(objective)
-            trace_pmax.append(p_max)
-            if p_max <= target:
-                local_ok = True
-                break
-            if iterations >= cfg.max_iters:
-                break
-            if finish and p_max <= handoff:
-                finish = False
-                pool = np.union1d(active, dead)
-                held = loop.w > 0.0
-                support, w = active[held], loop.w[held]
-                loop = None  # frees its copy of v2 for the finish
-                support, w, steps, local_ok = _newton(
-                    v2, pos, pool, support, w, target,
-                    cfg.prune_threshold, cfg.max_iters - iterations,
-                )
-                iterations += len(steps)
-                for objective, p_max in steps:
-                    trace_obj.append(objective)
-                    trace_pmax.append(p_max)
-                order = np.argsort(support)
-                active, w = support[order], w[order]
-                dead = np.setdiff1d(pool, active)
-                # The last step's iterate, already logged; unless it passed
-                # the stop test, the loop goes on from it.
+        objective, p_max, k = loop.evaluate()
+        # The eliminated rows are checked wherever the loop would stop or
+        # hand off.
+        if p_max <= (handoff if finish else target) and dead.size:
+            readmitted = _readmit(loop, v2, active, dead, target)
+            if readmitted is not None:
+                active, w, dead = readmitted
                 loop = _Loop(v2[active], w, pos)
                 objective, p_max, k = loop.evaluate()
-                if local_ok or iterations >= cfg.max_iters:
-                    break
-            keep = _survivors(loop, p_max)
-            if keep is not None:
-                kept_w = loop.w[keep] / loop.w[keep].sum()
-                compact = _Loop(v2[active[keep]], kept_w, pos)
-                # The trace keeps the iterate before compaction.  The log det
-                # bound in _survivors needs sum w_i p_i < 1 over the removed
-                # rows, which keeps the compacted M positive definite in exact
-                # arithmetic; round-off can still break that, and then the
-                # rows stay.
-                try:
-                    objective, p_max, k = compact.evaluate()
-                except DegenerateDesignError:
-                    pass
-                else:
-                    dead = np.concatenate([dead, active[~keep]])
-                    active = active[keep]
-                    loop = compact
-            loop.step(k)
-            iterations += 1
-        w = loop.w
+        trace_obj.append(objective)
+        trace_pmax.append(p_max)
+        if p_max <= target:
+            converged = True
+            break
+        if iterations >= cfg.max_iters:
+            break
+        if finish and p_max <= handoff:
+            finish = False
+            pool = np.union1d(active, dead)
+            held = loop.w > 0.0
+            support, w = active[held], loop.w[held]
+            loop = None  # frees its copy of v2 for the finish
+            support, w, steps, converged = _newton(
+                v2, pos, pool, support, w, target, cfg.max_iters - iterations
+            )
+            iterations += len(steps)
+            for objective, p_max in steps:
+                trace_obj.append(objective)
+                trace_pmax.append(p_max)
+            order = np.argsort(support)
+            active, w = support[order], w[order]
+            dead = np.setdiff1d(pool, active)
+            # The last step's iterate, already logged; unless it passed the
+            # stop test, the loop goes on from it.
+            loop = _Loop(v2[active], w, pos)
+            objective, p_max, k = loop.evaluate()
+            if converged or iterations >= cfg.max_iters:
+                break
+        keep = _survivors(loop, p_max)
+        if keep is not None:
+            kept_w = loop.w[keep] / loop.w[keep].sum()
+            compact = _Loop(v2[active[keep]], kept_w, pos)
+            # The trace keeps the iterate before compaction.  The log det
+            # bound in _survivors needs sum w_i p_i < 1 over the removed
+            # rows, which keeps the compacted M positive definite in exact
+            # arithmetic; round-off can still break that, and then the rows
+            # stay.
+            try:
+                objective, p_max, k = compact.evaluate()
+            except DegenerateDesignError:
+                pass
+            else:
+                dead = np.concatenate([dead, active[~keep]])
+                active = active[keep]
+                loop = compact
+        loop.step(k)
+        iterations += 1
 
-        keep = w >= cfg.prune_threshold
-        if keep.all():
-            break
-        if keep.sum() < n_d:
-            rolled_back = True
-            break
-        try:
-            _Loop(v2[active[keep]], w[keep] / w[keep].sum(), pos).evaluate()
-        except DegenerateDesignError:
-            rolled_back = True
-            break
-        pruned = np.concatenate([pruned, active[~keep]])
-        active = active[keep]
-        w = w[keep] / w[keep].sum()
-        if not local_ok:
-            break  # budget exhausted; prune applied once, no polish
-
+    held = loop.w > 0.0
     design = DesignMeasure(
-        candidates=CandidateSet(points=cands.points[active]),
-        weights=w,
+        candidates=CandidateSet(points=cands.points[active[held]]),
+        weights=loop.w[held],
     )
-    # When local_ok, `loop` last evaluated this very design.
-    converged = local_ok and _readmit(loop, v2, active, pruned, target) is None
     return SolveResult(
         design=design,
         iterations=iterations,
         converged=converged,
         trace_objective=np.array(trace_obj),
         trace_p_max=np.array(trace_pmax),
-        prune_rolled_back=rolled_back,
     )

@@ -68,11 +68,7 @@ def classical_runs():
     with elimination) for d = 1..4 on the 401-point grid."""
     runs = {}
     for d in (1, 2, 3, 4):
-        cfg = SolverConfig(
-            epsilon=1e-6,
-            max_iters=250_000,
-            prune_threshold=0.02,
-        )
+        cfg = SolverConfig(epsilon=1e-6, max_iters=250_000)
         start = time.perf_counter()
         res = solve(CANDS_401, d, cfg)
         runs[d] = (res, time.perf_counter() - start)
@@ -137,16 +133,19 @@ def test_criterion_02_strong_duality_and_weak_duality_trace(classical_runs):
 
     res = solve(
         CANDS_401, 3,
-        SolverConfig(max_iters=1000, prune_threshold=0.0),
+        SolverConfig(max_iters=1000),
     )
     n_d = 4.0
     iterate_gaps = n_d * np.log(res.trace_p_max / n_d)
     trace_ok = bool((iterate_gaps >= -1e-10).all())
-    ok = gap_ok and trace_ok and res.trace_p_max.shape[0] == 1001
+    # One entry for the start and one per iteration or finish step.
+    length_ok = res.trace_p_max.shape[0] == res.iterations + 1
+    ok = gap_ok and trace_ok and length_ok
     report("2", ok, f"min iterate gap {iterate_gaps.min():.3e} over "
                     f"{iterate_gaps.shape[0]} iterates")
     assert gap_ok
     assert trace_ok
+    assert length_ok
 
 
 def test_criterion_03_exact_trace_identity():
@@ -285,7 +284,7 @@ def test_criterion_08_micro_oracle_equivalence():
             try:
                 res = solve(
                     cands, d,
-                    SolverConfig(epsilon=1e-8, max_iters=60_000, prune_threshold=0.0),
+                    SolverConfig(epsilon=1e-8, max_iters=60_000),
                 )
                 break
             except Exception:
@@ -311,7 +310,7 @@ def test_criterion_09_multiplicative_monotonicity():
         try:
             res = solve(
                 CandidateSet(points=pts), d,
-                SolverConfig(max_iters=300, prune_threshold=0.0),
+                SolverConfig(max_iters=300),
             )
         except Exception:
             continue
@@ -332,7 +331,6 @@ def test_criterion_10_deterministic_reports(tmp_path):
         "solver": {
             "epsilon": 1e-6,
             "max_iters": 100000,
-            "prune_threshold": 0.02,
         },
         "validation_resolution": 101,
     }

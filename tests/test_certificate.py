@@ -158,7 +158,7 @@ def test_weak_duality_on_every_iterate():
     grid = cands1d(np.linspace(-1, 1, 41))
     res = solve(
         grid, 2,
-        SolverConfig(max_iters=200, prune_threshold=0.0),
+        SolverConfig(max_iters=200),
     )
     n_d = 3
     gaps = n_d * np.log(res.trace_p_max / n_d)
@@ -171,7 +171,7 @@ def test_gap_formula_consistency():
     grid = cands1d(np.linspace(-1, 1, 41))
     for iters in (3, 30, 300):
         _, cert = solve_and_certify(
-            grid, 2, SolverConfig(max_iters=iters, prune_threshold=0.0)
+            grid, 2, SolverConfig(max_iters=iters)
         )
         raw = cert.primal_value - cert.dual_value
         assert abs(cert.gap - raw) <= 1e-10 * (1.0 + abs(cert.gap))
@@ -183,7 +183,7 @@ def test_converged_run_gap_and_residual_bounds():
     eps = 1e-6
     res, cert = solve_and_certify(
         grid, 2,
-        SolverConfig(epsilon=eps, max_iters=100_000, prune_threshold=1e-4),
+        SolverConfig(epsilon=eps, max_iters=100_000),
     )
     assert res.converged
     assert 0.0 <= cert.gap <= cert.n_d * np.log1p(eps) + 1e-15
@@ -196,7 +196,7 @@ def test_sos_witness_x_hat_factorizes():
         pts = rng.uniform(-1, 1, size=(12, 1))
         _, cert = solve_and_certify(
             CandidateSet(points=pts), 2,
-            SolverConfig(max_iters=50, prune_threshold=0.0),
+            SolverConfig(max_iters=50),
         )
         factorize(cert.x_hat)  # raises if not positive definite
 
@@ -204,7 +204,7 @@ def test_sos_witness_x_hat_factorizes():
 def test_validate_on_training_candidates():
     grid = cands1d(np.linspace(-1, 1, 21))
     _, cert = solve_and_certify(
-        grid, 2, SolverConfig(max_iters=1000, prune_threshold=0.0)
+        grid, 2, SolverConfig(max_iters=1000)
     )
     violation, _ = validate_dual_feasibility(cert, grid)
     assert violation <= 1e-10
@@ -229,7 +229,7 @@ def test_validate_detects_coarse_training_grid():
 
 def test_contact_points_linear():
     cands = cands1d([-1.0, 0.0, 1.0])
-    _, cert = solve_and_certify(cands, 1, SolverConfig(prune_threshold=1e-4))
+    _, cert = solve_and_certify(cands, 1, SolverConfig())
     pts = levelset_report(cert, cands).contact
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
@@ -243,7 +243,7 @@ def test_contact_points_quadratic_all_three():
 
 def test_contact_points_degenerate_tolerance():
     cands = cands1d([-1.0, 0.0, 1.0])
-    _, cert = solve_and_certify(cands, 1, SolverConfig(prune_threshold=1e-4))
+    _, cert = solve_and_certify(cands, 1, SolverConfig())
     rep = levelset_report(cert, cands, delta=float(cert.n_d))
     assert rep.contact.shape[0] == 3
 
@@ -251,14 +251,16 @@ def test_contact_points_degenerate_tolerance():
 def test_contact_contains_support():
     # An atom of weight w can sit up to n_d * epsilon / w below the ceiling
     # (complementarity bounds only the weighted sum), so the contact
-    # guarantee needs the pruning threshold comfortably above epsilon / delta.
+    # guarantee covers the atoms of weight at least n_d epsilon / delta =
+    # 1e-3: here, every atom of the design.
     rng = np.random.default_rng(19)
     cands = cands1d(np.sort(rng.uniform(-1, 1, size=25)))
     res, cert = solve_and_certify(
         cands, 2,
-        SolverConfig(epsilon=1e-7, max_iters=100_000, prune_threshold=1e-3),
+        SolverConfig(epsilon=1e-7, max_iters=100_000),
     )
     assert res.converged
+    assert res.design.weights.min() >= 1e-3
     contact = set(map(tuple, levelset_report(cert, cands).contact))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact

@@ -29,7 +29,6 @@ INTERVAL_CONFIG = {
     "solver": {
         "epsilon": 1e-6,
         "max_iters": 200000,
-        "prune_threshold": 0.02,
     },
     "validation_resolution": 401,
 }
@@ -99,7 +98,6 @@ def test_parse_config_fills_defaults():
     assert cfg["solver"] == {
         "epsilon": 1e-6,
         "max_iters": 100_000,
-        "prune_threshold": 1e-7,
     }
     assert cfg["validation_resolution"] == 101
 
@@ -138,17 +136,19 @@ def test_parse_config_rejects_algorithm_key():
         parse_config(cfg)
 
 
-def test_solve_rejects_prune_threshold_at_inverse_nd(tmp_path, capsys):
-    # parse_config accepts it: the rule needs n_d, and solve checks it only
-    # once the candidates are known to be enough for n_d.
-    cfg = json.loads(json.dumps(INTERVAL_CONFIG))  # degree 2 on the line: n_d = 3
-    cfg["solver"] = {"prune_threshold": 1 / 3}
-    assert parse_config(cfg)["solver"]["prune_threshold"] == 1 / 3
+def test_solve_rejects_the_prune_threshold_key(tmp_path, capsys):
+    # The solver prunes nothing, so the key is unknown, at any value; reports
+    # written before pruning was removed echo it.
+    cfg = json.loads(json.dumps(INTERVAL_CONFIG))
+    cfg["solver"]["prune_threshold"] = 1e-7
+    with pytest.raises(
+        ConfigError, match=r"unknown key\(s\) \['prune_threshold'\] in solver"
+    ):
+        parse_config(cfg)
     code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: solver.prune_threshold must be below 1/n_d")
-    assert err.count("\n") == 1
+    assert err == "error: unknown key(s) ['prune_threshold'] in solver\n"
 
 
 def test_parse_config_rejects_non_finite_number():
@@ -275,8 +275,8 @@ def assert_one_error_line(capsys):
 @pytest.mark.parametrize(
     "solver",
     [
-        {"prune_threshold": -0.1},
-        {"prune_threshold": 0.5},  # at least 1/n_d = 1/3
+        {"prune_threshold": 0.0},  # no longer a key
+        {"epsilon": 0.0},
         {"algorithm": "multiplicative"},
     ],
 )
@@ -305,7 +305,7 @@ def test_solve_enormous_degree_exits_config(tmp_path, capsys, degree):
 @pytest.mark.parametrize(
     "degree",
     [
-        5000,  # n_d = 12,507,501: 1/n_d is below the default prune threshold
+        5000,  # n_d = 12,507,501
         10**300,  # 1/n_d underflows to 0
         10**400,  # the degree itself is too large for a float
         10**3000,  # n_d has more digits than Python turns into a str
@@ -325,7 +325,6 @@ def test_solve_impossible_degree_exits_degenerate(tmp_path, capsys, degree):
     assert code == EXIT_DEGENERATE
     err = capsys.readouterr().err
     assert err.startswith("error: 2 candidates for ") and err.count("\n") == 1, err
-    assert "prune_threshold" not in err
 
 
 def test_solve_enormous_exponent_exits_config(tmp_path, capsys):
@@ -486,7 +485,7 @@ TRUNCATED_CONFIG = {
     "degree": 1,
     "set": {"bounding_box": [[-1.0, 1.0]]},
     "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
-    "solver": {"max_iters": 1, "prune_threshold": 0.0},
+    "solver": {"max_iters": 1},
     "validation_resolution": 11,
 }
 
@@ -527,7 +526,8 @@ def test_certify_rejects_tampered_report(tmp_path, capsys, command):
     assert cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True) == 1
     report = json.loads((out / "report.json").read_text())
     report["certificate"]["gap"] = 0.0
-    report["design"]["weights"] = [0.5, 0.0, 0.0, 0.5]
+    points = [x for (x,) in report["design"]["points"]]
+    report["design"]["weights"] = [0.5 if abs(x) == 1.0 else 0.0 for x in points]
     capsys.readouterr()
     assert run_on_report(command, report, tmp_path) == EXIT_GATE_FAILED
     assert_one_error_line(capsys)
@@ -707,6 +707,18 @@ def test_certify_rejects_report_naming_algorithm(interval_run, tmp_path, capsys)
     path.write_text(dump_json(report))
     assert cmd_certify(str(path), None, quiet=True) == EXIT_CONFIG
     assert_one_error_line(capsys)
+
+
+def test_certify_rejects_report_naming_prune_threshold(interval_run, tmp_path, capsys):
+    # Reports written while the solver pruned echo the key with its value.
+    report = json.loads(json.dumps(interval_run["report"]))
+    report["config"]["solver"]["prune_threshold"] = 1e-7
+    path = tmp_path / "report.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: unknown key(s) ['prune_threshold'] in solver\n"
+    )
 
 
 # -- eval-cd ----------------------------------------------------------------

@@ -94,7 +94,7 @@ def test_levelset_membership_quadratic_design():
 
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1))
-    res = solve(grid, 2, SolverConfig(max_iters=100_000, prune_threshold=1e-4))
+    res = solve(grid, 2, SolverConfig(max_iters=100_000))
     cert = build_certificate(res.design, grid, 2)
     assert levelset_report(cert, grid).inside.all()
 

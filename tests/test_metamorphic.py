@@ -16,7 +16,7 @@ from doptdesign import CandidateSet, SolverConfig, solve
 from doptdesign.design import assemble_information
 
 CASES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2)]
-CFG = SolverConfig(epsilon=1e-9, prune_threshold=0.0)
+CFG = SolverConfig(epsilon=1e-9)
 
 
 def cloud(n, d):

@@ -43,7 +43,7 @@ SQUARE = CandidateSet(
 
 def test_init_uniform_three_points():
     # The first trace entry is the objective of the uniform start.
-    res = solve(THREE, 1, SolverConfig(max_iters=1, prune_threshold=0.0))
+    res = solve(THREE, 1, SolverConfig(max_iters=1))
     v = monomial_design_matrix(THREE.points, 1)
     assert abs(res.trace_objective[0] - log_det_objective(v, np.full(3, 1 / 3))) < 1e-12
 
@@ -70,7 +70,7 @@ def test_too_few_candidates_checked_before_the_basis(monkeypatch):
 
     monkeypatch.setattr(solver, "enumerate_basis", no_basis)
     with pytest.raises(TooFewCandidatesError):
-        solve(SQUARE, 1000, SolverConfig(prune_threshold=0.0))
+        solve(SQUARE, 1000, SolverConfig())
 
 
 def test_mult_step_fixed_point_at_equal_p():
@@ -83,7 +83,7 @@ def test_mult_step_fixed_point_at_equal_p():
 
 def test_mult_step_increases_objective():
     pts = [-1.0, -1 / 3, 1 / 3, 1.0]
-    res = solve(cands1d(pts), 1, SolverConfig(max_iters=1, prune_threshold=0.0))
+    res = solve(cands1d(pts), 1, SolverConfig(max_iters=1))
     v = monomial_design_matrix(np.array(pts), 1)
     assert abs(res.trace_objective[0] - log_det_objective(v, np.full(4, 0.25))) < 1e-12
     assert res.trace_objective[1] > res.trace_objective[0]
@@ -92,13 +92,13 @@ def test_mult_step_increases_objective():
 def test_mult_step_preserves_simplex():
     rng = np.random.default_rng(15)
     cands = CandidateSet(points=rng.uniform(-1, 1, size=(12, 1)))
-    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    res = solve(cands, 2, SolverConfig(max_iters=1))
     assert abs(res.design.weights.sum() - 1.0) <= 1e-12
     assert res.design.weights.min() >= 0.0
 
 
 def test_solve_three_point_linear():
-    cfg = SolverConfig(epsilon=1e-6, prune_threshold=1e-4)
+    cfg = SolverConfig(epsilon=1e-6)
     res = solve(THREE, 1, cfg)
     assert res.converged
     assert p_values(res, THREE, 1).max() <= 2.0 * (1 + 1e-6)
@@ -114,7 +114,7 @@ def test_solve_three_point_linear():
 
 def test_solve_interval_quadratic_grid():
     grid = cands1d(np.linspace(-1, 1, 201))
-    cfg = SolverConfig(epsilon=1e-6, max_iters=200_000, prune_threshold=0.02)
+    cfg = SolverConfig(epsilon=1e-6, max_iters=200_000)
     res = solve(grid, 2, cfg)
     assert res.converged
     pts = sorted(res.design.candidates.points[:, 0].tolist())
@@ -155,7 +155,7 @@ def test_solve_objective_monotone_multiplicative():
         cands = CandidateSet(points=pts)
         res = solve(
             cands, 2,
-            SolverConfig(max_iters=400, prune_threshold=0.0),
+            SolverConfig(max_iters=400),
         )
         assert (np.diff(res.trace_objective) >= -1e-12).all()
 
@@ -163,7 +163,7 @@ def test_solve_objective_monotone_multiplicative():
 def test_solve_pmax_never_below_nd():
     rng = np.random.default_rng(70)
     cands = CandidateSet(points=rng.uniform(-1, 1, size=(20, 1)))
-    res = solve(cands, 2, SolverConfig(max_iters=300, prune_threshold=0.0))
+    res = solve(cands, 2, SolverConfig(max_iters=300))
     assert (res.trace_p_max >= 3.0 - 1e-9).all()
     assert p_values(res, cands, 2).max() >= 3.0 - 1e-9
 
@@ -205,36 +205,21 @@ def test_default_config_converges_on_simplex_cloud():
 
 
 def test_prune_drops_tiny_weight():
-    # The weight at 0 contracts geometrically (p(0) = 1 < n_d = 2).
-    res = solve(THREE, 1, SolverConfig(prune_threshold=1e-4))
+    # The loop's first exchange empties the atom at 0 (p(0) = 1 < n_d = 2),
+    # and the returned design keeps only the atoms of positive weight.
+    res = solve(THREE, 1, SolverConfig())
     assert not res.prune_rolled_back
-    assert np.array_equal(res.design.candidates.points, THREE.points[[0, 2]])
     assert res.design.candidates.points[:, 0].tolist() == [-1.0, 1.0]
     assert np.allclose(res.design.weights, [0.5, 0.5])
-    # The pruned row is checked at exit: p(0) = 1 <= n_d.
+    # The dropped row still passes the stop test: p(0) = 1 <= n_d.
     assert res.converged
     assert p_values(res, THREE, 1).tolist() == pytest.approx([2.0, 1.0, 2.0])
 
 
 def test_prune_unchanged_when_all_above():
-    res = solve(SQUARE, 1, SolverConfig(prune_threshold=0.1))
+    res = solve(SQUARE, 1, SolverConfig())
     assert not res.prune_rolled_back
     assert np.array_equal(res.design.candidates.points, SQUARE.points)
-
-
-def test_prune_rollback_on_degeneracy():
-    # After one step every weight is near 1/10 < 0.4, so pruning would keep
-    # fewer than n_d = 2 atoms: the unpruned design is kept and flagged.
-    grid = cands1d(np.linspace(-1, 1, 10))
-    res = solve(grid, 1, SolverConfig(max_iters=1, prune_threshold=0.4))
-    assert res.prune_rolled_back
-    assert np.array_equal(res.design.candidates.points, grid.points)
-    assert abs(res.design.weights.sum() - 1.0) <= 1e-12
-
-
-def test_prune_threshold_range_enforced():
-    with pytest.raises(ValueError):
-        solve(THREE, 1, SolverConfig(prune_threshold=0.6))  # 1/n_d = 0.5
 
 
 def test_solver_config_validation():
@@ -242,13 +227,6 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(prune_threshold=-0.1)
-
-
-def test_solve_rejects_bad_prune_threshold():
-    with pytest.raises(ValueError):
-        solve(THREE, 1, SolverConfig(prune_threshold=0.5))  # 1/n_d = 0.5
 
 
 def test_mult_step_matches_solver_iteration():
@@ -259,9 +237,13 @@ def test_mult_step_matches_solver_iteration():
     cands = CandidateSet(points=pts)
     v = monomial_design_matrix(pts, 2)
     stepped = reference_exchange_multiplicative_step(v, np.full(9, 1 / 9))
-    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    res = solve(cands, 2, SolverConfig(max_iters=1))
     assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
-    assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
+    # The exchange empties its donor, and the design keeps the other atoms.
+    held = stepped > 0.0
+    assert not held.all()
+    assert np.array_equal(res.design.candidates.points, pts[held])
+    assert np.allclose(res.design.weights, stepped[held], rtol=1e-12, atol=0.0)
 
 
 def test_exchange_interior_alpha_matches_solver_iteration():
@@ -273,6 +255,6 @@ def test_exchange_interior_alpha_matches_solver_iteration():
     cands = CandidateSet(points=pts)
     v = monomial_design_matrix(pts, 2)
     stepped = reference_exchange_multiplicative_step(v, np.full(5, 0.2))
-    res = solve(cands, 2, SolverConfig(max_iters=1, prune_threshold=0.0))
+    res = solve(cands, 2, SolverConfig(max_iters=1))
     assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
     assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)

@@ -94,9 +94,9 @@ def test_random_problems_converge_on_every_candidate():
 
 
 def test_converged_is_the_stop_test_on_every_candidate():
-    # Small budgets and prune thresholds up to 0.9 / n_d: the solver's
-    # verdict must match p <= n_d (1 + epsilon) on every candidate, with p
-    # from the dense oracle, whether the run converges or not.
+    # Small budgets: the solver's verdict must match p <= n_d (1 + epsilon)
+    # on every candidate, with p from the dense oracle, whether the run
+    # converges or not.
     rng = np.random.default_rng(808)
     verdicts = []
     for i in range(200):
@@ -104,10 +104,7 @@ def test_converged_is_the_stop_test_on_every_candidate():
         d = int(rng.integers(1, 4))
         n_d = enumerate_basis(n, d).size
         pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(n_d, 60)), n))
-        cfg = SolverConfig(
-            max_iters=int(rng.integers(1, 300)),
-            prune_threshold=float(rng.uniform(0.0, 0.9 / n_d)),
-        )
+        cfg = SolverConfig(max_iters=int(rng.integers(1, 40)))
         try:
             res = solve(CandidateSet(points=pts), d, cfg)
         except DegenerateDesignError:
@@ -117,21 +114,6 @@ def test_converged_is_the_stop_test_on_every_candidate():
         assert res.converged == (p.max() <= n_d * (1.0 + cfg.epsilon)), (i, n, d, cfg)
         verdicts.append(res.converged)
     assert 50 <= sum(verdicts) <= len(verdicts) - 50  # both verdicts well covered
-
-
-def test_pruned_row_above_target_is_not_converged():
-    # Pruning drops row 1; the polish on the other three converges, but under
-    # the final design p at the pruned row sits 0.64% above n_d = 3.
-    pts = np.array([[0.7, -0.8], [-0.6, -0.6], [-0.4, -0.1], [-1.0, -0.4]])
-    cands = CandidateSet(points=pts)
-    res = solve(cands, 1, SolverConfig(prune_threshold=0.3))
-    assert res.iterations == 9
-    assert not res.converged
-    assert np.array_equal(res.design.candidates.points, pts[[0, 2, 3]])
-    design = res.design
-    p = christoffel_values(design.candidates.points, design.weights, pts, 1)
-    assert abs(p[1] / 3.0 - 1.0064) <= 1e-9
-    assert (np.delete(p, 1) <= 3.0 * (1.0 + 1e-6)).all()
 
 
 def moment_route_p(pts, w, d):
@@ -219,7 +201,7 @@ def test_solve_readmits_rows_wrongly_eliminated(monkeypatch):
     monkeypatch.setattr(solver, "_readmit", spy)
     res = solve(
         CandidateSet(points=grid.reshape(-1, 1)), 1,
-        SolverConfig(prune_threshold=0.0),
+        SolverConfig(),
     )
     assert readmitted[0]
     assert res.converged
@@ -251,14 +233,18 @@ def test_disk_d4_converges_at_the_default_epsilon_in_2000_steps():
     assert p.max() <= 15.0 * (1.0 + 1e-6)
 
 
-def test_finish_does_not_end_on_an_atom_below_the_prune_threshold():
-    # Here the finish's last exchange brings an atom in at a weight below the
-    # default prune threshold; pruning it would leave p above the target
-    # there.  The finish tightens its goal until no such atom is left, so
-    # nothing is pruned and no polish runs.
-    res = solve(unit_disk_grid(61), 4, SolverConfig())
+def test_finish_converges_when_its_last_exchange_brings_in_a_light_atom():
+    # Here the finish's last exchange brings an atom in at a weight below
+    # 1e-7.  The design keeps it, so the stop test that the finish passed
+    # holds on the design returned.
+    cands = unit_disk_grid(61)
+    res = solve(cands, 4, SolverConfig())
     assert res.converged
     assert res.trace_objective.shape[0] == res.iterations + 1
+    design = res.design
+    assert design.weights.min() < 1e-7
+    p = christoffel_values(design.candidates.points, design.weights, cands.points, 4)
+    assert p.max() <= 15.0 * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -310,14 +296,14 @@ def test_loop_takes_over_when_the_finish_stalls(monkeypatch):
     # loop goes on from it, and the hand-off is not tried again.
     calls = []
 
-    def stalled(v2, pos, pool, support, w, target, floor, budget):
+    def stalled(v2, pos, pool, support, w, target, budget):
         calls.append(support.size)
         return support, w, [], False
 
     monkeypatch.setattr(solver, "_newton", stalled)
     grid = np.linspace(-1.0, 1.0, 41)
     res = solve(CandidateSet(points=grid.reshape(-1, 1)), 2,
-                SolverConfig(prune_threshold=0.0))
+                SolverConfig())
     assert len(calls) == 1
     assert res.converged
     assert res.trace_objective.shape[0] == res.iterations + 1
