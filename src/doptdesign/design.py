@@ -7,8 +7,8 @@ functions under w; `moment_matrix` fills it from y (the moment map M_d), and
 `certificate.adjoint_expand` is its adjoint.  Both are plain array functions.
 The Christoffel-Darboux polynomial of a non-degenerate design is
 p(x) = v(x)^T M(w)^{-1} v(x); it is kept in factored form and evaluated at
-(N, n) rows of points through triangular solves (`cd_profile`), never
-expanded into coefficients here.
+(N, n) rows of points as ||L^{-1} v(x)||^2 with M = L L^T (`cd_profile`),
+never expanded into coefficients here.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class DesignMeasure:
 class CDPolynomial:
     """Christoffel-Darboux polynomial of a design, held as a factorization.
 
-    p(x) = v(x)^T M^{-1} v(x) is evaluated through one triangular solve per
-    point, which is stable even when the moment matrix is poorly conditioned.
+    p(x) = v(x)^T M^{-1} v(x) is evaluated as ||L^{-1} v(x)||^2, with L^{-1}
+    formed once by forward substitution and applied to every point at once.
     Positive definiteness of M makes p a sum of squares, so p(x) >= 0
     everywhere, and p(x) > 0 since the constant basis component is 1.
     """
@@ -110,11 +110,12 @@ def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:
 def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
     """Factorize the information matrix M(w) = sum_i w_i v(x_i) v(x_i)^T.
 
-    Assembly uses the rank-one-sum form directly, and p is then evaluated by
-    triangular solves on the factor.  The solver's loop takes the moment
-    route on purpose (M from y = V2^T w, p from its degree-2d coefficients),
-    which is cheaper per iteration; the certificate goes through here, so
-    `certify` checks every solve by an independent numerical route.
+    Assembly uses the rank-one-sum form directly, and p is then evaluated
+    through the inverse of the triangular factor.  The solver's loop takes
+    the moment route on purpose (M from y = V2^T w, p from its degree-2d
+    coefficients), which is cheaper per iteration; the certificate goes
+    through here, so `certify` checks every solve by an independent
+    numerical route.
 
     Raises:
         DegenerateDesignError: if M(w) is singular, i.e. the weighted

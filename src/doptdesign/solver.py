@@ -18,8 +18,8 @@ degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is expanded in
 the degree-2d basis through the adjoint map, c = M_d^*(M(w)^{-1}), so that
 p = V2 c on every candidate.  V2, the degree-2d Vandermonde matrix of the
 candidates, is built once; its first n_d columns are the degree-d one.  The
-certificate evaluates p of the final design by triangular solves instead,
-an independent route.
+certificate evaluates p of the final design from its own rank-one assembly
+of M and the inverse of its Cholesky factor instead, an independent route.
 
 Each evaluation also applies the bound of Harman & Pronzato (2007): a
 candidate whose p lies below a threshold set by p_max - n_d cannot support
@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrf, dtrtri
 
 from .basis import enumerate_basis, outer_position_map, vandermonde
 from .design import DesignMeasure
@@ -133,9 +132,10 @@ class _Loop:
     M(w) = y[pos], its Cholesky factor and M^{-1}, c with c_g the sum of
     M^{-1}_ij over pos_ij = g, p = V2 c at every active candidate, then log
     the iterate, test, step.  The two GEMVs on the (N, s) matrix,
-    s = C(n + 2d, n), do O(N s) flops where a rank-one GEMM and a triangular
-    solve on (N, n_d) matrices do O(N n_d^2).  Uses raw LAPACK (potrf/trtri)
-    because these matrices are tiny and call overhead dominates.
+    s = C(n + 2d, n), do O(N s) flops where a rank-one GEMM and a product
+    with L^{-1} on (N, n_d) matrices do O(N n_d^2).  M(w) is tiny and call
+    overhead dominates, so an evaluation makes two `np.linalg` calls: the
+    Cholesky factor L of M(w), then L^{-1}.
     """
 
     def __init__(self, v2: np.ndarray, w: np.ndarray, pos: np.ndarray):
@@ -157,17 +157,22 @@ class _Loop:
         """Objective, p_max and argmax p of the current iterate; fills self.p."""
         np.dot(self.w, self.v2, out=self.y)
         m = self.y[self.pos]
-        l, info = dpotrf(m, lower=1)
-        diag = l.diagonal()
-        # n_d is small, so scalar min/max over Python floats beat array calls.
-        # Squaring is monotone on the positive pivots: min(d)^2 = min(d^2).
-        d_min = min(diag.tolist()) if info == 0 else 0.0
+        try:
+            l = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            d_min = 0.0
+        else:
+            diag = l.diagonal()
+            # n_d is small, so scalar min/max over Python floats beat array
+            # calls.  Squaring is monotone on the positive pivots:
+            # min(d)^2 = min(d^2).
+            d_min = min(diag.tolist())
         if d_min * d_min <= pivot_tolerance(self.n_d, max(m.diagonal().tolist())):
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
                 "the model"
             )
-        self.li, _ = dtrtri(l, lower=1)
+        self.li = np.linalg.inv(l)
         np.dot(self.li.T, self.li, out=self.m_inv)
         self.c = np.bincount(self.pos_flat, self.m_inv.ravel(), minlength=self.y.size)
         np.dot(self.v2, self.c, out=self.p)
@@ -308,13 +313,18 @@ def _reduce(v2: np.ndarray, atoms: np.ndarray,
     groups = 2 * v2.shape[1] + 2
     while True:
         m = atoms.size
-        label = np.arange(m) * min(groups, m) // m
-        edges = np.flatnonzero(np.diff(label, prepend=-1, append=-1))
+        g = min(groups, m)
+        label = np.arange(m) * g // m
         mass = np.bincount(label, w)
-        # One product per group, so that no (m, s) copy of v2 is made.
-        mean = np.array([
-            np.dot(w[a:b], v2[atoms[a:b]]) for a, b in zip(edges[:-1], edges[1:])
-        ]) / mass[:, None]
+        if m <= groups:  # one atom per group, as after each exchange
+            mean = v2[atoms]
+        else:
+            # Group j holds atoms ceil(j m / g) up to ceil((j + 1) m / g).  One
+            # product per group, so that no (m, s) copy of v2 is made.
+            edges = -(-np.arange(g + 1) * m // g)
+            mean = np.array([
+                np.dot(w[a:b], v2[atoms[a:b]]) for a, b in zip(edges[:-1], edges[1:])
+            ]) / mass[:, None]
         # Scaling columns leaves the null space alone and evens out the
         # moments of different degrees for the rank test.
         scale = np.abs(mean).max(axis=0)
@@ -347,9 +357,11 @@ def _newton_step(loop: _Loop):
     drops out) and the rise in log det, or None when no rise is found.
     """
     a = np.dot(loop.vt.T, np.dot(loop.m_inv, loop.vt))
-    _, u, info = dposv(a * a, np.ones(loop.w.size))
-    if info != 0:
+    try:
+        li = np.linalg.inv(np.linalg.cholesky(a * a))
+    except np.linalg.LinAlgError:
         return None
+    u = np.dot(li.T, np.dot(li, np.ones(loop.w.size)))
     w = loop.w
     delta = w - u / u.sum()
     shrink = np.flatnonzero(delta < 0.0)
@@ -452,7 +464,8 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
 
     active = np.arange(cands.size)
     dead = active[:0]  # eliminated for good, unless the stop test readmits
-    loop = _Loop(v2[active], np.full(cands.size, 1.0 / cands.size), pos)
+    # v2 itself while every row is active; later loops hold indexed copies.
+    loop = _Loop(v2, np.full(cands.size, 1.0 / cands.size), pos)
     trace_obj: list[float] = []
     trace_pmax: list[float] = []
     iterations = 0
@@ -480,7 +493,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             pool = np.union1d(active, dead)
             held = loop.w > 0.0
             support, w = active[held], loop.w[held]
-            loop = None  # frees its copy of v2 for the finish
+            loop = None  # frees its copies of v2 rows, if any, for the finish
             support, w, steps, converged = _newton(
                 v2, pos, pool, support, w, target, cfg.max_iters - iterations
             )

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -865,3 +869,19 @@ def test_csv_rejects_non_finite(tmp_path):
     table = np.array([[0.5, 1.0], [0.0, np.nan]])
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "t.csv", ["x1", "p"], table)
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    # A fresh interpreter, so no other test's imports are in sys.modules.
+    cfg = write_config(tmp_path, SQUARE_CONFIG)
+    code = (
+        "import sys; from doptdesign import cli; "
+        f"code = cli.main(['solve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+        "assert code == 0, code; "
+        "assert 'scipy' not in sys.modules, 'scipy was imported'"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "report.json").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doptdesign import DimensionMismatchError, NotPositiveDefiniteError
-from doptdesign.spd import factorize, quad_form_inv_many
+from doptdesign.spd import factorize, pivot_tolerance, quad_form_inv_many
 from doptdesign.spd import solve as spd_solve
 
 from oracles import dense_quad_form_inv, reference_cholesky
@@ -161,3 +161,81 @@ def test_quad_form_dimension_mismatch():
     for rows in (np.ones((1, 3)), np.ones(2)):  # too wide; one row as a vector
         with pytest.raises(DimensionMismatchError):
             quad_form_inv_many(f, rows)
+
+
+def first_failed_pivot(a):
+    """The reference's first pivot that is not above factorize's tolerance."""
+    tol = pivot_tolerance(a.shape[0], float(np.nanmax(a.diagonal())))
+    low, fail = reference_cholesky(a)
+    if fail is not None:  # the pivots before the failed column are valid
+        low, _ = reference_cholesky(a[:fail, :fail])
+        diag = np.append(low.diagonal(), 0.0)
+    else:
+        diag = low.diagonal()
+    return int(np.flatnonzero(~(diag * diag > tol))[0])
+
+
+def test_early_pivot_below_tolerance_is_reported_before_later_failure():
+    # Pivot 1 is 2^-60 > 0, below the tolerance 4 eps; column 3 then fails
+    # with pivot -1/16, where the elimination itself stops.
+    a = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [2.0**-30, 2.0**-59, 0.0, 0.0],
+        [0.5, 2.0**-31, 2.0, 0.0],
+        [0.25, 0.0, 1.0, 0.5],
+    ])
+    assert reference_cholesky(a)[1] == 3
+    assert first_failed_pivot(a) == 1
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factorize(a)
+    assert exc.value.pivot == 1
+
+
+def test_failed_pivot_matches_reference_on_random_matrices():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        b = rng.standard_normal((m, m))
+        a = b @ b.T + np.eye(m)
+        # Column j's pivot is 0 or -1, where the elimination stops.  Half the
+        # time an earlier column i gets the positive pivot 1e-20, below the
+        # tolerance, and no later entry of its column, so that the
+        # elimination runs past it.
+        j = int(rng.integers(1, m))
+        a[j, :j] = 0.0
+        a[j, j] = rng.choice([-1.0, 0.0])
+        if rng.random() < 0.5:
+            i = int(rng.integers(j))
+            a[i, :i] = 0.0
+            a[i, i] = 1e-20
+            a[i + 1:, i] = 0.0
+        expected = first_failed_pivot(a)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            factorize(a)
+        assert exc.value.pivot == expected
+
+
+@pytest.mark.parametrize("where", [(3, 1), (2, 2), (4, 0)])
+def test_nan_entry_fails_at_its_pivot(where):
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((5, 5))
+    a = b @ b.T + np.eye(5)
+    a[where] = np.nan
+    expected = first_failed_pivot(a)
+    assert expected == where[0]
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        factorize(a)
+    assert exc.value.pivot == expected
+
+
+def test_upper_triangle_is_never_read():
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((6, 6))
+    a = b @ b.T + np.eye(6)
+    garbage = a.copy()
+    upper = np.triu_indices(6, 1)
+    garbage[upper] = rng.standard_normal(upper[0].size) * 1e6
+    garbage[0, 5], garbage[1, 4] = np.nan, np.inf
+    f, g = factorize(a), factorize(garbage)
+    assert np.array_equal(f.chol, g.chol)
+    assert f.log_det == g.log_det
