@@ -176,8 +176,8 @@ def first_failed_pivot(a):
 
 
 def test_early_pivot_below_tolerance_is_reported_before_later_failure():
-    # Pivot 1 is 2^-60 > 0, below the tolerance 4 eps; column 3 then fails
-    # with pivot -1/16, where the elimination itself stops.
+    # Pivot 1 is 2^-60 > 0, below the tolerance 4 eps max(diag) = 8 eps;
+    # column 3 then fails with pivot -1/16, where LAPACK stops.
     a = np.array([
         [1.0, 0.0, 0.0, 0.0],
         [2.0**-30, 2.0**-59, 0.0, 0.0],
