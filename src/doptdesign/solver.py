@@ -21,32 +21,22 @@ candidates, is built once; its first n_d columns are the degree-d one.  The
 certificate evaluates p of the final design from its own rank-one assembly
 of M and the inverse of its Cholesky factor instead, an independent route.
 
-Each evaluation also applies the bound of Harman & Pronzato (2007): a
-candidate whose p lies below a threshold set by p_max - n_d cannot support
-any D-optimal design, so it is removed for good.  The active set is
-compacted only when at most half of it survives, which keeps the rebuilds at
-O(log N), and only when a lower bound on the change in log det is
-nonnegative.
-
-The loop stops once p_max <= n_d (1 + epsilon) on the active rows (the
-Kiefer-Wolfowitz equivalence test).  The eliminated rows are then checked
-with the same coefficients c, and any above the target re-enter with weight
-zero before the loop goes on, so the stop test holds on every candidate.
-
-The loop's tail is sublinear, so once p_max <= n_d (1 + max(epsilon, 1e-2))
-(after the same check of the eliminated rows) it hands off to a finish in
-moment space.  M(w) depends on w only through y, which has s = C(n + 2d, n)
-entries, so by Caratheodory's theorem the design can be swapped for one on
-at most s atoms with the same y, hence the same M, p and certificate.  On so
-small a support a Newton step on the weights is well posed, and candidates
-that fail the stop test are brought in by the loop's exchange: the
-add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013, JASA).
-When neither step raises log det, the loop takes over again.
+A solve is one pass.  The loop runs on every candidate until p_max <=
+n_d (1 + max(epsilon, 1e-2)), a loose form of the Kiefer-Wolfowitz
+equivalence test, or until the budget runs out.  Its tail is sublinear, so
+it then hands off to a finish in moment space, which ends the solve.  M(w)
+depends on w only through y, which has s = C(n + 2d, n) entries, so by
+Caratheodory's theorem the design can be swapped for one on at most s atoms
+with the same y, hence the same M, p and certificate.  On so small a
+support a Newton step on the weights is well posed, and candidates that
+fail the stop test p <= n_d (1 + epsilon) are brought in by the loop's
+exchange: the add-a-point-then-Newton scheme of Yang, Biedermann & Tang
+(2013, JASA).  The finish stops once the stop test holds on every
+candidate, when the budget runs out, or when its exchange moves no mass.
 
 max_iters counts loop iterations plus the finish's steps.  The trace records
-one (objective, p_max) pair per evaluated iterate, with p_max taken over the
-active rows, or over every candidate in the finish; the evaluation after a
-compaction is not logged, so the trace holds iterations + 1 entries.
+one (objective, p_max) pair per evaluated iterate, with p_max taken over
+every candidate, so it holds iterations + 1 entries.
 
 The design returned is the last iterate's atoms of positive weight, and
 converged means p <= n_d (1 + epsilon) on every candidate.  p of the final
@@ -74,7 +64,7 @@ from .spd import pivot_tolerance
 _FLUSH = 1e-160
 
 #: The loop hands off to `_newton` once p_max <= n_d (1 + max(epsilon,
-#: _HANDOFF)) on its active rows.  1e-1 works as well; at 1e-3 the loop's
+#: _HANDOFF)) on every candidate.  1e-1 works as well; at 1e-3 the loop's
 #: sublinear tail already costs several times the finish (disk, d = 4: 1,031
 #: iterations in all, against 264).
 _HANDOFF = 1e-2
@@ -111,9 +101,9 @@ class SolveResult:
     final iterate.  iterations counts loop iterations plus Newton steps and
     exchanges of the finish.  trace holds one (objective, p_max) pair per
     evaluated iterate (the start and each iteration or finish step), with
-    p_max over the rows still active at that iterate, so it has
-    iterations + 1 entries.  prune_rolled_back is always False: nothing is
-    pruned, and the field is kept for the benchmark, which reads it.
+    p_max over every candidate, so it has iterations + 1 entries.
+    prune_rolled_back is always False: nothing is pruned, and the field is
+    kept for the benchmark, which reads it.
     """
 
     design: DesignMeasure
@@ -125,13 +115,14 @@ class SolveResult:
 
 
 class _Loop:
-    """Fused evaluate/step loop over one active subset of the candidates.
+    """Fused evaluate/step loop over a set of rows of the candidates.
 
-    v2 holds the active rows of the degree-2d Vandermonde matrix and
-    pos = outer_position_map(basis_d, basis_2d).  Per iteration: y = V2^T w,
+    v2 holds those rows of the degree-2d Vandermonde matrix (every candidate
+    in `solve`'s loop, the support in the finish) and pos =
+    outer_position_map(basis_d, basis_2d).  Per iteration: y = V2^T w,
     M(w) = y[pos], its Cholesky factor and M^{-1}, c with c_g the sum of
-    M^{-1}_ij over pos_ij = g, p = V2 c at every active candidate, then log
-    the iterate, test, step.  The two GEMVs on the (N, s) matrix,
+    M^{-1}_ij over pos_ij = g, p = V2 c at every row, then log the iterate,
+    test, step.  The two GEMVs on the (N, s) matrix,
     s = C(n + 2d, n), do O(N s) flops where a rank-one GEMM and a product
     with L^{-1} on (N, n_d) matrices do O(N n_d^2).  M(w) is tiny and call
     overhead dominates, so an evaluation makes two `np.linalg` calls: the
@@ -237,62 +228,6 @@ class _Loop:
         p += a * (c_aa * a + c_ab * b) + c_bb * b * b
 
 
-def _elimination_threshold(n_d: int, p_max: float) -> float:
-    """Harman & Pronzato (2007): a row with p below this supports no D-optimum.
-
-    The excess is the ABSOLUTE eps = p_max - n_d, as in their bound.  The
-    relative excess p_max / n_d - 1 is n_d times smaller and gives a higher
-    threshold that is not a valid bound: on 1-D grids with known optima, a
-    random design put a true support point at 0.936 of it.
-    """
-    eps = max(p_max - n_d, 0.0)
-    return n_d * (1.0 + 0.5 * eps - 0.5 * math.sqrt(eps * (4.0 + eps - 4.0 / n_d)))
-
-
-def _survivors(loop: _Loop, p_max: float) -> np.ndarray | None:
-    """Mask of the active rows that outlive elimination, or None to keep all.
-
-    Compacting pays only when at most half of the rows survive; at least n_d
-    must survive.  Removing rows of total weight W and sum w_i p_i = S, then
-    renormalizing, changes log det M by at least
-    -n_d log(1 - W) + log(1 - S) (as det(I - A) >= 1 - tr A for
-    0 <= A < I), and compaction waits until that bound is nonnegative.
-    """
-    n_d, p, w = loop.n_d, loop.p, loop.w
-    keep = p >= _elimination_threshold(n_d, p_max)
-    kept = int(np.count_nonzero(keep))
-    if kept < n_d or 2 * kept > p.size:
-        return None
-    gone = ~keep
-    removed = float(w[gone].sum())
-    spent = float(np.dot(w[gone], p[gone]))
-    if not (removed < 1.0 and spent < 1.0):
-        return None
-    if -n_d * math.log1p(-removed) + math.log1p(-spent) < 0.0:
-        return None
-    return keep
-
-
-def _readmit(loop: _Loop, v2: np.ndarray, active: np.ndarray, dead: np.ndarray,
-             target: float):
-    """Full-set stop test: p on the inactive rows from the loop's coefficients.
-
-    v2 is the degree-2d Vandermonde matrix of every candidate, so p on the
-    rows of `dead` comes from the same formula as the loop's own stop test.
-
-    Returns None when p <= target on every row of `dead`.  Otherwise the rows
-    above target re-enter the active set with weight zero, and the new
-    (active, weights, dead) are returned, with active kept in candidate order.
-    """
-    back = np.dot(v2[dead], loop.c) > target
-    if not back.any():
-        return None
-    merged = np.concatenate([active, dead[back]])
-    order = np.argsort(merged, kind="stable")
-    w = np.concatenate([loop.w, np.zeros(int(back.sum()))])[order]
-    return merged[order], w, dead[~back]
-
-
 def _reduce(v2: np.ndarray, atoms: np.ndarray,
             w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Caratheodory in moment space: at most rank(v2[atoms]) atoms, same y.
@@ -380,29 +315,30 @@ def _newton_step(loop: _Loop):
     return None
 
 
-def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
-            support: np.ndarray, w: np.ndarray, target: float, budget: int):
+def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
+            w: np.ndarray, target: float, budget: int):
     """Finish on at most s atoms: Newton steps on the support, exchanges in.
 
-    v2 is the degree-2d Vandermonde matrix of every candidate, pool the rows
-    that may enter, and (support, w) the loop's design.  The design is first
-    reduced to at most s atoms with the same moments (`_reduce`).  Then, while
-    p > target somewhere in pool, each step is a Newton step on the weights
-    (`_newton_step`) while some support atom fails the target; otherwise, or
-    when Newton finds no rise, the loop's exchange moves mass into the worst
-    candidate of pool, and the grown support is reduced again.  This is the
+    v2 is the degree-2d Vandermonde matrix of every candidate and
+    (support, w) the loop's design.  The design is first reduced to at most s
+    atoms with the same moments (`_reduce`).  Then, while p > target on some
+    candidate, each step is a Newton step on the weights (`_newton_step`)
+    while some support atom fails the target; otherwise, or when Newton
+    finds no rise, the loop's exchange moves mass into the worst candidate,
+    and the grown support is reduced again.  This is the
     add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
 
     Returns (support, weights, steps, converged): steps holds one
-    (objective, p_max over pool) pair per step, at most budget of them, and
-    converged means p <= target on every row of pool.  The objective
-    advances by each step's `_Loop.gain`, so it rises with every step.  An
-    exchange that does not raise log det ends the call.
+    (objective, p_max over every candidate) pair per step, at most budget of
+    them, and converged means p <= target on every candidate.  The objective
+    advances by each step's measured `_Loop.gain`; an exchange is taken
+    whenever it moves mass, as in the loop, even where its gain is lost in
+    round-off.  An exchange that moves no mass ends the call unconverged.
     """
     support, w = _reduce(v2, support, w)
     loop = _Loop(v2[support], w, pos)
     objective, p_support, _ = loop.evaluate()
-    p = np.dot(v2, loop.c)[pool]
+    p = np.dot(v2, loop.c)
     steps: list[tuple[float, float]] = []
     while True:
         k = int(p.argmax())
@@ -413,33 +349,35 @@ def _newton(v2: np.ndarray, pos: np.ndarray, pool: np.ndarray,
             w, gain = stepped
             support, w = support[w > 0.0], w[w > 0.0]
         else:
-            grown = np.append(support, pool[k])
+            grown = np.append(support, k)
             before = np.append(loop.w, 0.0)
             loop = _Loop(v2[grown], before.copy(), pos)
             loop.evaluate()
             loop.exchange(support.size)
-            gain = loop.gain(loop.w - before)
-            if not gain > 0.0:
+            if not loop.w[-1] > 0.0:
                 return support, before[:-1], steps, False
+            gain = loop.gain(loop.w - before)
             held = loop.w > 0.0
             support, w = _reduce(v2, grown[held], loop.w[held])
         objective += gain
         loop = _Loop(v2[support], w, pos)
         _, p_support, _ = loop.evaluate()
-        p = np.dot(v2, loop.c)[pool]
+        p = np.dot(v2, loop.c)
         steps.append((objective, float(p.max())))
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    Iterates exchange-plus-multiplicative steps, eliminating candidates that
-    cannot carry an optimal design, then finishes with Newton steps on at
-    most s atoms, until p_max <= n_d (1 + epsilon) on every candidate or the
-    iteration budget runs out.  The design returned is the last iterate's
-    atoms of positive weight.
+    One pass: exchange-plus-multiplicative steps on every candidate, from
+    the uniform design, until p_max <= n_d (1 + max(epsilon, 1e-2)); then,
+    unless p_max <= n_d (1 + epsilon) already holds, one finish of Newton
+    steps on at most s atoms (`_newton`), which ends the solve once p_max <=
+    n_d (1 + epsilon) on every candidate, when the iteration budget runs out
+    or when its exchange moves no mass.  The design returned is the last
+    iterate's atoms of positive weight, in candidate order.
     Non-convergence is not an error: the result carries converged=False and
-    the full trace.  The start is the uniform design on every candidate.
+    the full trace.
 
     Raises:
         TooFewCandidatesError: if there are fewer candidates than regression
@@ -462,78 +400,36 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     target = n_d * (1.0 + cfg.epsilon)
     handoff = n_d * (1.0 + max(cfg.epsilon, _HANDOFF))
 
-    active = np.arange(cands.size)
-    dead = active[:0]  # eliminated for good, unless the stop test readmits
-    # v2 itself while every row is active; later loops hold indexed copies.
     loop = _Loop(v2, np.full(cands.size, 1.0 / cands.size), pos)
     trace_obj: list[float] = []
     trace_pmax: list[float] = []
     iterations = 0
-    converged = False
-    finish = True  # one hand-off to _newton per run
     while True:
         objective, p_max, k = loop.evaluate()
-        # The eliminated rows are checked wherever the loop would stop or
-        # hand off.
-        if p_max <= (handoff if finish else target) and dead.size:
-            readmitted = _readmit(loop, v2, active, dead, target)
-            if readmitted is not None:
-                active, w, dead = readmitted
-                loop = _Loop(v2[active], w, pos)
-                objective, p_max, k = loop.evaluate()
         trace_obj.append(objective)
         trace_pmax.append(p_max)
-        if p_max <= target:
-            converged = True
+        if p_max <= handoff or iterations >= cfg.max_iters:
             break
-        if iterations >= cfg.max_iters:
-            break
-        if finish and p_max <= handoff:
-            finish = False
-            pool = np.union1d(active, dead)
-            held = loop.w > 0.0
-            support, w = active[held], loop.w[held]
-            loop = None  # frees its copies of v2 rows, if any, for the finish
-            support, w, steps, converged = _newton(
-                v2, pos, pool, support, w, target, cfg.max_iters - iterations
-            )
-            iterations += len(steps)
-            for objective, p_max in steps:
-                trace_obj.append(objective)
-                trace_pmax.append(p_max)
-            order = np.argsort(support)
-            active, w = support[order], w[order]
-            dead = np.setdiff1d(pool, active)
-            # The last step's iterate, already logged; unless it passed the
-            # stop test, the loop goes on from it.
-            loop = _Loop(v2[active], w, pos)
-            objective, p_max, k = loop.evaluate()
-            if converged or iterations >= cfg.max_iters:
-                break
-        keep = _survivors(loop, p_max)
-        if keep is not None:
-            kept_w = loop.w[keep] / loop.w[keep].sum()
-            compact = _Loop(v2[active[keep]], kept_w, pos)
-            # The trace keeps the iterate before compaction.  The log det
-            # bound in _survivors needs sum w_i p_i < 1 over the removed
-            # rows, which keeps the compacted M positive definite in exact
-            # arithmetic; round-off can still break that, and then the rows
-            # stay.
-            try:
-                objective, p_max, k = compact.evaluate()
-            except DegenerateDesignError:
-                pass
-            else:
-                dead = np.concatenate([dead, active[~keep]])
-                active = active[keep]
-                loop = compact
         loop.step(k)
         iterations += 1
+    support = np.flatnonzero(loop.w > 0.0)
+    w = loop.w[support]
+    converged = p_max <= target
+    if not converged and iterations < cfg.max_iters:
+        loop = None  # frees its copy of V_d for the finish
+        support, w, steps, converged = _newton(
+            v2, pos, support, w, target, cfg.max_iters - iterations
+        )
+        iterations += len(steps)
+        for objective, p_max in steps:
+            trace_obj.append(objective)
+            trace_pmax.append(p_max)
+        order = np.argsort(support)
+        support, w = support[order], w[order]
 
-    held = loop.w > 0.0
     design = DesignMeasure(
-        candidates=CandidateSet(points=cands.points[active[held]]),
-        weights=loop.w[held],
+        candidates=CandidateSet(points=cands.points[support]),
+        weights=w,
     )
     return SolveResult(
         design=design,

@@ -65,7 +65,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def classical_runs():
     """Converged default-engine runs (exchange plus multiplicative update,
-    with elimination) for d = 1..4 on the 401-point grid."""
+    then the moment-space finish) for d = 1..4 on the 401-point grid."""
     runs = {}
     for d in (1, 2, 3, 4):
         cfg = SolverConfig(epsilon=1e-6, max_iters=250_000)
