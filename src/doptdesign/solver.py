@@ -416,7 +416,7 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     w = loop.w[support]
     converged = p_max <= target
     if not converged and iterations < cfg.max_iters:
-        loop = None  # frees its copy of V_d for the finish
+        loop = None  # frees its (n_d, N) copy of V_d^T before the finish
         support, w, steps, converged = _newton(
             v2, pos, support, w, target, cfg.max_iters - iterations
         )

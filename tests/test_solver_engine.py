@@ -3,7 +3,7 @@ evaluation, stop test, support reduction and Newton finish."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doptdesign import (
@@ -18,23 +18,9 @@ from doptdesign import (
 )
 from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
-from oracles import christoffel_values, monomial_design_matrix
+from oracles import christoffel_values
 
-# Grids on [-1, 1] that contain the continuous D-optimal support of each
-# degree, so the grid optimum is the continuous one and its atoms are known.
-LOBATTO = {
-    1: [-1.0, 1.0],
-    2: [-1.0, 0.0, 1.0],
-    4: [-1.0, -np.sqrt(3.0 / 7.0), 0.0, np.sqrt(3.0 / 7.0), 1.0],
-}
-GRID_21 = np.linspace(-1.0, 1.0, 21)
 GRID_401 = np.linspace(-1.0, 1.0, 401)
-# The loop's moment map for a line model: M(w)_ij = y_{i+j}.
-POS_1D_D1 = outer_position_map(enumerate_basis(1, 1), enumerate_basis(1, 2))
-
-
-def known_optimum_grid(d):
-    return np.unique(np.concatenate([GRID_21, LOBATTO[d]]))
 
 
 def test_random_problems_converge_on_every_candidate():
