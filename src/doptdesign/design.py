@@ -111,9 +111,9 @@ def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
     """Factorize the information matrix M(w) = sum_i w_i v(x_i) v(x_i)^T.
 
     Assembly uses the rank-one-sum form directly, and p is then evaluated
-    through the inverse of the triangular factor.  The solver's loop takes
-    the moment route on purpose (M from y = V2^T w, p from its degree-2d
-    coefficients), which is cheaper per iteration; the certificate goes
+    through the inverse of the triangular factor.  The solver takes the
+    moment route on purpose (M from y = V2^T w, p from its degree-2d
+    coefficients), which is cheaper per step; the certificate goes
     through here, so `certify` checks every solve by an independent
     numerical route.
 

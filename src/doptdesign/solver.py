@@ -2,16 +2,17 @@
 
 Every step reads the Christoffel-Darboux polynomial p of the current design,
 p(x) = v(x)^T M(w)^{-1} v(x), whose weighted mean over the design is
-identically n_d.  One iteration does two things, each of which never
-decreases log det M(w):
+identically n_d.  The solver is one engine, the add-a-point-then-Newton
+scheme of Yang, Biedermann & Tang (2013, JASA):
 
-* a vertex exchange (Todd & Yildirim 2007): the closed-form det-maximizing
-  mass moves from the support atom with the lowest p to the candidate with
-  the highest p, removing the atom outright when the optimum lies past its
-  weight (a drop step); p is then updated exactly by a rank-2 Woodbury step;
-* the classical multiplicative update w_i <- w_i p(x_i) / n_d on that
-  exchanged design's p (Silvey, Titterington & Torsney 1978; monotone by
-  Yu 2010).
+* the start puts uniform weight on n_d candidates picked by pivoted
+  Gram-Schmidt on the rows of the degree-d Vandermonde matrix V_d, so M(w)
+  is nonsingular whenever the candidates determine the model;
+* while some support atom fails the stop test p <= n_d (1 + epsilon), a
+  Newton step on the support's weights raises log det M(w);
+* otherwise, or when Newton finds no rise, a vertex exchange (Todd &
+  Yildirim 2007) moves the closed-form det-maximizing mass from the support
+  atom with the lowest p to the candidate with the highest p.
 
 Each evaluation works in moment space, the paper's dual pair: the design's
 degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is expanded in
@@ -21,22 +22,17 @@ candidates, is built once; its first n_d columns are the degree-d one.  The
 certificate evaluates p of the final design from its own rank-one assembly
 of M and the inverse of its Cholesky factor instead, an independent route.
 
-A solve is one pass.  The loop runs on every candidate until p_max <=
-n_d (1 + max(epsilon, 1e-2)), a loose form of the Kiefer-Wolfowitz
-equivalence test, or until the budget runs out.  Its tail is sublinear, so
-it then hands off to a finish in moment space, which ends the solve.  M(w)
-depends on w only through y, which has s = C(n + 2d, n) entries, so by
-Caratheodory's theorem the design can be swapped for one on at most s atoms
-with the same y, hence the same M, p and certificate.  On so small a
-support a Newton step on the weights is well posed, and candidates that
-fail the stop test p <= n_d (1 + epsilon) are brought in by the loop's
-exchange: the add-a-point-then-Newton scheme of Yang, Biedermann & Tang
-(2013, JASA).  The finish stops once the stop test holds on every
-candidate, when the budget runs out, or when its exchange moves no mass.
+M(w) depends on w only through y, which has s = C(n + 2d, n) entries.  A
+Newton step only drops atoms and an exchange adds one.  When the support's
+moment rows become dependent, which makes the Newton system singular, or
+the support grows past s atoms, Caratheodory's theorem swaps the design for
+one on fewer atoms with the same y, hence the same M, p and certificate.
 
-max_iters counts loop iterations plus the finish's steps.  The trace records
-one (objective, p_max) pair per evaluated iterate, with p_max taken over
-every candidate, so it holds iterations + 1 entries.
+The solve stops once the stop test holds on every candidate, when the
+budget runs out, or when an exchange moves no mass.  max_iters counts the
+Newton steps and exchanges.  The trace records one (objective, p_max) pair
+per evaluated iterate, with p_max taken over every candidate, so it holds
+iterations + 1 entries.
 
 The design returned is the last iterate's atoms of positive weight, and
 converged means p <= n_d (1 + epsilon) on every candidate.  p of the final
@@ -56,19 +52,6 @@ from .errors import DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
 from .spd import pivot_tolerance
 
-#: Weights this far below machine range are dead by hundreds of orders of
-#: magnitude; flushing them to exact zero keeps the arithmetic out of the
-#: subnormal range, where hardware float operations run an order of magnitude
-#: slower.  Zero is an absorbing state of the update, so results only change
-#: below the 1e-150 level.
-_FLUSH = 1e-160
-
-#: The loop hands off to `_newton` once p_max <= n_d (1 + max(epsilon,
-#: _HANDOFF)) on every candidate.  1e-1 works as well; at 1e-3 the loop's
-#: sublinear tail already costs several times the finish (disk, d = 4: 1,031
-#: iterations in all, against 264).
-_HANDOFF = 1e-2
-
 #: Halvings of a Newton step before it counts as no ascent.
 _BACKTRACKS = 40
 
@@ -79,8 +62,7 @@ class SolverConfig:
 
     epsilon is the relative optimality tolerance on p_max / n_d - 1; through
     the certificate scaling it bounds the duality gap by n_d * log(1+epsilon).
-    max_iters bounds the loop's iterations plus the finish's Newton steps and
-    exchanges.
+    max_iters bounds the Newton steps and exchanges.
     """
 
     epsilon: float = 1e-6
@@ -98,10 +80,10 @@ class SolveResult:
     """Final design, the iteration record and the solver's verdict.
 
     converged means p <= n_d (1 + epsilon) held on every candidate at the
-    final iterate.  iterations counts loop iterations plus Newton steps and
-    exchanges of the finish.  trace holds one (objective, p_max) pair per
-    evaluated iterate (the start and each iteration or finish step), with
-    p_max over every candidate, so it has iterations + 1 entries.
+    final iterate.  iterations counts Newton steps and exchanges.  trace
+    holds one (objective, p_max) pair per evaluated iterate, with p_max over
+    every candidate: trace[0] is the greedy start, then one per step, so it
+    has iterations + 1 entries.
     prune_rolled_back is always False: nothing is pruned, and the field is
     kept for the benchmark, which reads it.
     """
@@ -114,28 +96,41 @@ class SolveResult:
     prune_rolled_back: bool = False
 
 
-class _Loop:
-    """Fused evaluate/step loop over a set of rows of the candidates.
+def _factor(m: np.ndarray):
+    """Cholesky factor of m, or None when m is singular to working precision.
 
-    v2 holds those rows of the degree-2d Vandermonde matrix (every candidate
-    in `solve`'s loop, the support in the finish) and pos =
-    outer_position_map(basis_d, basis_2d).  Per iteration: y = V2^T w,
+    A pivot fails when its square is not above `pivot_tolerance` of m's
+    largest diagonal entry, a scale-aware test.
+    """
+    try:
+        l = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    # m is small, so scalar min/max over Python floats beat array calls.
+    # Squaring is monotone on the positive pivots: min(d)^2 = min(d^2).
+    d_min = min(l.diagonal().tolist())
+    if d_min * d_min <= pivot_tolerance(m.shape[0], max(m.diagonal().tolist())):
+        return None
+    return l
+
+
+class _Loop:
+    """Evaluation, gain and exchange on a support's rows of the candidates.
+
+    v2 holds those rows of the degree-2d Vandermonde matrix and pos =
+    outer_position_map(basis_d, basis_2d).  An evaluation forms y = V2^T w,
     M(w) = y[pos], its Cholesky factor and M^{-1}, c with c_g the sum of
-    M^{-1}_ij over pos_ij = g, p = V2 c at every row, then log the iterate,
-    test, step.  The two GEMVs on the (N, s) matrix,
-    s = C(n + 2d, n), do O(N s) flops where a rank-one GEMM and a product
-    with L^{-1} on (N, n_d) matrices do O(N n_d^2).  M(w) is tiny and call
-    overhead dominates, so an evaluation makes two `np.linalg` calls: the
-    Cholesky factor L of M(w), then L^{-1}.
+    M^{-1}_ij over pos_ij = g, and p = V2 c at every row.  M(w) is tiny and
+    call overhead dominates, so an evaluation makes two `np.linalg` calls:
+    the Cholesky factor L of M(w), then L^{-1}.
     """
 
     def __init__(self, v2: np.ndarray, w: np.ndarray, pos: np.ndarray):
         n_d = pos.shape[0]
         self.v2 = v2
-        # The exchange reads rows of length N from this contiguous copy.
+        # The exchange and the Newton step read V_d^T from this contiguous copy.
         self.vt = np.ascontiguousarray(v2[:, :n_d].T)
         self.w = w
-        self.n_d = n_d
         self.pos = pos
         self.pos_flat = pos.ravel()
         self.y = np.empty(v2.shape[1])
@@ -147,18 +142,8 @@ class _Loop:
     def evaluate(self) -> tuple[float, float, int]:
         """Objective, p_max and argmax p of the current iterate; fills self.p."""
         np.dot(self.w, self.v2, out=self.y)
-        m = self.y[self.pos]
-        try:
-            l = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            d_min = 0.0
-        else:
-            diag = l.diagonal()
-            # n_d is small, so scalar min/max over Python floats beat array
-            # calls.  Squaring is monotone on the positive pivots:
-            # min(d)^2 = min(d^2).
-            d_min = min(diag.tolist())
-        if d_min * d_min <= pivot_tolerance(self.n_d, max(m.diagonal().tolist())):
+        l = _factor(self.y[self.pos])
+        if l is None:
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
                 "the model"
@@ -167,7 +152,7 @@ class _Loop:
         np.dot(self.li.T, self.li, out=self.m_inv)
         self.c = np.bincount(self.pos_flat, self.m_inv.ravel(), minlength=self.y.size)
         np.dot(self.v2, self.c, out=self.p)
-        objective = 2.0 * float(np.log(diag).sum())
+        objective = 2.0 * float(np.log(l.diagonal()).sum())
         k = int(self.p.argmax())
         return objective, float(self.p[k]), k
 
@@ -185,14 +170,6 @@ class _Loop:
             return -np.inf
         return float(np.log1p(lam).sum())
 
-    def step(self, k: int) -> None:
-        """Exchange mass into row k = argmax p, then the multiplicative update."""
-        self.exchange(k)
-        self.w *= self.p
-        self.w *= 1.0 / self.n_d
-        self.w[self.w < _FLUSH] = 0.0
-        self.w /= self.w.sum()
-
     def exchange(self, k: int) -> None:
         """Move the det-maximizing mass from the lowest-p support atom to row k.
 
@@ -200,32 +177,41 @@ class _Loop:
         r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
         p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
         (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j
-        (a drop step).  p is then updated exactly (rank-2 Woodbury), so the
-        multiplicative update sees the exchanged design's own polynomial.
+        (a drop step).
         """
         p, w, vt = self.p, self.w, self.vt
         j = int(np.where(w > 0.0, p, np.inf).argmin())
         p_k, p_j = float(p[k]), float(p[j])
-        u = np.dot(self.m_inv, vt[:, [k, j]])  # M^{-1} [v_k v_j]
-        p_kj = float(np.dot(u[:, 0], vt[:, j]))
+        p_kj = float(np.dot(np.dot(self.m_inv, vt[:, k]), vt[:, j]))
         delta = p_k * p_j - p_kj * p_kj
         if j == k or not p_k > p_j or not delta > 0.0:
             return
         alpha = min((p_k - p_j) / (2.0 * delta), float(w[j]))
         w[k] += alpha
         w[j] -= alpha
-        # M' = M + U diag(alpha, -alpha) U^T with U = [v_k, v_j], so with
-        # a_i = v_k^T M^{-1} v_i and b_i = v_j^T M^{-1} v_i, Woodbury gives
-        # p'_i = p_i - [a_i b_i] G^{-1} [a_i b_i]^T for
-        # G = [[1/alpha + p_k, p_kj], [p_kj, p_j - 1/alpha]], det G = -r/alpha^2.
-        # The 2x2 inverse is written out in Python floats, scaled by alpha so
-        # that no 1/alpha appears.
-        s = alpha / ((1.0 + alpha * p_k) * (1.0 - alpha * p_j) + alpha * alpha * p_kj * p_kj)
-        a, b = np.dot(u.T, vt)
-        c_aa = -s * (1.0 - alpha * p_j)
-        c_ab = -2.0 * s * alpha * p_kj
-        c_bb = s * (1.0 + alpha * p_k)
-        p += a * (c_aa * a + c_ab * b) + c_bb * b * b
+
+
+def _greedy(vd: np.ndarray) -> np.ndarray:
+    """n_d rows of V_d by pivoted Gram-Schmidt, the largest residual first.
+
+    Each pick is the row farthest from the span of the rows picked before
+    it, so the picked block is nonsingular when rank V_d = n_d, and so are
+    the picked points' degree-2d moment rows (the degree-d Lagrange
+    polynomials on the points separate them).  When the rank falls short,
+    the picks end at a zero residual or pass round-off residuals, and the
+    start's information matrix is singular.
+    """
+    r = np.array(vd)
+    picked = []
+    for _ in range(vd.shape[1]):
+        norms = np.einsum("ij,ij->i", r, r)
+        k = int(norms.argmax())
+        if not norms[k] > 0.0:
+            break
+        picked.append(k)
+        q = r[k] / math.sqrt(norms[k])
+        r -= np.outer(np.dot(r, q), q)
+    return np.array(picked)
 
 
 def _reduce(v2: np.ndarray, atoms: np.ndarray,
@@ -237,48 +223,29 @@ def _reduce(v2: np.ndarray, atoms: np.ndarray,
     w' @ v2[kept] = w @ v2[atoms] up to round-off, so M(w) and log det M(w)
     do not change.
 
-    The atoms are split into 2s + 2 groups, s = v2.shape[1].  One SVD gives
-    the null space of the groups' mean moment vectors, and walking the group
-    masses along each null vector in turn, until the first of them reaches
-    0, empties at least one group per vector; the other null vectors are
-    then eliminated at that group so later walks leave it empty.  Each level
-    roughly halves the atoms, and the last level, on single atoms, leaves
-    rows that are linearly independent.
+    One SVD gives the null space of the atoms' moment rows.  Walking the
+    weights along each null vector in turn, until the first of them reaches
+    0, empties one atom per vector; the other null vectors are then
+    eliminated at that atom so later walks leave it empty.  The rows kept
+    are linearly independent.
     """
-    groups = 2 * v2.shape[1] + 2
-    while True:
-        m = atoms.size
-        g = min(groups, m)
-        label = np.arange(m) * g // m
-        mass = np.bincount(label, w)
-        if m <= groups:  # one atom per group, as after each exchange
-            mean = v2[atoms]
-        else:
-            # Group j holds atoms ceil(j m / g) up to ceil((j + 1) m / g).  One
-            # product per group, so that no (m, s) copy of v2 is made.
-            edges = -(-np.arange(g + 1) * m // g)
-            mean = np.array([
-                np.dot(w[a:b], v2[atoms[a:b]]) for a, b in zip(edges[:-1], edges[1:])
-            ]) / mass[:, None]
-        # Scaling columns leaves the null space alone and evens out the
-        # moments of different degrees for the rank test.
-        scale = np.abs(mean).max(axis=0)
-        u, sv, _ = np.linalg.svd(mean / np.where(scale > 0.0, scale, 1.0))
-        tol = sv[0] * max(mean.shape) * np.finfo(float).eps
-        null = u[:, int(np.count_nonzero(sv > tol)):]
-        new = mass.copy()
-        for j in range(null.shape[1]):
-            step = null[:, j] if null[:, j].max() > 0.0 else -null[:, j]
-            up = np.flatnonzero(step > 0.0)
-            i = up[np.argmin(new[up] / step[up])]
-            new -= (new[i] / step[i]) * step
-            new[i] = 0.0
-            null[:, j + 1:] -= np.outer(step / step[i], null[i, j + 1:])
-        w = w * (new / mass)[label]
-        kept = (new > 0.0)[label]
-        atoms, w = atoms[kept], w[kept]
-        if m <= groups:
-            return atoms, w / w.sum()
+    rows = v2[atoms]
+    # Scaling columns leaves the null space alone and evens out the moments
+    # of different degrees for the rank test.
+    scale = np.abs(rows).max(axis=0)
+    u, sv, _ = np.linalg.svd(rows / np.where(scale > 0.0, scale, 1.0))
+    tol = sv[0] * max(rows.shape) * np.finfo(float).eps
+    null = u[:, int(np.count_nonzero(sv > tol)):]
+    w = w.copy()
+    for j in range(null.shape[1]):
+        step = null[:, j] if null[:, j].max() > 0.0 else -null[:, j]
+        up = np.flatnonzero(step > 0.0)
+        i = up[np.argmin(w[up] / step[up])]
+        w -= (w[i] / step[i]) * step
+        w[i] = 0.0
+        null[:, j + 1:] -= np.outer(step / step[i], null[i, j + 1:])
+    kept = w > 0.0
+    return atoms[kept], w[kept] / w[kept].sum()
 
 
 def _newton_step(loop: _Loop):
@@ -290,13 +257,15 @@ def _newton_step(loop: _Loop):
     step is clipped at the first weight to reach 0, which then drops out, and
     halved until log det rises.  Returns the new weights (0 where an atom
     drops out) and the rise in log det, or None when no rise is found.
+
+    Raises np.linalg.LinAlgError when A * A fails the pivot test, which
+    happens exactly when the support's degree-2d moment rows are dependent.
     """
     a = np.dot(loop.vt.T, np.dot(loop.m_inv, loop.vt))
-    try:
-        li = np.linalg.inv(np.linalg.cholesky(a * a))
-    except np.linalg.LinAlgError:
-        return None
-    u = np.dot(li.T, np.dot(li, np.ones(loop.w.size)))
+    a *= a
+    if _factor(a) is None:
+        raise np.linalg.LinAlgError("the Newton system is singular")
+    u = np.linalg.solve(a, np.ones(loop.w.size))
     w = loop.w
     delta = w - u / u.sum()
     shrink = np.flatnonzero(delta < 0.0)
@@ -317,72 +286,83 @@ def _newton_step(loop: _Loop):
 
 def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
             w: np.ndarray, target: float, budget: int):
-    """Finish on at most s atoms: Newton steps on the support, exchanges in.
+    """The solve: Newton steps on the support, exchanges to bring atoms in.
 
-    v2 is the degree-2d Vandermonde matrix of every candidate and
-    (support, w) the loop's design.  The design is first reduced to at most s
-    atoms with the same moments (`_reduce`).  Then, while p > target on some
-    candidate, each step is a Newton step on the weights (`_newton_step`)
-    while some support atom fails the target; otherwise, or when Newton
-    finds no rise, the loop's exchange moves mass into the worst candidate,
-    and the grown support is reduced again.  This is the
-    add-a-point-then-Newton scheme of Yang, Biedermann & Tang (2013).
+    v2 is the degree-2d Vandermonde matrix of every candidate and (support,
+    w) the start.  While p > target on some candidate, each step is a Newton
+    step on the weights (`_newton_step`) while some support atom fails the
+    target; otherwise, or when Newton finds no rise, the exchange moves mass
+    into the worst candidate.  When the Newton system is singular, or an
+    exchange grows the support past s = v2.shape[1] atoms, the design is
+    reduced to independent moment rows (`_reduce`), which is not a step.
 
-    Returns (support, weights, steps, converged): steps holds one
-    (objective, p_max over every candidate) pair per step, at most budget of
-    them, and converged means p <= target on every candidate.  The objective
-    advances by each step's measured `_Loop.gain`; an exchange is taken
-    whenever it moves mass, as in the loop, even where its gain is lost in
-    round-off.  An exchange that moves no mass ends the call unconverged.
+    Returns (support, weights, trace, converged): trace holds one
+    (objective, p_max over every candidate) pair for the start and one per
+    step, at most budget steps, and converged means p <= target on every
+    candidate.  The objective advances by each step's measured
+    `_Loop.gain`; an exchange is taken whenever it moves mass, even where
+    its gain is lost in round-off.  An exchange that moves no mass ends the
+    call unconverged.
     """
-    support, w = _reduce(v2, support, w)
     loop = _Loop(v2[support], w, pos)
     objective, p_support, _ = loop.evaluate()
     p = np.dot(v2, loop.c)
-    steps: list[tuple[float, float]] = []
+    trace = [(objective, float(p.max()))]
     while True:
         k = int(p.argmax())
-        if p[k] <= target or len(steps) >= budget:
-            return support, loop.w, steps, bool(p[k] <= target)
-        stepped = _newton_step(loop) if p_support > target else None
+        if p[k] <= target or len(trace) > budget:
+            return support, loop.w, trace, bool(p[k] <= target)
+        try:
+            stepped = _newton_step(loop) if p_support > target else None
+        except np.linalg.LinAlgError:
+            stepped = None
+            reduced, w = _reduce(v2, support, loop.w)
+            if reduced.size < support.size:  # else round-off: exchange instead
+                support = reduced
+                loop = _Loop(v2[support], w, pos)
+                _, p_support, _ = loop.evaluate()
+                continue
         if stepped is not None:
             w, gain = stepped
             support, w = support[w > 0.0], w[w > 0.0]
         else:
-            grown = np.append(support, k)
-            before = np.append(loop.w, 0.0)
+            # k is on the support only when Newton found no rise there.
+            on = np.flatnonzero(support == k)
+            i = int(on[0]) if on.size else support.size
+            grown = support if on.size else np.append(support, k)
+            before = np.append(loop.w, 0.0)[:grown.size]
             loop = _Loop(v2[grown], before.copy(), pos)
             loop.evaluate()
-            loop.exchange(support.size)
-            if not loop.w[-1] > 0.0:
-                return support, before[:-1], steps, False
+            loop.exchange(i)
+            if not loop.w[i] > before[i]:
+                return support, before[:support.size], trace, False
             gain = loop.gain(loop.w - before)
             held = loop.w > 0.0
-            support, w = _reduce(v2, grown[held], loop.w[held])
+            support, w = grown[held], loop.w[held]
+            if support.size > v2.shape[1]:
+                support, w = _reduce(v2, support, w)
         objective += gain
         loop = _Loop(v2[support], w, pos)
         _, p_support, _ = loop.evaluate()
         p = np.dot(v2, loop.c)
-        steps.append((objective, float(p.max())))
+        trace.append((objective, float(p.max())))
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    One pass: exchange-plus-multiplicative steps on every candidate, from
-    the uniform design, until p_max <= n_d (1 + max(epsilon, 1e-2)); then,
-    unless p_max <= n_d (1 + epsilon) already holds, one finish of Newton
-    steps on at most s atoms (`_newton`), which ends the solve once p_max <=
-    n_d (1 + epsilon) on every candidate, when the iteration budget runs out
-    or when its exchange moves no mass.  The design returned is the last
-    iterate's atoms of positive weight, in candidate order.
-    Non-convergence is not an error: the result carries converged=False and
-    the full trace.
+    Starts from uniform weight on n_d candidates picked greedily (`_greedy`)
+    and runs the engine once (`_newton`): Newton steps on the support and
+    exchanges, until p_max <= n_d (1 + epsilon) on every candidate, the
+    iteration budget runs out or an exchange moves no mass.  The design
+    returned is the last iterate's atoms of positive weight, in candidate
+    order.  Non-convergence is not an error: the result carries
+    converged=False and the full trace.
 
     Raises:
         TooFewCandidatesError: if there are fewer candidates than regression
             functions (the information matrix cannot have full rank).
-        DegenerateDesignError: if the uniform start is singular (the
+        DegenerateDesignError: if the greedy start is singular (the
             candidates do not determine the model).
     """
     n_d = math.comb(cands.n + d, d)
@@ -397,44 +377,21 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     basis_2d = enumerate_basis(cands.n, 2 * d)
     pos = outer_position_map(enumerate_basis(cands.n, d), basis_2d)
     v2 = vandermonde(basis_2d, cands.points)
-    target = n_d * (1.0 + cfg.epsilon)
-    handoff = n_d * (1.0 + max(cfg.epsilon, _HANDOFF))
-
-    loop = _Loop(v2, np.full(cands.size, 1.0 / cands.size), pos)
-    trace_obj: list[float] = []
-    trace_pmax: list[float] = []
-    iterations = 0
-    while True:
-        objective, p_max, k = loop.evaluate()
-        trace_obj.append(objective)
-        trace_pmax.append(p_max)
-        if p_max <= handoff or iterations >= cfg.max_iters:
-            break
-        loop.step(k)
-        iterations += 1
-    support = np.flatnonzero(loop.w > 0.0)
-    w = loop.w[support]
-    converged = p_max <= target
-    if not converged and iterations < cfg.max_iters:
-        loop = None  # frees its (n_d, N) copy of V_d^T before the finish
-        support, w, steps, converged = _newton(
-            v2, pos, support, w, target, cfg.max_iters - iterations
-        )
-        iterations += len(steps)
-        for objective, p_max in steps:
-            trace_obj.append(objective)
-            trace_pmax.append(p_max)
-        order = np.argsort(support)
-        support, w = support[order], w[order]
-
+    start = _greedy(v2[:, :n_d])
+    support, w, trace, converged = _newton(
+        v2, pos, start, np.full(start.size, 1.0 / start.size),
+        n_d * (1.0 + cfg.epsilon), cfg.max_iters,
+    )
+    order = np.argsort(support)
+    trace_obj, trace_pmax = np.array(trace).T.copy()
     design = DesignMeasure(
-        candidates=CandidateSet(points=cands.points[support]),
-        weights=w,
+        candidates=CandidateSet(points=cands.points[support[order]]),
+        weights=w[order],
     )
     return SolveResult(
         design=design,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         converged=converged,
-        trace_objective=np.array(trace_obj),
-        trace_p_max=np.array(trace_pmax),
+        trace_objective=trace_obj,
+        trace_p_max=trace_pmax,
     )

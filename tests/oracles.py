@@ -82,25 +82,13 @@ def dense_quad_form_inv(a: np.ndarray, v: np.ndarray) -> float:
     return float(v @ np.linalg.solve(a, v))
 
 
-def reference_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One update w_i <- w_i p(x_i) / n_d, with p from a dense linear solve.
-
-    p(x_i) = v_i^T M(w)^{-1} v_i is computed by numpy.linalg.solve on the
-    explicitly formed Gram matrix, not by a Cholesky factor.
-    """
-    m = v.T @ (w[:, None] * v)
-    p = np.einsum("ij,ji->i", v, np.linalg.solve(m, v.T))
-    return w * p / v.shape[1]
-
-
-def reference_exchange_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One vertex exchange followed by one multiplicative update, densely.
+def reference_exchange(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One vertex exchange, densely.
 
     p and p_kj = v_k^T M^{-1} v_j come from numpy.linalg.inv of the explicitly
     formed Gram matrix.  Mass alpha moves from the lowest-p support atom j to
     the highest-p candidate k; the closed-form alpha is checked against a
-    brute-force maximization of det M over [0, w_j] before the update is
-    applied to the exchanged design.
+    brute-force maximization of det M over [0, w_j].
     """
     m_inv = np.linalg.inv(v.T @ (w[:, None] * v))
     p = np.einsum("ij,jk,ik->i", v, m_inv, v)
@@ -124,7 +112,7 @@ def reference_exchange_multiplicative_step(v: np.ndarray, w: np.ndarray) -> np.n
         assert log_det_objective(v, moved(alpha)) >= best - 1e-12
         assert abs(alpha - ts[int(np.argmax(objs))]) <= 2 * (ts[1] - ts[0])
         w = moved(alpha)
-    return reference_multiplicative_step(v, w)
+    return w
 
 
 def _batched_objective(v: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -64,8 +64,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def classical_runs():
-    """Converged default-engine runs (exchange plus multiplicative update,
-    then the moment-space finish) for d = 1..4 on the 401-point grid."""
+    """Converged default-engine runs (greedy start, then Newton steps and
+    exchanges in moment space) for d = 1..4 on the 401-point grid."""
     runs = {}
     for d in (1, 2, 3, 4):
         cfg = SolverConfig(epsilon=1e-6, max_iters=250_000)
@@ -138,7 +138,7 @@ def test_criterion_02_strong_duality_and_weak_duality_trace(classical_runs):
     n_d = 4.0
     iterate_gaps = n_d * np.log(res.trace_p_max / n_d)
     trace_ok = bool((iterate_gaps >= -1e-10).all())
-    # One entry for the start and one per iteration or finish step.
+    # One entry for the greedy start and one per step.
     length_ok = res.trace_p_max.shape[0] == res.iterations + 1
     ok = gap_ok and trace_ok and length_ok
     report("2", ok, f"min iterate gap {iterate_gaps.min():.3e} over "
@@ -208,8 +208,8 @@ def test_criterion_05_complementarity(classical_runs):
     square = CandidateSet(
         points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
     )
-    for cands in (pair, square):
-        res = solve(cands, 1, SolverConfig())
+    for cands in (pair, square):  # the square's greedy start is 3 vertices
+        res = solve(cands, 1, SolverConfig(epsilon=1e-12))
         cert = build_certificate(res.design, cands, 1)
         exact_worst = max(exact_worst, abs(cert.complementarity_residual))
     exact_ok = exact_worst <= 1e-12

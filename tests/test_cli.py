@@ -468,30 +468,48 @@ def test_certify_converged_run(interval_run, capsys):
 
 
 def test_certify_truncated_run(tmp_path, capsys):
-    cfg = {
-        "dimension": 1,
-        "degree": 1,
-        "set": {"bounding_box": [[-1.0, 1.0]]},
-        "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
-        "solver": {"max_iters": 1},
-        "validation_resolution": 11,
-    }
     out = tmp_path / "out"
-    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_GATE_FAILED
+    code = cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True)
+    assert code == EXIT_GATE_FAILED
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
     assert report["certificate"]["gap"] > 0
     assert cmd_certify(str(out / "report.json"), None, quiet=True) == EXIT_GATE_FAILED
 
 
+def linear(c, a, b):
+    """The polynomial c + a x + b y as a config term list."""
+    return [
+        {"exponents": [0, 0], "coeff": c},
+        {"exponents": [1, 0], "coeff": a},
+        {"exponents": [0, 1], "coeff": b},
+    ]
+
+
+# A degree-1 solve stopped after one step.  The greedy start is uniform on
+# three of the four candidates, and the optimum gives them weights 9/32,
+# 9/32, 5/16 and 1/8, so one step does not converge.  X is the kite that
+# the candidates span, which the optimal design's ellipsoid contains.
 TRUNCATED_CONFIG = {
-    "dimension": 1,
+    "dimension": 2,
     "degree": 1,
-    "set": {"bounding_box": [[-1.0, 1.0]]},
-    "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
+    "set": {
+        "bounding_box": [[-1.0, 1.0], [-1.0, 1.0]],
+        "inequalities": [
+            linear(1.0, 1.0, -1.0),
+            linear(1.0, -1.0, -1.0),
+            linear(0.5, 0.5, 1.0),
+            linear(0.5, -0.5, 1.0),
+        ],
+    },
+    "candidates": {
+        "source": "points",
+        "points": [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -0.5]],
+    },
     "solver": {"max_iters": 1},
     "validation_resolution": 11,
 }
+TRUNCATED_OPTIMUM = {(-1.0, 0.0): 9 / 32, (1.0, 0.0): 9 / 32, (0.0, 1.0): 5 / 16, (0.0, -0.5): 1 / 8}
 
 
 REPORT_COMMANDS = ["certify", "eval-cd", "ellipsoid"]
@@ -530,8 +548,8 @@ def test_certify_rejects_tampered_report(tmp_path, capsys, command):
     assert cmd_solve(write_config(tmp_path, TRUNCATED_CONFIG), str(out), True) == 1
     report = json.loads((out / "report.json").read_text())
     report["certificate"]["gap"] = 0.0
-    points = [x for (x,) in report["design"]["points"]]
-    report["design"]["weights"] = [0.5 if abs(x) == 1.0 else 0.0 for x in points]
+    points = report["design"]["points"]
+    report["design"]["weights"] = [TRUNCATED_OPTIMUM[tuple(x)] for x in points]
     capsys.readouterr()
     assert run_on_report(command, report, tmp_path) == EXIT_GATE_FAILED
     assert_one_error_line(capsys)
@@ -607,8 +625,13 @@ def test_certify_rejects_design_off_the_candidates(tmp_path, capsys):
     # Atoms at +-2 with every stored number rewritten to match them: p is at
     # most 1.25 < n_d = 2 on [-1, 1], so without the candidate check the
     # report passes with objective log 4, above the true optimum 0.
-    cfg = json.loads(json.dumps(TRUNCATED_CONFIG))
-    cfg["solver"] = {}
+    cfg = {
+        "dimension": 1,
+        "degree": 1,
+        "set": {"bounding_box": [[-1.0, 1.0]]},
+        "candidates": {"source": "points", "points": [[-1.0], [-0.2], [0.5], [1.0]]},
+        "validation_resolution": 11,
+    }
     out = tmp_path / "out"
     assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == 0
     report = json.loads((out / "report.json").read_text())

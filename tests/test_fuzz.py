@@ -20,8 +20,9 @@ from doptdesign.cli import (
 )
 from doptdesign.errors import ConfigError
 
-# Two points at +-1 with the linear model: the uniform start is optimal, so any
-# accepted solver block converges at iteration 0 and each example stays fast.
+# Two points at +-1 with the linear model: the greedy start, uniform on both,
+# is optimal, so any accepted solver block converges at iteration 0 and each
+# example stays fast.
 PAIR_CONFIG = {
     "dimension": 1,
     "degree": 1,

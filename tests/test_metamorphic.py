@@ -2,9 +2,11 @@
 on the D-optimal design.
 
 Relabelling the candidates changes nothing.  An affine map x -> Ax + b acts
-on the degree-d polynomials as an invertible linear map T, so it leaves p,
-hence every iterate's weights, unchanged, and multiplies det M by
-det(T)^2 = |det A|^(2 C(n+d, n+1)).
+on the degree-d polynomials as an invertible linear map T, so it leaves p
+of a given design unchanged and multiplies det M by
+det(T)^2 = |det A|^(2 C(n+d, n+1)).  The solver's greedy start depends on
+the coordinates, so the iterates differ; only the optimal weights are
+invariant, and the solves agree on them up to epsilon.
 """
 
 import math

@@ -9,12 +9,13 @@ from doptdesign import (
     solve,
 )
 from doptdesign import solver
+from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
 from oracles import (
     christoffel_values,
     log_det_objective,
     monomial_design_matrix,
-    reference_exchange_multiplicative_step,
+    reference_exchange,
     simplex_grid_search,
 )
 
@@ -42,10 +43,12 @@ SQUARE = CandidateSet(
 
 
 def test_init_uniform_three_points():
-    # The first trace entry is the objective of the uniform start.
+    # The first trace entry is the objective of the greedy start: uniform
+    # weight on the endpoints, the two rows of V_1 farthest apart.
     res = solve(THREE, 1, SolverConfig(max_iters=1))
     v = monomial_design_matrix(THREE.points, 1)
-    assert abs(res.trace_objective[0] - log_det_objective(v, np.full(3, 1 / 3))) < 1e-12
+    greedy = np.array([0.5, 0.0, 0.5])
+    assert abs(res.trace_objective[0] - log_det_objective(v, greedy)) < 1e-12
 
 
 def test_init_uniform_too_few():
@@ -74,18 +77,21 @@ def test_too_few_candidates_checked_before_the_basis(monkeypatch):
 
 
 def test_mult_step_fixed_point_at_equal_p():
-    # p = (2, 2) = n_d at both atoms: the uniform start is already optimal and
-    # the solver returns it untouched.
+    # p = (2, 2) = n_d at both atoms: the greedy start, uniform on both, is
+    # already optimal and the solver returns it untouched.
     res = solve(cands1d([-1.0, 1.0]), 1, SolverConfig(max_iters=1))
     assert res.iterations == 0
     assert np.allclose(res.design.weights, [0.5, 0.5], atol=1e-15)
 
 
 def test_mult_step_increases_objective():
+    # At d = 2 the greedy start is uniform on -1, 1 and 1/3, which is not
+    # optimal, so the first step raises log det.
     pts = [-1.0, -1 / 3, 1 / 3, 1.0]
-    res = solve(cands1d(pts), 1, SolverConfig(max_iters=1))
-    v = monomial_design_matrix(np.array(pts), 1)
-    assert abs(res.trace_objective[0] - log_det_objective(v, np.full(4, 0.25))) < 1e-12
+    res = solve(cands1d(pts), 2, SolverConfig(max_iters=1))
+    v = monomial_design_matrix(np.array(pts), 2)
+    greedy = np.array([1 / 3, 0.0, 1 / 3, 1 / 3])
+    assert abs(res.trace_objective[0] - log_det_objective(v, greedy)) < 1e-12
     assert res.trace_objective[1] > res.trace_objective[0]
 
 
@@ -141,8 +147,10 @@ def test_solve_iterates_stay_on_simplex():
 
 
 def test_solve_fixed_point_detection():
-    # p(x_i) = n_d at all candidates: the solver stops immediately.
-    res = solve(SQUARE, 1, SolverConfig())
+    # On the 401-point grid at d = 2 the greedy start is {-1, 1, 0} with
+    # weight 1/3 each, the optimum: p <= n_d at every candidate, so the
+    # solver stops immediately.
+    res = solve(cands1d(np.linspace(-1, 1, 401)), 2, SolverConfig())
     assert res.iterations == 0
     assert res.converged
 
@@ -205,8 +213,8 @@ def test_default_config_converges_on_simplex_cloud():
 
 
 def test_prune_drops_tiny_weight():
-    # The loop's first exchange empties the atom at 0 (p(0) = 1 < n_d = 2),
-    # and the returned design keeps only the atoms of positive weight.
+    # The greedy start leaves the atom at 0 out (p(0) = 1 < n_d = 2), and
+    # the returned design keeps only the atoms of positive weight.
     res = solve(THREE, 1, SolverConfig())
     assert not res.prune_rolled_back
     assert res.design.candidates.points[:, 0].tolist() == [-1.0, 1.0]
@@ -229,32 +237,18 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
 
 
-def test_mult_step_matches_solver_iteration():
-    # The solver's first update equals an independent exchange followed by a
-    # multiplicative step.
-    rng = np.random.default_rng(50)
-    pts = rng.uniform(-1, 1, size=(9, 1))
-    cands = CandidateSet(points=pts)
-    v = monomial_design_matrix(pts, 2)
-    stepped = reference_exchange_multiplicative_step(v, np.full(9, 1 / 9))
-    res = solve(cands, 2, SolverConfig(max_iters=1))
-    assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
-    # The exchange empties its donor, and the design keeps the other atoms.
-    held = stepped > 0.0
-    assert not held.all()
-    assert np.array_equal(res.design.candidates.points, pts[held])
-    assert np.allclose(res.design.weights, stepped[held], rtol=1e-12, atol=0.0)
-
-
 def test_exchange_interior_alpha_matches_solver_iteration():
     # Five points: the det-maximizing exchange (alpha ~ 0.114) stops short of
-    # the donor's whole weight 0.2, so the closed-form alpha itself is tested,
-    # not only the drop step.
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1, 1, size=(5, 1))
-    cands = CandidateSet(points=pts)
-    v = monomial_design_matrix(pts, 2)
-    stepped = reference_exchange_multiplicative_step(v, np.full(5, 0.2))
-    res = solve(cands, 2, SolverConfig(max_iters=1))
-    assert abs(res.trace_objective[1] - log_det_objective(v, stepped)) < 1e-12
-    assert np.allclose(res.design.weights, stepped, rtol=1e-12, atol=0.0)
+    # the donor's whole weight 0.2, so the closed-form alpha itself is tested.
+    # Nine points: alpha is clipped at the donor's weight 1/9 (a drop step).
+    basis_2d = enumerate_basis(1, 4)
+    pos = outer_position_map(enumerate_basis(1, 2), basis_2d)
+    for seed, size in ((0, 5), (50, 9)):
+        pts = np.random.default_rng(seed).uniform(-1, 1, size=(size, 1))
+        v = monomial_design_matrix(pts, 2)
+        exchanged = reference_exchange(v, np.full(size, 1 / size))
+        loop = solver._Loop(vandermonde(basis_2d, pts), np.full(size, 1 / size), pos)
+        _, _, k = loop.evaluate()
+        loop.exchange(k)
+        assert np.allclose(loop.w, exchanged, rtol=1e-12, atol=0.0)
+        assert (loop.w.min() > 0.0) == (size == 5)

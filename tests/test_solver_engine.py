@@ -1,5 +1,5 @@
-"""Properties of the solver's one pass: its exchange step, moment-space
-evaluation, stop test, support reduction and Newton finish."""
+"""Properties of the solver's engine: its greedy start, exchange step,
+moment-space evaluation, stop test, support reduction and Newton steps."""
 
 import numpy as np
 import pytest
@@ -181,9 +181,9 @@ def test_reduce_keeps_the_moments_on_at_most_s_atoms(n, d, size, seed, circle):
 
 
 def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
-    # With the exchange a no-op from the finish's start, the finish ends
-    # unconverged at its first exchange, and so does the solve: the loop
-    # does not take over.
+    # With the exchange a no-op, the solve ends unconverged at its first
+    # exchange.  At d = 3 the greedy start is not optimal, so an exchange
+    # is needed.
     exchanged = []
     real_newton = solver._newton
 
@@ -193,7 +193,7 @@ def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton", no_exchange)
     cfg = SolverConfig(max_iters=5_000)
-    res = solve(CandidateSet(points=GRID_401.reshape(-1, 1)), 2, cfg)
+    res = solve(CandidateSet(points=GRID_401.reshape(-1, 1)), 3, cfg)
     assert len(exchanged) == 1
     assert not res.converged
     assert res.trace_objective.shape[0] == res.iterations + 1
@@ -201,27 +201,36 @@ def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
 
 
 def test_finish_takes_an_exchange_whose_gain_is_lost_in_round_off(monkeypatch):
-    # At epsilon 1e-12 the finish meets an exchange here whose measured gain
-    # is not above 0.  The finish takes it, since it moves mass, and goes on
-    # to converge with no loop step after it starts.
-    calls = []
-    real_newton, real_step = solver._newton, solver._Loop.step
+    # At epsilon 1e-12 the engine meets exchanges here whose measured gain is
+    # not above 0.  It takes them, since they move mass, and goes on to
+    # converge in its one call.
+    calls, gains = [], []
+    real_newton, real_exchange = solver._newton, solver._Loop.exchange
+    real_gain = solver._Loop.gain
 
     def newton(*args):
         calls.append("newton")
         return real_newton(*args)
 
-    def step(self, k):
-        calls.append("step")
-        real_step(self, k)
+    def exchange(self, k):
+        calls.append("exchange")
+        real_exchange(self, k)
+
+    def gain(self, dw):
+        g = real_gain(self, dw)
+        if calls[-1] == "exchange":
+            gains.append(g)
+        calls.append("gain")
+        return g
 
     monkeypatch.setattr(solver, "_newton", newton)
-    monkeypatch.setattr(solver._Loop, "step", step)
-    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (200, 3))
+    monkeypatch.setattr(solver._Loop, "exchange", exchange)
+    monkeypatch.setattr(solver._Loop, "gain", gain)
+    pts = np.random.default_rng(40).uniform(-1.0, 1.0, (200, 3))
     res = solve(CandidateSet(points=pts), 2, SolverConfig(epsilon=1e-12))
     assert res.converged
     assert calls.count("newton") == 1
-    assert "step" not in calls[calls.index("newton"):]
+    assert min(gains) <= 0.0
     assert res.trace_objective.shape[0] == res.iterations + 1
     assert (np.diff(res.trace_objective) >= -1e-12).all()
 
@@ -240,3 +249,62 @@ def test_ball_d3_on_a_31_cubed_grid_converges_in_1000_steps():
     design = res.design
     p = christoffel_values(design.candidates.points, design.weights, cands.points, 3)
     assert p.max() <= 20.0 * (1.0 + 1e-6)
+
+
+def test_greedy_start_picks_n_d_distinct_rows_with_a_nonsingular_block():
+    rng = np.random.default_rng(11)
+    for n, d in ((1, 4), (2, 3), (3, 2)):
+        n_d = enumerate_basis(n, d).size
+        pts = rng.uniform(-1.0, 1.0, size=(50, n))
+        pts[25:] = pts[:25]  # every point twice
+        vd = vandermonde(enumerate_basis(n, d), pts)
+        rows = solver._greedy(vd)
+        assert rows.size == n_d
+        assert np.unique(pts[rows], axis=0).shape[0] == n_d
+        assert np.linalg.cond(vd[rows]) < 1e8
+
+
+def test_reduce_runs_only_on_a_singular_newton_system(monkeypatch):
+    # On the unit circle the moment rows of 4d + 1 < s atoms already span
+    # the rank of V2, so the support's moment rows become dependent before
+    # it reaches s atoms.  The Newton system is then singular, and only then
+    # is the support reduced, on at most s + 1 atoms.
+    singular, reduced = [], []
+    real_step, real_reduce = solver._newton_step, solver._reduce
+
+    def newton_step(loop):
+        try:
+            return real_step(loop)
+        except np.linalg.LinAlgError:
+            singular.append(loop.w.size)
+            raise
+
+    def reduce(v2, atoms, w):
+        reduced.append((atoms.size, v2.shape[1]))
+        return real_reduce(v2, atoms, w)
+
+    monkeypatch.setattr(solver, "_newton_step", newton_step)
+    monkeypatch.setattr(solver, "_reduce", reduce)
+    angle = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 60)
+    pts = np.column_stack([np.cos(angle), np.sin(angle)])
+    cfg = SolverConfig(epsilon=1e-12)
+    res = solve(CandidateSet(points=pts), 1, cfg)
+    assert singular
+    assert reduced and all(m <= s + 1 for m, s in reduced)
+    assert res.converged
+    assert res.design.size <= 5  # 4d + 1
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, pts, 1)
+    assert p.max() <= 3.0 * (1.0 + cfg.epsilon)
+
+
+def test_box_41_squared_at_d8_converges_in_1500_steps():
+    # s = C(2 + 16, 2) = 153: the largest support of the solver's
+    # convergence measurements in two dimensions.
+    axis = np.linspace(-1.0, 1.0, 41)
+    pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    res = solve(CandidateSet(points=pts), 8, SolverConfig(max_iters=1_500))
+    assert res.converged
+    design = res.design
+    p = christoffel_values(design.candidates.points, design.weights, pts, 8)
+    assert p.max() <= 45.0 * (1.0 + 1e-6)
