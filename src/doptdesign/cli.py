@@ -311,8 +311,10 @@ def load_config(path: str | Path) -> dict:
 
 def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     """The candidate, validation or evaluation grid, and the CLI's one
-    resolution check (a resolution below 2 or a grid too large to allocate or
-    to index raises ConfigError, an empty grid EmptyCandidateSetError)."""
+    resolution check (a resolution below 2, or a grid whose axes or r^n
+    membership mask are too large to allocate or to index, raises
+    ConfigError; an empty grid raises EmptyCandidateSetError).  The grid never
+    forms its (r^n, n) coordinate array, only the members' points."""
     if resolution < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
     try:

@@ -5,6 +5,12 @@ Membership uses closed inequalities compared exactly against zero; users who
 want a fattened boundary should perturb the g_j themselves.  The continuous
 space is replaced by a finite candidate set, either a uniform box grid
 filtered by membership or an explicit point list.
+
+One evaluator serves both: it takes each coordinate as its own array, and the
+arrays broadcast together.  An explicit list passes its columns; a grid passes
+its n axes of r points, each lying along its own dimension, so membership is
+computed in the grid's r^n shape without its (r^n, n) coordinate array, and
+only the members' points are built.
 """
 
 from __future__ import annotations
@@ -55,17 +61,26 @@ class SparsePolynomial:
         object.__setattr__(self, "terms", clean)
 
 
-def eval_poly_many(p: SparsePolynomial, pts) -> np.ndarray:
-    """Evaluate p at each row of pts, an (N, p.n) array."""
-    pts = _rows(pts, p.n)
-    vals = np.zeros(pts.shape[0])
+def _values(p: SparsePolynomial, xs) -> np.ndarray:
+    """p at the points whose j-th coordinates are xs[j], arrays that broadcast
+    together: the columns of an (N, n) array, or a grid's axes, axis j lying
+    along dimension j.
+
+    Each term is c times x_j^e_j for j = 0, ..., n-1 in turn, and the terms are
+    summed in the order of p.terms, so every layout gives the same bits."""
+    vals = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
     for alpha, c in p.terms.items():
-        term = np.full(pts.shape[0], c)
-        for j, e in enumerate(alpha):
+        term = c
+        for x, e in zip(xs, alpha):
             if e:
-                term *= pts[:, j] ** e
+                term = term * x**e
         vals += term
     return vals
+
+
+def eval_poly_many(p: SparsePolynomial, pts) -> np.ndarray:
+    """Evaluate p at each row of pts, an (N, p.n) array."""
+    return _values(p, _rows(pts, p.n).T)
 
 
 @dataclass(frozen=True)
@@ -119,25 +134,32 @@ class CandidateSet:
         return self.points.shape[1]
 
 
-def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
-    """Closed membership of each row of pts, an (N, s.n) array: inside the box
-    and every g_j(x) >= 0."""
-    pts = _rows(pts, s.n)
-    mask = np.ones(pts.shape[0], dtype=bool)
-    for j, (lo, hi) in enumerate(s.bounding_box):
-        mask &= (pts[:, j] >= lo) & (pts[:, j] <= hi)
+def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
+    """Closed membership of the points whose coordinates are xs (as for
+    `_values`): inside the box and every g_j(x) >= 0."""
+    mask = np.ones(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
+    for x, (lo, hi) in zip(xs, s.bounding_box):
+        mask &= (x >= lo) & (x <= hi)
     for g in s.inequalities:
         if not mask.any():
             break
-        mask &= eval_poly_many(g, pts) >= 0.0
+        mask &= _values(g, xs) >= 0.0
     return mask
+
+
+def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
+    """Closed membership of each row of pts, an (N, s.n) array: inside the box
+    and every g_j(x) >= 0."""
+    return _members(s, _rows(pts, s.n).T)
 
 
 def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     """Uniform box grid with `resolution` points per axis, filtered by membership.
 
-    Point order is row-major over the axes (first coordinate varies slowest),
-    so the output is deterministic.
+    Membership is tested on the r^n grid through its broadcast axes, so the
+    grid's own (r^n, n) coordinate array is never formed: only the members'
+    points are built.  Point order is row-major over the axes (first
+    coordinate varies slowest), so the output is deterministic.
 
     Raises:
         EmptyCandidateSetError: if no grid point is a member.
@@ -145,14 +167,12 @@ def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in s.bounding_box]
-    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
-    pts = np.stack(mesh, axis=-1).reshape(-1, s.n)
-    mask = membership_mask(s, pts)
-    if not mask.any():
+    idx = np.nonzero(_members(s, np.meshgrid(*axes, indexing="ij", sparse=True)))
+    if idx[0].size == 0:
         raise EmptyCandidateSetError(
             f"no point of the {resolution}^{s.n} grid satisfies membership"
         )
-    return CandidateSet(points=pts[mask])
+    return CandidateSet(points=np.stack([a[i] for a, i in zip(axes, idx)], axis=1))
 
 
 def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
@@ -172,7 +192,13 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
     members = pts[membership_mask(s, pts)]
     if members.shape[0] == 0:
         raise EmptyCandidateSetError("all explicit candidate points were rejected")
-    # Adding 0.0 turns -0.0 into 0.0, so the two compare as one point.
-    _, first = np.unique(members + 0.0, axis=0, return_index=True)
-    kept = members[np.sort(first)]
-    return CandidateSet(points=kept)
+    # A stable sort puts equal rows next to each other in input order; the
+    # first of each run is kept.  Floats compare -0.0 equal to 0.0, so the
+    # two spellings are one point.
+    order = np.lexsort(members.T)
+    rows = members[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    keep = np.zeros(len(order), dtype=bool)
+    keep[order[first]] = True
+    return CandidateSet(points=members[keep])

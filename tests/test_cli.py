@@ -402,6 +402,29 @@ def test_solve_checks_the_validation_grid_before_solving(
         assert not (out / "report.json").exists()
 
 
+def test_solve_rejects_a_validation_grid_too_large_to_allocate(
+    tmp_path, capsys, monkeypatch
+):
+    # 10^6 points per axis of a cube: each axis is 8 MB, but the grid's r^n
+    # membership mask is 10^18 bytes, so the grid fails with a MemoryError
+    # before anything is solved.
+    def fail(*args):
+        pytest.fail("solve ran before the validation grid was checked")
+
+    monkeypatch.setattr(cli, "solve", fail)
+    cfg = {
+        "dimension": 3,
+        "degree": 1,
+        "set": {"bounding_box": [[-1.0, 1.0]] * 3},
+        "candidates": {"source": "grid", "resolution": 3},
+        "validation_resolution": 10**6,
+    }
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+    assert not (out / "report.json").exists()
+
+
 def test_solve_overflowing_monomials_exits_config(tmp_path, capsys):
     # At x = 1e80 the degree-4 moment x^4 = 1e320 is not a float.  A warning
     # would fail the suite, which turns RuntimeWarning into an error.

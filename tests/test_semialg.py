@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doptdesign import (
     DimensionMismatchError,
@@ -115,6 +118,84 @@ def test_grid_matches_product_oracle_bitwise(bounding_box, resolution):
     assert pts.tobytes() == expected.tobytes()
 
 
+@st.composite
+def design_spaces(draw):
+    """A box in 1 to 4 dimensions and up to 3 sparse inequalities whose terms
+    mix monomials such as x0 x1^2, constants and coefficients of both signs."""
+    n = draw(st.integers(1, 4))
+    bounding_box = []
+    for _ in range(n):
+        lo = draw(st.floats(-10.0, 10.0))
+        bounding_box.append((lo, lo + draw(st.floats(1e-3, 20.0))))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = st.dictionaries(exponents, st.floats(-5.0, 5.0), min_size=1, max_size=4)
+    inequalities = [SparsePolynomial(n, t) for t in draw(st.lists(terms, max_size=3))]
+    return SemiAlgebraicSet(n, tuple(inequalities), tuple(bounding_box))
+
+
+# x^4 - x^5 on [-1e80, 1e80] at 5 points: both powers overflow at |x| >= 5e79,
+# to inf - (-inf) = inf below 0 and to inf - inf = NaN above it.
+OVERFLOWING = SemiAlgebraicSet(
+    1, (SparsePolynomial(1, {(4,): 1.0, (5,): -1.0}),), ((-1e80, 1e80),)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=design_spaces(), resolution=st.integers(2, 9))
+@example(space=OVERFLOWING, resolution=5)
+def test_grid_matches_membership_on_product_oracle_bitwise(space, resolution):
+    # The grid, tested through its broadcast axes, against every point of the
+    # product grid tested row by row.
+    pts = product_grid(space.bounding_box, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = pts[membership_mask(space, pts)]
+        if expected.shape[0] == 0:
+            with pytest.raises(EmptyCandidateSetError):
+                grid_candidates(space, resolution)
+            return
+        got = grid_candidates(space, resolution).points
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_overflowing_example_has_inf_and_nan_values():
+    x = np.linspace(-1e80, 1e80, 5).reshape(-1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = eval_poly_many(OVERFLOWING.inequalities[0], x)
+        assert membership_mask(OVERFLOWING, x).tolist() == [
+            True, True, True, False, False
+        ]
+    assert vals[0] == np.inf and np.isnan(vals[-1])
+
+
+SIMPLEX = SemiAlgebraicSet(
+    3,
+    (
+        SparsePolynomial(3, {(1, 0, 0): 1.0, (0, 0, 0): 1.0}),
+        SparsePolynomial(3, {(0, 1, 0): 1.0, (0, 0, 0): 1.0}),
+        SparsePolynomial(3, {(0, 0, 1): 1.0, (0, 0, 0): 1.0}),
+        SparsePolynomial(
+            3, {(0, 0, 0): 1.0, (1, 0, 0): -1.0, (0, 1, 0): -1.0, (0, 0, 1): -1.0}
+        ),
+    ),
+    ((-1.0, 3.0),) * 3,
+)
+
+
+def test_simplex_grid_peak_memory():
+    # The 101^3 grid has 1.03M points; its (r^n, n) coordinate array alone
+    # would take 24 MiB.  Membership through the broadcast axes needs one
+    # r^n mask and one r^n value array at a time, plus the members' points.
+    tracemalloc.start()
+    try:
+        cands = grid_candidates(SIMPLEX, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cands.size == 174_473
+    assert peak <= 32 * 2**20
+
+
 def test_grid_deterministic():
     a = grid_candidates(unit_disk(), 9)
     b = grid_candidates(unit_disk(), 9)
@@ -152,6 +233,40 @@ def test_explicit_drops_duplicates_keeps_first():
     cands = explicit_candidates(box(2), rows)
     expected = np.array([[0.5, -0.0], [0.1, 0.2], [0.0, 0.3]])
     assert cands.points.tobytes() == expected.tobytes()
+
+
+def unique_rows_reference(s, pts):
+    """Members of pts without repeats, the first occurrence of each kept, by
+    np.unique on the rows' bytes (adding 0.0 turns -0.0 into 0.0)."""
+    members = pts[membership_mask(s, pts)]
+    _, first = np.unique(members + 0.0, axis=0, return_index=True)
+    return members[np.sort(first)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_explicit_dedup_matches_unique_rows_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    size = int(rng.integers(1, 300))
+    # Coarse values repeat often; uniform ones repeat only where planted.
+    pts = np.where(
+        rng.random((size, 1)) < 0.5,
+        rng.integers(-3, 4, (size, n)) / 2.0,
+        rng.uniform(-1.2, 1.2, (size, n)),
+    )
+    planted = rng.integers(0, size, size // 3)
+    pts = np.insert(pts, rng.integers(0, size, planted.size), pts[planted], axis=0)
+    pts[rng.random(pts.shape) < 0.2] = 0.0
+    pts[rng.random(pts.shape) < 0.5] *= -1.0  # -0.0 where a zero is flipped
+    assert (np.signbit(pts) & (pts == 0.0)).any()
+    expected = unique_rows_reference(box(n), pts)
+    if expected.shape[0] == 0:
+        with pytest.raises(EmptyCandidateSetError):
+            explicit_candidates(box(n), pts)
+        return
+    got = explicit_candidates(box(n), pts).points
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_explicit_all_rejected():
