@@ -8,19 +8,22 @@ scheme of Yang, Biedermann & Tang (2013, JASA):
 * the start puts uniform weight on n_d candidates picked by pivoted
   Gram-Schmidt on the rows of the degree-d Vandermonde matrix V_d, so M(w)
   is nonsingular whenever the candidates determine the model;
-* while some support atom fails the stop test p <= n_d (1 + epsilon), a
-  Newton step on the support's weights raises log det M(w);
-* otherwise, or when Newton finds no rise, a vertex exchange (Todd &
+* while some support atom fails the stop test p <= n_d (1 + epsilon), the
+  step is one Newton trial on the support's weights, taken when it raises
+  log det M(w);
+* otherwise, or when the trial does not raise it, a vertex exchange (Todd &
   Yildirim 2007) moves the closed-form det-maximizing mass from the support
   atom with the lowest p to the candidate with the highest p.
 
-Each evaluation works in moment space, the paper's dual pair: the design's
-degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is expanded in
-the degree-2d basis through the adjoint map, c = M_d^*(M(w)^{-1}), so that
-p = V2 c on every candidate.  V2, the degree-2d Vandermonde matrix of the
-candidates, is built once; its first n_d columns are the degree-d one.  The
-certificate evaluates p of the final design from its own rank-one assembly
-of M and the inverse of its Cholesky factor instead, an independent route.
+Each iterate is evaluated once, and the Newton trial and the exchange both
+read that evaluation.  It works in moment space, the paper's dual pair: the
+design's degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is
+expanded in the degree-2d basis through the adjoint map,
+c = M_d^*(M(w)^{-1}), so that p = V2 c on every candidate.  V2, the
+degree-2d Vandermonde matrix of the candidates, is built once; its first n_d
+columns are the degree-d one.  The certificate evaluates p of the final
+design from its own rank-one assembly of M and the inverse of its Cholesky
+factor instead, an independent route.
 
 M(w) depends on w only through y, which has s = C(n + 2d, n) entries.  A
 Newton step only drops atoms and an exchange adds one.  When the support's
@@ -51,10 +54,6 @@ from .design import DesignMeasure
 from .errors import DegenerateDesignError, TooFewCandidatesError
 from .semialg import CandidateSet
 from .spd import pivot_tolerance
-
-#: Halvings of a Newton step before it counts as no ascent.
-_BACKTRACKS = 40
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -114,81 +113,50 @@ def _factor(m: np.ndarray):
     return l
 
 
-class _Loop:
-    """Evaluation, gain and exchange on a support's rows of the candidates.
+class _Iterate:
+    """One evaluated iterate: weights w on the rows `support` of the candidates.
 
-    v2 holds those rows of the degree-2d Vandermonde matrix and pos =
-    outer_position_map(basis_d, basis_2d).  An evaluation forms y = V2^T w,
-    M(w) = y[pos], its Cholesky factor and M^{-1}, c with c_g the sum of
-    M^{-1}_ij over pos_ij = g, and p = V2 c at every row.  M(w) is tiny and
-    call overhead dominates, so an evaluation makes two `np.linalg` calls:
-    the Cholesky factor L of M(w), then L^{-1}.
+    rows holds those rows of the degree-2d Vandermonde matrix V2 and pos =
+    outer_position_map(basis_d, basis_2d).  The evaluation, made once when
+    the iterate is built, forms y = rows^T w, M(w) = y[pos], its Cholesky
+    factor L, li = L^{-1}, m_inv = M^{-1}, c with c_g the sum of M^{-1}_ij
+    over pos_ij = g, and p = V2 c on every candidate; the support's p is
+    p[support].  M(w) is tiny and call overhead dominates, so an evaluation
+    makes two `np.linalg` calls: the Cholesky factor of M(w), then L^{-1}.
+
+    Raises DegenerateDesignError when M(w) is singular to working precision.
     """
 
-    def __init__(self, v2: np.ndarray, w: np.ndarray, pos: np.ndarray):
-        n_d = pos.shape[0]
-        self.v2 = v2
-        # The exchange and the Newton step read V_d^T from this contiguous copy.
-        self.vt = np.ascontiguousarray(v2[:, :n_d].T)
-        self.w = w
-        self.pos = pos
-        self.pos_flat = pos.ravel()
-        self.y = np.empty(v2.shape[1])
-        self.li = None  # L^{-1} for M(w) = L L^T, at the last evaluated iterate
-        self.m_inv = np.empty((n_d, n_d))
-        self.c = None  # p in the degree-2d basis, at the last evaluated iterate
-        self.p = np.empty(v2.shape[0])
-
-    def evaluate(self) -> tuple[float, float, int]:
-        """Objective, p_max and argmax p of the current iterate; fills self.p."""
-        np.dot(self.w, self.v2, out=self.y)
-        l = _factor(self.y[self.pos])
+    def __init__(self, v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
+                 w: np.ndarray):
+        self.support, self.w, self.pos = support, w, pos
+        self.rows = v2[support]
+        y = np.dot(w, self.rows)
+        l = _factor(y[pos])
         if l is None:
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
                 "the model"
             )
+        self.log_det = 2.0 * float(np.log(l.diagonal()).sum())
         self.li = np.linalg.inv(l)
-        np.dot(self.li.T, self.li, out=self.m_inv)
-        self.c = np.bincount(self.pos_flat, self.m_inv.ravel(), minlength=self.y.size)
-        np.dot(self.v2, self.c, out=self.p)
-        objective = 2.0 * float(np.log(l.diagonal()).sum())
-        k = int(self.p.argmax())
-        return objective, float(self.p[k]), k
+        self.m_inv = np.dot(self.li.T, self.li)
+        self.p = np.dot(v2, np.bincount(pos.ravel(), self.m_inv.ravel(),
+                                        minlength=y.size))
 
-    def gain(self, dw: np.ndarray) -> float:
-        """log det M(w + dw) - log det M(w), from the last evaluated iterate.
+    def gain(self, dy: np.ndarray) -> float:
+        """log det M(y + dy) - log det M(y) for a change dy of the moments.
 
-        The sum of log(1 + lambda) over the eigenvalues of L^{-1} M(dw) L^{-T}
-        stays accurate for a small dw, where the difference of two log dets
-        drowns in their round-off; -inf when M(w + dw) is not positive
+        The sum of log(1 + lambda) over the eigenvalues of L^{-1} M_d(dy) L^{-T}
+        stays accurate for a small dy, where the difference of two log dets
+        drowns in their round-off; -inf when M(y + dy) is not positive
         definite.
         """
-        b = np.dot(self.li, np.dot(self.li, np.dot(dw, self.v2)[self.pos]).T)
+        b = np.dot(self.li, np.dot(self.li, dy[self.pos]).T)
         lam = np.linalg.eigvalsh(b)
         if not lam[0] > -1.0:
             return -np.inf
         return float(np.log1p(lam).sum())
-
-    def exchange(self, k: int) -> None:
-        """Move the det-maximizing mass from the lowest-p support atom to row k.
-
-        Moving alpha from row j to row k multiplies det M by
-        r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
-        p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
-        (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j
-        (a drop step).
-        """
-        p, w, vt = self.p, self.w, self.vt
-        j = int(np.where(w > 0.0, p, np.inf).argmin())
-        p_k, p_j = float(p[k]), float(p[j])
-        p_kj = float(np.dot(np.dot(self.m_inv, vt[:, k]), vt[:, j]))
-        delta = p_k * p_j - p_kj * p_kj
-        if j == k or not p_k > p_j or not delta > 0.0:
-            return
-        alpha = min((p_k - p_j) / (2.0 * delta), float(w[j]))
-        w[k] += alpha
-        w[j] -= alpha
 
 
 def _greedy(vd: np.ndarray) -> np.ndarray:
@@ -248,40 +216,76 @@ def _reduce(v2: np.ndarray, atoms: np.ndarray,
     return atoms[kept], w[kept] / w[kept].sum()
 
 
-def _newton_step(loop: _Loop):
-    """A backtracked Newton step on the weights of loop's evaluated design.
+def _newton_step(it: _Iterate):
+    """One Newton step on the weights of the support, tried once.
 
     Maximizes the quadratic model of log det M(w) on the support subject to
     sum w = 1.  Its Hessian is -(A * A), A = V M^{-1} V^T on the support, and
     since (A * A) w = p the step is w - u / sum(u) with (A * A) u = 1.  The
-    step is clipped at the first weight to reach 0, which then drops out, and
-    halved until log det rises.  Returns the new weights (0 where an atom
-    drops out) and the rise in log det, or None when no rise is found.
+    step is clipped at the first weight to reach 0, which then drops out.
+    Returns (support, weights, rise in log det) without the dropped atom, or
+    None when log det does not rise; the engine then takes the exchange.
 
     Raises np.linalg.LinAlgError when A * A fails the pivot test, which
     happens exactly when the support's degree-2d moment rows are dependent.
     """
-    a = np.dot(loop.vt.T, np.dot(loop.m_inv, loop.vt))
+    vd = it.rows[:, :it.m_inv.shape[0]]
+    a = np.dot(vd, np.dot(it.m_inv, vd.T))
     a *= a
     if _factor(a) is None:
         raise np.linalg.LinAlgError("the Newton system is singular")
-    u = np.linalg.solve(a, np.ones(loop.w.size))
-    w = loop.w
+    w = it.w
+    u = np.linalg.solve(a, np.ones(w.size))
     delta = w - u / u.sum()
     shrink = np.flatnonzero(delta < 0.0)
     ratio = w[shrink] / -delta[shrink]
     t_max = float(ratio.min()) if shrink.size else np.inf
-    t = min(1.0, t_max)
-    for _ in range(_BACKTRACKS):
-        trial = np.maximum(w + t * delta, 0.0)
-        if t == t_max:
-            trial[shrink[ratio.argmin()]] = 0.0
-        trial /= trial.sum()
-        gain = loop.gain(trial - w)
-        if gain > 0.0:
-            return trial, gain
-        t *= 0.5
-    return None
+    trial = np.maximum(w + min(1.0, t_max) * delta, 0.0)
+    if t_max <= 1.0:
+        trial[shrink[ratio.argmin()]] = 0.0
+    trial /= trial.sum()
+    gain = it.gain(np.dot(trial - w, it.rows))
+    if not gain > 0.0:
+        return None
+    held = trial > 0.0
+    return it.support[held], trial[held], gain
+
+
+def _exchange(it: _Iterate, v2: np.ndarray, k: int):
+    """Move the det-maximizing mass from the lowest-p atom to candidate k.
+
+    Reads p and M^{-1} from the evaluated iterate it.  Moving alpha from atom
+    j to candidate k multiplies det M by
+    r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
+    p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
+    (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j (a
+    drop step).  k joins the support when it is not on it.
+
+    Returns (support, weights, rise in log det) without an emptied atom, the
+    rise measured by `_Iterate.gain` on the moment change
+    dy = dw_k V2[k] + dw_j V2[j]; or None when the exchange moves no mass.
+    """
+    support, p, n_d = it.support, it.p, it.m_inv.shape[0]
+    i = int(p[support].argmin())
+    j = int(support[i])
+    p_k, p_j = float(p[k]), float(p[j])
+    p_kj = float(np.dot(np.dot(it.m_inv, v2[k, :n_d]), v2[j, :n_d]))
+    delta = p_k * p_j - p_kj * p_kj
+    if not p_k > p_j or not delta > 0.0:
+        return None
+    alpha = min((p_k - p_j) / (2.0 * delta), float(it.w[i]))
+    if k in support:
+        m, before = int(np.flatnonzero(support == k)[0]), it.w
+    else:
+        m, support, before = support.size, np.append(support, k), np.append(it.w, 0.0)
+    w = before.copy()
+    w[m] += alpha
+    w[i] -= alpha
+    if not w[m] > before[m]:
+        return None
+    gain = it.gain((w[m] - before[m]) * v2[k] + (w[i] - before[i]) * v2[j])
+    held = w > 0.0
+    return support[held], w[held], gain
 
 
 def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
@@ -289,63 +293,48 @@ def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
     """The solve: Newton steps on the support, exchanges to bring atoms in.
 
     v2 is the degree-2d Vandermonde matrix of every candidate and (support,
-    w) the start.  While p > target on some candidate, each step is a Newton
-    step on the weights (`_newton_step`) while some support atom fails the
-    target; otherwise, or when Newton finds no rise, the exchange moves mass
-    into the worst candidate.  When the Newton system is singular, or an
-    exchange grows the support past s = v2.shape[1] atoms, the design is
-    reduced to independent moment rows (`_reduce`), which is not a step.
+    w) the start.  Each iterate is evaluated once (`_Iterate`), and its step
+    reads that evaluation.  While p > target on some candidate, the step is
+    one Newton trial on the weights (`_newton_step`) while some support atom
+    fails the target; otherwise, or when the trial does not raise log det,
+    the exchange moves mass into the worst candidate (`_exchange`).  When
+    the Newton system is singular, or an exchange grows the support past
+    s = v2.shape[1] atoms, the design is reduced to independent moment rows
+    (`_reduce`), which is not a step.
 
     Returns (support, weights, trace, converged): trace holds one
     (objective, p_max over every candidate) pair for the start and one per
     step, at most budget steps, and converged means p <= target on every
     candidate.  The objective advances by each step's measured
-    `_Loop.gain`; an exchange is taken whenever it moves mass, even where
+    `_Iterate.gain`; an exchange is taken whenever it moves mass, even where
     its gain is lost in round-off.  An exchange that moves no mass ends the
     call unconverged.
     """
-    loop = _Loop(v2[support], w, pos)
-    objective, p_support, _ = loop.evaluate()
-    p = np.dot(v2, loop.c)
-    trace = [(objective, float(p.max()))]
+    it = _Iterate(v2, pos, support, w)
+    objective = it.log_det
+    trace = [(objective, float(it.p.max()))]
     while True:
-        k = int(p.argmax())
-        if p[k] <= target or len(trace) > budget:
-            return support, loop.w, trace, bool(p[k] <= target)
+        k = int(it.p.argmax())
+        if it.p[k] <= target or len(trace) > budget:
+            return it.support, it.w, trace, bool(it.p[k] <= target)
         try:
-            stepped = _newton_step(loop) if p_support > target else None
+            step = _newton_step(it) if it.p[it.support].max() > target else None
         except np.linalg.LinAlgError:
-            stepped = None
-            reduced, w = _reduce(v2, support, loop.w)
-            if reduced.size < support.size:  # else round-off: exchange instead
-                support = reduced
-                loop = _Loop(v2[support], w, pos)
-                _, p_support, _ = loop.evaluate()
+            step = None
+            support, w = _reduce(v2, it.support, it.w)
+            if support.size < it.support.size:  # else round-off: exchange instead
+                it = _Iterate(v2, pos, support, w)
                 continue
-        if stepped is not None:
-            w, gain = stepped
-            support, w = support[w > 0.0], w[w > 0.0]
-        else:
-            # k is on the support only when Newton found no rise there.
-            on = np.flatnonzero(support == k)
-            i = int(on[0]) if on.size else support.size
-            grown = support if on.size else np.append(support, k)
-            before = np.append(loop.w, 0.0)[:grown.size]
-            loop = _Loop(v2[grown], before.copy(), pos)
-            loop.evaluate()
-            loop.exchange(i)
-            if not loop.w[i] > before[i]:
-                return support, before[:support.size], trace, False
-            gain = loop.gain(loop.w - before)
-            held = loop.w > 0.0
-            support, w = grown[held], loop.w[held]
-            if support.size > v2.shape[1]:
-                support, w = _reduce(v2, support, w)
+        if step is None:
+            step = _exchange(it, v2, k)
+            if step is None:
+                return it.support, it.w, trace, False
+        support, w, gain = step
+        if support.size > v2.shape[1]:
+            support, w = _reduce(v2, support, w)
         objective += gain
-        loop = _Loop(v2[support], w, pos)
-        _, p_support, _ = loop.evaluate()
-        p = np.dot(v2, loop.c)
-        trace.append((objective, float(p.max())))
+        it = _Iterate(v2, pos, support, w)
+        trace.append((objective, float(it.p.max())))
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:

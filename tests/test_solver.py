@@ -241,14 +241,23 @@ def test_exchange_interior_alpha_matches_solver_iteration():
     # Five points: the det-maximizing exchange (alpha ~ 0.114) stops short of
     # the donor's whole weight 0.2, so the closed-form alpha itself is tested.
     # Nine points: alpha is clipped at the donor's weight 1/9 (a drop step).
+    # The rise that `_exchange` returns, measured on the moment change
+    # dy = dw_k V2[k] + dw_j V2[j], is the change in log det of the
+    # rank-one sum M.
     basis_2d = enumerate_basis(1, 4)
     pos = outer_position_map(enumerate_basis(1, 2), basis_2d)
     for seed, size in ((0, 5), (50, 9)):
         pts = np.random.default_rng(seed).uniform(-1, 1, size=(size, 1))
         v = monomial_design_matrix(pts, 2)
-        exchanged = reference_exchange(v, np.full(size, 1 / size))
-        loop = solver._Loop(vandermonde(basis_2d, pts), np.full(size, 1 / size), pos)
-        _, _, k = loop.evaluate()
-        loop.exchange(k)
-        assert np.allclose(loop.w, exchanged, rtol=1e-12, atol=0.0)
-        assert (loop.w.min() > 0.0) == (size == 5)
+        w = np.full(size, 1 / size)
+        exchanged = reference_exchange(v, w)
+        v2 = vandermonde(basis_2d, pts)
+        it = solver._Iterate(v2, pos, np.arange(size), w)
+        support, kept, rise = solver._exchange(it, v2, int(it.p.argmax()))
+        after = np.zeros(size)
+        after[support] = kept
+        assert np.allclose(after, exchanged, rtol=1e-12, atol=0.0)
+        assert (after.min() > 0.0) == (size == 5)
+        before_m, after_m = (v.T @ (u[:, None] * v) for u in (w, after))
+        slogdet_rise = np.linalg.slogdet(after_m)[1] - np.linalg.slogdet(before_m)[1]
+        assert abs(rise - slogdet_rise) <= 1e-12

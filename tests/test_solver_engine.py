@@ -67,16 +67,15 @@ def test_converged_is_the_stop_test_on_every_candidate():
 
 
 def moment_route_p(pts, w, d):
-    """p of the design w on pts at pts, as the solver's loop evaluates it."""
+    """p of the design w on pts at pts, as the solver evaluates an iterate."""
     basis_2d = enumerate_basis(pts.shape[1], 2 * d)
     pos = outer_position_map(enumerate_basis(pts.shape[1], d), basis_2d)
-    loop = solver._Loop(vandermonde(basis_2d, pts), w, pos)
-    loop.evaluate()
-    return loop.p
+    rows = np.arange(pts.shape[0])
+    return solver._Iterate(vandermonde(basis_2d, pts), pos, rows, w).p
 
 
 def test_moment_route_p_matches_dense_oracle():
-    # The loop assembles M(w) = y[pos] from y = V2^T w and evaluates
+    # The iterate assembles M(w) = y[pos] from y = V2^T w and evaluates
     # p = V2 c from the adjoint c of M^{-1}; the oracle solves with the
     # rank-one sum M explicitly.
     rng = np.random.default_rng(2024)
@@ -108,6 +107,10 @@ def unit_disk_grid(resolution):
         n=2, inequalities=(g,), bounding_box=((-1.0, 1.0), (-1.0, 1.0))
     )
     return grid_candidates(disk, resolution)
+
+
+def cloud_40():
+    return CandidateSet(points=np.random.default_rng(40).uniform(-1.0, 1.0, (200, 3)))
 
 
 def test_disk_d4_converges_at_the_default_epsilon_in_2000_steps():
@@ -185,13 +188,7 @@ def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
     # exchange.  At d = 3 the greedy start is not optimal, so an exchange
     # is needed.
     exchanged = []
-    real_newton = solver._newton
-
-    def no_exchange(*args):
-        monkeypatch.setattr(solver._Loop, "exchange", lambda self, k: exchanged.append(k))
-        return real_newton(*args)
-
-    monkeypatch.setattr(solver, "_newton", no_exchange)
+    monkeypatch.setattr(solver, "_exchange", lambda it, v2, k: exchanged.append(k))
     cfg = SolverConfig(max_iters=5_000)
     res = solve(CandidateSet(points=GRID_401.reshape(-1, 1)), 3, cfg)
     assert len(exchanged) == 1
@@ -205,34 +202,79 @@ def test_finish_takes_an_exchange_whose_gain_is_lost_in_round_off(monkeypatch):
     # not above 0.  It takes them, since they move mass, and goes on to
     # converge in its one call.
     calls, gains = [], []
-    real_newton, real_exchange = solver._newton, solver._Loop.exchange
-    real_gain = solver._Loop.gain
+    real_newton, real_exchange = solver._newton, solver._exchange
+    real_gain = solver._Iterate.gain
 
     def newton(*args):
         calls.append("newton")
         return real_newton(*args)
 
-    def exchange(self, k):
+    def exchange(it, v2, k):
         calls.append("exchange")
-        real_exchange(self, k)
+        return real_exchange(it, v2, k)
 
-    def gain(self, dw):
-        g = real_gain(self, dw)
+    def gain(self, dy):
+        g = real_gain(self, dy)
         if calls[-1] == "exchange":
             gains.append(g)
         calls.append("gain")
         return g
 
     monkeypatch.setattr(solver, "_newton", newton)
-    monkeypatch.setattr(solver._Loop, "exchange", exchange)
-    monkeypatch.setattr(solver._Loop, "gain", gain)
-    pts = np.random.default_rng(40).uniform(-1.0, 1.0, (200, 3))
-    res = solve(CandidateSet(points=pts), 2, SolverConfig(epsilon=1e-12))
+    monkeypatch.setattr(solver, "_exchange", exchange)
+    monkeypatch.setattr(solver._Iterate, "gain", gain)
+    res = solve(cloud_40(), 2, SolverConfig(epsilon=1e-12))
     assert res.converged
     assert calls.count("newton") == 1
     assert min(gains) <= 0.0
     assert res.trace_objective.shape[0] == res.iterations + 1
     assert (np.diff(res.trace_objective) >= -1e-12).all()
+
+
+@pytest.mark.parametrize("cands,d,epsilon", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, id="disk-d4"),
+    pytest.param(cloud_40(), 2, 1e-12, id="cloud-40"),
+])
+def test_each_iterate_is_evaluated_once(monkeypatch, cands, d, epsilon):
+    # One evaluation per iterate: the start, one per step, and one after each
+    # reduction of a singular Newton system that drops atoms.  A step makes at
+    # most two gain calls, one Newton trial and one exchange.
+    evaluations, gains, reductions = [], [], []
+    real_reduce = solver._reduce
+
+    class Counted(solver._Iterate):
+        def __init__(self, *args):
+            evaluations.append(1)
+            super().__init__(*args)
+
+        def gain(self, dy):
+            gains.append(1)
+            return super().gain(dy)
+
+    def reduce(v2, atoms, w):
+        kept, w = real_reduce(v2, atoms, w)
+        # A support of at most s atoms is reduced only on a singular system.
+        reductions.append(atoms.size <= v2.shape[1] and kept.size < atoms.size)
+        return kept, w
+
+    monkeypatch.setattr(solver, "_Iterate", Counted)
+    monkeypatch.setattr(solver, "_reduce", reduce)
+    res = solve(cands, d, SolverConfig(epsilon=epsilon))
+    assert res.converged
+    assert len(evaluations) == res.iterations + 1 + sum(reductions)
+    assert len(gains) <= 2 * res.iterations
+
+
+def test_round_off_regime_converges_in_150_steps():
+    # At epsilon 1e-12 a step's rise nears the resolution of the gain.  A
+    # Newton trial that does not raise log det hands over to the exchange,
+    # so every cloud still converges, and none takes more than 150 steps.
+    cfg = SolverConfig(epsilon=1e-12)
+    for seed in range(80):
+        pts = np.random.default_rng(seed).uniform(-1.0, 1.0, (200, 3))
+        res = solve(CandidateSet(points=pts), 2, cfg)
+        assert res.converged, seed
+        assert res.iterations <= 150, (seed, res.iterations)
 
 
 def test_ball_d3_on_a_31_cubed_grid_converges_in_1000_steps():
@@ -272,11 +314,11 @@ def test_reduce_runs_only_on_a_singular_newton_system(monkeypatch):
     singular, reduced = [], []
     real_step, real_reduce = solver._newton_step, solver._reduce
 
-    def newton_step(loop):
+    def newton_step(it):
         try:
-            return real_step(loop)
+            return real_step(it)
         except np.linalg.LinAlgError:
-            singular.append(loop.w.size)
+            singular.append(it.w.size)
             raise
 
     def reduce(v2, atoms, w):
@@ -285,7 +327,7 @@ def test_reduce_runs_only_on_a_singular_newton_system(monkeypatch):
 
     monkeypatch.setattr(solver, "_newton_step", newton_step)
     monkeypatch.setattr(solver, "_reduce", reduce)
-    angle = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 60)
+    angle = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 60)
     pts = np.column_stack([np.cos(angle), np.sin(angle)])
     cfg = SolverConfig(epsilon=1e-12)
     res = solve(CandidateSet(points=pts), 1, cfg)
