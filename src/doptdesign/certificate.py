@@ -41,7 +41,12 @@ from .design import (
     cd_profile,
     moment_matrix,
 )
-from .errors import FloatRangeError, SizeMismatchError
+from .errors import (
+    DegenerateDesignError,
+    FloatRangeError,
+    NotPositiveDefiniteError,
+    SizeMismatchError,
+)
 from .semialg import CandidateSet
 
 
@@ -123,7 +128,8 @@ def build_certificate(
 
     Raises:
         DegenerateDesignError: if the design does not determine the
-            degree-d model.
+            degree-d model, or M(w) is so ill-conditioned that X, formed
+            from its factor, fails the pivot test.
     """
     poly = cd_polynomial(design, d)
     n_d = poly.n_d
@@ -132,7 +138,13 @@ def build_certificate(
     p_max = max(float(p_values.max()), float(n_d))
     x_hat = (n_d / p_max) * spd.inverse(poly.factor)
     x_hat = 0.5 * (x_hat + x_hat.T)  # symmetrize away solve round-off
-    dual = spd.factorize(x_hat).log_det  # PD check doubles as SOS witness
+    try:
+        dual = spd.factorize(x_hat).log_det  # PD check doubles as SOS witness
+    except NotPositiveDefiniteError as err:
+        raise DegenerateDesignError(
+            f"the scaled dual matrix is singular at pivot {err.pivot}: the "
+            "design's information matrix is too ill-conditioned to certify"
+        ) from err
     z_hat = -p_max
     residual = float(
         np.sum(design.weights * (n_d - (n_d / p_max) * support_p))

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -191,8 +192,11 @@ def parse_config(raw: dict) -> dict:
         if not lo < hi:
             raise ConfigError(f"bounding_box[{i}] is empty: [{lo}, {hi}]")
         box_norm.append([lo, hi])
+    ineqs = set_raw.get("inequalities", [])
+    if not isinstance(ineqs, list):
+        raise ConfigError("set.inequalities must be a list of term lists")
     ineqs_norm = []
-    for gi, terms in enumerate(set_raw.get("inequalities", [])):
+    for gi, terms in enumerate(ineqs):
         if not isinstance(terms, list) or not terms:
             raise ConfigError(f"inequalities[{gi}] must be a non-empty term list")
         terms_norm = []
@@ -283,9 +287,18 @@ def parse_config(raw: dict) -> dict:
     )
     output_norm = dict(_DEFAULT_OUTPUT)
     for key, val in output_raw.items():
-        if not isinstance(val, str) or not val:
-            raise ConfigError(f"output.{key} must be a non-empty string")
+        # A plain file name: solve writes it into --out, which it creates.
+        if (not isinstance(val, str) or val in ("", "..") or "\0" in val
+                or Path(val).name != val):
+            raise ConfigError(
+                f"output.{key} must be a file name without a directory, got {val!r}"
+            )
         output_norm[key] = val
+    if len({*output_norm.values(), "timings.json"}) < 3:
+        raise ConfigError(
+            "output.report_json, output.support_csv and timings.json must be "
+            "distinct file names"
+        )
 
     return {
         "dimension": n,
@@ -353,9 +366,14 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
         cands = explicit_candidates(space, np.array(cand_cfg["points"], dtype=float))
     else:
         try:
-            pts = np.loadtxt(cand_cfg["path"], ndmin=2)
+            with warnings.catch_warnings():
+                # An empty file is reported below, as one error line.
+                warnings.simplefilter("ignore", UserWarning)
+                pts = np.loadtxt(cand_cfg["path"], ndmin=2)
         except (OSError, ValueError) as err:
             raise ConfigError(f"point cloud file: {err}") from err
+        if pts.size == 0:
+            raise ConfigError(f"point cloud file has no points: {cand_cfg['path']}")
         if pts.shape[1] != n:
             raise ConfigError(
                 f"point cloud has {pts.shape[1]} columns, expected {n}"

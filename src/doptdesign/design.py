@@ -73,7 +73,8 @@ class CDPolynomial:
     """Christoffel-Darboux polynomial of a design, held as a factorization.
 
     p(x) = v(x)^T M^{-1} v(x) is evaluated as ||L^{-1} v(x)||^2, with L^{-1}
-    formed once by forward substitution and applied to every point at once.
+    formed once per factor (`spd.SpdFactor.inv_chol`) and applied to every
+    point at once.
     Positive definiteness of M makes p a sum of squares, so p(x) >= 0
     everywhere, and p(x) > 0 since the constant basis component is 1.
     """

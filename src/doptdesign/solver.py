@@ -49,11 +49,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spd
 from .basis import enumerate_basis, outer_position_map, vandermonde
 from .design import DesignMeasure
-from .errors import DegenerateDesignError, TooFewCandidatesError
+from .errors import (
+    DegenerateDesignError,
+    NotPositiveDefiniteError,
+    TooFewCandidatesError,
+)
 from .semialg import CandidateSet
-from .spd import pivot_tolerance
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -95,36 +99,18 @@ class SolveResult:
     prune_rolled_back: bool = False
 
 
-def _factor(m: np.ndarray):
-    """Cholesky factor of m, or None when m is singular to working precision.
-
-    A pivot fails when its square is not above `pivot_tolerance` of m's
-    largest diagonal entry, a scale-aware test.
-    """
-    try:
-        l = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-    # m is small, so scalar min/max over Python floats beat array calls.
-    # Squaring is monotone on the positive pivots: min(d)^2 = min(d^2).
-    d_min = min(l.diagonal().tolist())
-    if d_min * d_min <= pivot_tolerance(m.shape[0], max(m.diagonal().tolist())):
-        return None
-    return l
-
-
 class _Iterate:
     """One evaluated iterate: weights w on the rows `support` of the candidates.
 
     rows holds those rows of the degree-2d Vandermonde matrix V2 and pos =
     outer_position_map(basis_d, basis_2d).  The evaluation, made once when
-    the iterate is built, forms y = rows^T w, M(w) = y[pos], its Cholesky
-    factor L, li = L^{-1}, m_inv = M^{-1}, c with c_g the sum of M^{-1}_ij
-    over pos_ij = g, and p = V2 c on every candidate; the support's p is
-    p[support].  M(w) is tiny and call overhead dominates, so an evaluation
-    makes two `np.linalg` calls: the Cholesky factor of M(w), then L^{-1}.
+    the iterate is built, forms y = rows^T w, M(w) = y[pos], its factor
+    `spd.factorize(M(w))`, and reads from that factor log det M(w), li =
+    L^{-1} and m_inv = M^{-1}; then c with c_g the sum of M^{-1}_ij over
+    pos_ij = g, and p = V2 c on every candidate; the support's p is
+    p[support].
 
-    Raises DegenerateDesignError when M(w) is singular to working precision.
+    Raises DegenerateDesignError when M(w) fails the factor's pivot test.
     """
 
     def __init__(self, v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
@@ -132,15 +118,16 @@ class _Iterate:
         self.support, self.w, self.pos = support, w, pos
         self.rows = v2[support]
         y = np.dot(w, self.rows)
-        l = _factor(y[pos])
-        if l is None:
+        try:
+            factor = spd.factorize(y[pos])
+        except NotPositiveDefiniteError:
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
                 "the model"
-            )
-        self.log_det = 2.0 * float(np.log(l.diagonal()).sum())
-        self.li = np.linalg.inv(l)
-        self.m_inv = np.dot(self.li.T, self.li)
+            ) from None
+        self.log_det = factor.log_det
+        self.li = factor.inv_chol
+        self.m_inv = spd.inverse(factor)
         self.p = np.dot(v2, np.bincount(pos.ravel(), self.m_inv.ravel(),
                                         minlength=y.size))
 
@@ -226,14 +213,14 @@ def _newton_step(it: _Iterate):
     Returns (support, weights, rise in log det) without the dropped atom, or
     None when log det does not rise; the engine then takes the exchange.
 
-    Raises np.linalg.LinAlgError when A * A fails the pivot test, which
-    happens exactly when the support's degree-2d moment rows are dependent.
+    Raises NotPositiveDefiniteError when A * A fails the pivot test of
+    `spd.factorize`, which happens exactly when the support's degree-2d
+    moment rows are dependent.
     """
     vd = it.rows[:, :it.m_inv.shape[0]]
     a = np.dot(vd, np.dot(it.m_inv, vd.T))
     a *= a
-    if _factor(a) is None:
-        raise np.linalg.LinAlgError("the Newton system is singular")
+    spd.factorize(a)  # the pivot test only
     w = it.w
     u = np.linalg.solve(a, np.ones(w.size))
     delta = w - u / u.sum()
@@ -319,7 +306,7 @@ def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
             return it.support, it.w, trace, bool(it.p[k] <= target)
         try:
             step = _newton_step(it) if it.p[it.support].max() > target else None
-        except np.linalg.LinAlgError:
+        except NotPositiveDefiniteError:
             step = None
             support, w = _reduce(v2, it.support, it.w)
             if support.size < it.support.size:  # else round-off: exchange instead

@@ -1,18 +1,18 @@
 """Dense symmetric positive-definite kernel: Cholesky factor, solves, log-det.
 
-Only the lower triangle of the input is read, so the factorization is
-symmetric by construction.  Failure is a signal, not a nuisance: no jitter or
-regularization is ever applied, because in this package a singular matrix
-always means a degenerate design.
+The package's one Cholesky kernel: the solver, the certificate and the
+ellipsoid all factor through `factorize`.  Only the lower triangle of the
+input is read, so the factorization is symmetric by construction.  Failure
+is a signal, not a nuisance: no jitter or regularization is ever applied,
+because in this package a singular matrix always means a degenerate design.
 
-numpy's `linalg.cholesky` gives the factor; the solves apply an explicit
-L^{-1}, built by forward substitution, as one matrix product, which on an
-(n, N) block is several times faster than a general solve.
+numpy's `linalg.cholesky` gives the factor L and `linalg.inv` its inverse
+L^{-1}, formed at most once per factor, on first use.  The solves apply
+L^{-1} as one matrix product, which on an (n, N) block is several times
+faster than a general solve.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,16 +21,30 @@ from .errors import DimensionMismatchError, NotPositiveDefiniteError
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
 class SpdFactor:
-    """Lower-triangular Cholesky factor L with L L^T = A and positive diagonal."""
+    """Cholesky factor L (L L^T = A, positive diagonal) and log det A.
 
-    chol: np.ndarray
-    log_det: float
+    Read-only: L^{-1} is formed on first use and kept.  A slotted class, as a
+    frozen dataclass's constructor would slow the solver's factor per iterate.
+    """
+
+    __slots__ = ("chol", "log_det", "_inv_chol")
+
+    def __init__(self, chol: np.ndarray, log_det: float):
+        self.chol = chol
+        self.log_det = log_det
+        self._inv_chol = None
 
     @property
     def size(self) -> int:
         return self.chol.shape[0]
+
+    @property
+    def inv_chol(self) -> np.ndarray:
+        """L^{-1}, lower triangular; `np.linalg.inv` runs once per factor."""
+        if self._inv_chol is None:
+            self._inv_chol = np.linalg.inv(self.chol)
+        return self._inv_chol
 
 
 def pivot_tolerance(m: int, max_diag: float) -> float:
@@ -41,8 +55,9 @@ def pivot_tolerance(m: int, max_diag: float) -> float:
 def _failed_pivot(a: np.ndarray, tol: float) -> int:
     """Index of the first elimination pivot of a (lower triangle) not above tol.
 
-    Runs only after `np.linalg.cholesky` has failed, which does not say where.
-    Should round-off let every pivot pass here, the smallest one is named.
+    Runs only after a failure: `np.linalg.cholesky` does not say where it
+    stopped, nor which pivot failed the tolerance.  Should round-off let
+    every pivot pass here, the smallest one is named.
     """
     s = np.tril(a)  # the update below reads only the lower triangle
     pivots = np.empty(s.shape[0])
@@ -62,36 +77,31 @@ def factorize(a) -> SpdFactor:
     factorization; the raised error carries the index of the offending pivot.
 
     Raises:
+        DimensionMismatchError: if a is not a non-empty square matrix.
         NotPositiveDefiniteError: if a is not numerically positive definite.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    # fmax skips a NaN on the diagonal, whose pivot then fails on its own.
-    tol = pivot_tolerance(a.shape[0], float(np.fmax.reduce(a.diagonal(), initial=0.0)))
+    a = np.asarray(a, float)
+    shape = a.shape
+    if len(shape) != 2 or not 0 < shape[0] == shape[1]:
+        raise DimensionMismatchError(f"expected a non-empty square matrix, got {shape}")
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(pivot=_failed_pivot(a, tol)) from None
-    # The elimination pivots are the squared diagonal entries of L.
-    diag = chol.diagonal()
-    below = np.flatnonzero(~(diag * diag > tol))
-    if below.size:
-        raise NotPositiveDefiniteError(pivot=int(below[0]))
-    log_det = 2.0 * float(np.log(diag).sum())
-    chol.flags.writeable = False
-    return SpdFactor(chol=chol, log_det=log_det)
-
-
-def _inverse_chol(f: SpdFactor) -> np.ndarray:
-    """L^{-1}, lower triangular, by forward substitution on L X = I."""
-    l = f.chol
-    x = np.zeros_like(l)
-    for i in range(f.size):
-        x[i, i] = 1.0
-        x[i] -= np.dot(l[i, :i], x[:i])
-        x[i] /= l[i, i]
-    return x
+        pass
+    else:
+        # The elimination pivots are the squared diagonal entries of L.  The
+        # solver's matrices are small, so the test takes scalar min/max over
+        # Python floats, not array calls, and np.add.reduce skips the Python
+        # wrapper of ndarray.sum.  A NaN pivot makes log_det NaN and fails it.
+        diag = chol.diagonal()
+        log_det = 2.0 * float(np.add.reduce(np.log(diag)))
+        d_min = min(diag.tolist())
+        if (d_min * d_min > pivot_tolerance(shape[0], max(a.diagonal().tolist()))
+                and log_det == log_det):
+            return SpdFactor(chol, log_det)
+    # fmax skips a NaN on the diagonal, whose pivot then fails on its own.
+    tol = pivot_tolerance(shape[0], float(np.fmax.reduce(a.diagonal(), initial=0.0)))
+    raise NotPositiveDefiniteError(pivot=_failed_pivot(a, tol))
 
 
 def solve(f: SpdFactor, b) -> np.ndarray:
@@ -101,7 +111,7 @@ def solve(f: SpdFactor, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side has length {b.shape[0]}, factor has size {f.size}"
         )
-    li = _inverse_chol(f)
+    li = f.inv_chol
     return np.dot(li.T, np.dot(li, b))
 
 
@@ -113,11 +123,11 @@ def quad_form_inv_many(f: SpdFactor, rows) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected vectors of shape (N, {f.size}), got {rows.shape}"
         )
-    z = np.dot(_inverse_chol(f), rows.T)
+    z = np.dot(f.inv_chol, rows.T)
     return np.einsum("ij,ij->j", z, z)
 
 
 def inverse(f: SpdFactor) -> np.ndarray:
-    """Explicit A^{-1}; used only where a whole matrix must be reported."""
-    li = _inverse_chol(f)
-    return li.T @ li
+    """Explicit A^{-1} = L^{-T} L^{-1}."""
+    li = f.inv_chol
+    return np.dot(li.T, li)

@@ -3,8 +3,11 @@ import pytest
 
 from doptdesign import (
     CandidateSet,
+    DegenerateDesignError,
+    SemiAlgebraicSet,
     SolverConfig,
     build_certificate,
+    grid_candidates,
     solve,
     validate_dual_feasibility,
 )
@@ -199,6 +202,17 @@ def test_sos_witness_x_hat_factorizes():
             SolverConfig(max_iters=50),
         )
         factorize(cert.x_hat)  # raises if not positive definite
+
+
+def test_ill_conditioned_design_raises_degenerate_design_error():
+    # The 401-point grid on [-1, 1] at d = 22, after 50 steps: M(w) passes
+    # its pivot test, but X formed from its factor fails the SOS witness's
+    # (at pivot 21).  The certificate calls that a degenerate design.
+    interval = SemiAlgebraicSet(n=1, inequalities=(), bounding_box=((-1.0, 1.0),))
+    cands = grid_candidates(interval, 401)
+    res = solve(cands, 22, SolverConfig(max_iters=50))
+    with pytest.raises(DegenerateDesignError, match="pivot"):
+        build_certificate(res.design, cands, 22)
 
 
 def test_validate_on_training_candidates():

@@ -339,6 +339,45 @@ def test_solve_enormous_exponent_exits_config(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("inequalities", [5, None, True, 1.5, {}])
+def test_solve_inequalities_not_a_list_exits_config(tmp_path, capsys, inequalities):
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["set"]["inequalities"] = inequalities
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "output",
+    [
+        {"report_json": "nodir/r.json"},
+        {"support_csv": "/abs/s.csv"},
+        {"report_json": ".."},
+        {"report_json": "r\0.json"},
+        {"report_json": "out.txt", "support_csv": "out.txt"},
+        {"support_csv": "report.json"},
+        {"report_json": "timings.json"},
+    ],
+    ids=[
+        "directory", "absolute", "parent", "nul", "equal", "default-report", "timings",
+    ],
+)
+def test_solve_output_names_must_be_distinct_plain_names(tmp_path, capsys, output):
+    cfg = dict(PAIR_CONFIG, output=output)
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_solve_writes_renamed_outputs(tmp_path):
+    cfg = dict(PAIR_CONFIG, output={"report_json": "r.json", "support_csv": "s.csv"})
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["r.json", "s.csv", "timings.json"]
+
+
 @pytest.mark.parametrize("grid", ["candidates", "validation"])
 def test_solve_unallocatable_grid_exits_config(tmp_path, capsys, grid):
     # 10^5 points per axis of a cube is 10^15 points, 21 PiB of coordinates:
@@ -474,6 +513,67 @@ def test_solve_malformed_point_cloud_exits_config(tmp_path, capsys):
     cfg = json.loads(json.dumps(PAIR_CONFIG))
     cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
     assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path), True) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["", "# no points\n\n"], ids=["empty", "comment"])
+def test_solve_empty_point_cloud_prints_one_error_line(tmp_path, text):
+    # In a fresh interpreter, so that stderr holds whatever a user would see,
+    # numpy's warnings included.
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text(text)
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
+    config = write_config(tmp_path, cfg)
+    code = (
+        "import sys; from doptdesign import cli; "
+        f"sys.exit(cli.main(['solve', '--config', {config!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--quiet']))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1, run.stderr
+
+
+# The 401-point grid on [-1, 1] at degree 22, stopped after 50 steps: the
+# design's information matrix factors, but the certificate's scaled dual
+# matrix fails its pivot test.
+ILL_CONDITIONED_CONFIG = {
+    "dimension": 1,
+    "degree": 22,
+    "set": {"bounding_box": [[-1.0, 1.0]]},
+    "candidates": {"source": "grid", "resolution": 401},
+    "solver": {"max_iters": 50},
+}
+
+
+def test_solve_and_certify_an_ill_conditioned_design_exit_degenerate(
+    tmp_path, capsys
+):
+    out = tmp_path / "out"
+    code = cmd_solve(write_config(tmp_path, ILL_CONDITIONED_CONFIG), str(out), True)
+    assert code == EXIT_DEGENERATE
+    assert_one_error_line(capsys)
+    assert not (out / "report.json").exists()
+    # certify rebuilds the certificate from a report's config and design, so
+    # a report carrying that design exits 3 as well.
+    cfg = parse_config(ILL_CONDITIONED_CONFIG)
+    _, cands = cli.build_problem(cfg)
+    res = cli.solve(cands, 22, cli.SolverConfig(**cfg["solver"]))
+    report = {
+        "config": cfg,
+        "n_d": 23,
+        "objective": 0.0,
+        "p_max": 23.0,
+        "design": {
+            "points": res.design.candidates.points,
+            "weights": res.design.weights,
+        },
+        "certificate": {"gap": 0.0, "x_hat": np.eye(23)},
+    }
+    assert run_on_report("certify", report, tmp_path) == EXIT_DEGENERATE
     assert_one_error_line(capsys)
 
 

@@ -93,9 +93,19 @@ CONFIG_ENTRIES = {
     "degree": INTS,
     "validation_resolution": INTS,
     "seed": INTS,  # not a key (runs are deterministic): probes the unknown-key path
-    "set": st.fixed_dictionaries(
-        {"bounding_box": st.lists(st.lists(NUMBERS, max_size=3), max_size=2)},
-        optional={"inequalities": st.one_of(st.lists(TERMS, max_size=2), VALUES)},
+    "set": st.one_of(
+        st.fixed_dictionaries(
+            {"bounding_box": st.lists(st.lists(NUMBERS, max_size=3), max_size=2)},
+            optional={"inequalities": st.one_of(st.lists(TERMS, max_size=2), VALUES)},
+        ),
+        # A random box is almost never valid, and the inequalities are parsed
+        # only after a valid one, so they are also drawn behind a fixed box.
+        st.fixed_dictionaries(
+            {
+                "bounding_box": st.just([[-1.0, 1.0]]),
+                "inequalities": st.one_of(st.lists(TERMS, max_size=2), VALUES),
+            }
+        ),
     ),
     "candidates": st.one_of(
         st.fixed_dictionaries({"source": st.just("grid"), "resolution": INTS}),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from doptdesign import (
     CandidateSet,
     DegenerateDesignError,
+    NotPositiveDefiniteError,
     SemiAlgebraicSet,
     SolverConfig,
     SparsePolynomial,
@@ -317,7 +318,7 @@ def test_reduce_runs_only_on_a_singular_newton_system(monkeypatch):
     def newton_step(it):
         try:
             return real_step(it)
-        except np.linalg.LinAlgError:
+        except NotPositiveDefiniteError:
             singular.append(it.w.size)
             raise
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doptdesign import DimensionMismatchError, NotPositiveDefiniteError
-from doptdesign.spd import factorize, pivot_tolerance, quad_form_inv_many
+from doptdesign.spd import factorize, inverse, pivot_tolerance, quad_form_inv_many
 from doptdesign.spd import solve as spd_solve
 
 from oracles import dense_quad_form_inv, reference_cholesky
@@ -39,6 +39,16 @@ def test_scale_aware_threshold():
     a = np.array([[1e8, 1e4], [1e4, 1.0 + 1e-12]])  # Schur complement ~ 1e-12
     with pytest.raises(NotPositiveDefiniteError):
         factorize(a)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(3,), (2, 3), (0, 0), (2, 2, 2)],
+    ids=["vector", "wide", "empty", "stacked"],
+)
+def test_factorize_needs_a_non_empty_square_matrix(shape):
+    with pytest.raises(DimensionMismatchError):
+        factorize(np.ones(shape))
 
 
 def test_solve_identity():
@@ -239,3 +249,35 @@ def test_upper_triangle_is_never_read():
     f, g = factorize(a), factorize(garbage)
     assert np.array_equal(f.chol, g.chol)
     assert f.log_det == g.log_det
+
+
+def test_inv_chol_inverts_the_factor():
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 5, 15, 40):
+        b = rng.standard_normal((m, m))
+        f = factorize(b @ b.T + np.eye(m))
+        assert np.allclose(f.inv_chol @ f.chol, np.eye(m), atol=1e-12)
+        assert np.allclose(np.triu(f.inv_chol, 1), 0.0, atol=1e-12)
+
+
+def test_one_factor_forms_its_inverse_once(monkeypatch):
+    # solve, inverse and quad_form_inv_many all read the factor's L^{-1};
+    # np.linalg.inv runs on the first of them only.
+    calls = []
+    real_inv = np.linalg.inv
+
+    def spy(x):
+        calls.append(x.shape)
+        return real_inv(x)
+
+    a = np.array([[4.0, 2.0, 0.5], [2.0, 3.0, 1.0], [0.5, 1.0, 2.0]])
+    f = factorize(a)
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    x = spd_solve(f, np.ones(3))
+    a_inv = inverse(f)
+    q = quad_form_inv_many(f, np.eye(3))
+    assert calls == [(3, 3)]
+    assert np.allclose(a @ x, 1.0)
+    assert np.allclose(a_inv @ a, np.eye(3))
+    assert np.allclose(q, a_inv.diagonal())
+
