@@ -85,36 +85,41 @@ def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
 def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     """Evaluate the basis at many points: row i is v(points[i]).
 
-    Returns an array of shape (npoints, basis.size).  This is the one place
-    where monomials are computed, so it is the one place that checks them.
+    Returns a C-ordered array of shape (npoints, basis.size).  This is the one
+    place where monomials are computed, so it is the one place that checks
+    them.  Each coordinate's powers are contiguous vectors, x^e = x^(e-1) * x,
+    and a monomial multiplies its factors x_j^e_j in the order j = 0, ..., n-1;
+    it is built as a contiguous row of the transposed table, which is copied
+    into C order once at the end.
 
     Raises:
         FloatRangeError: if a monomial is not a finite float at some
-            point (|x|^k beyond the float range, or a non-finite coordinate).
+            point (|x|^k beyond the float range, or a non-finite coordinate);
+            the message names the first such point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
         raise DimensionMismatchError(
             f"expected points of shape (N, {basis.n}), got {pts.shape}"
         )
-    # Powers table per coordinate, then product across coordinates per index.
-    npts = pts.shape[0]
-    out = np.ones((npts, basis.size))
+    table = np.ones((basis.size, pts.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = [
-            np.vander(pts[:, j], basis.d + 1, increasing=True)
-            for j in range(basis.n)
-        ]
-        for k, alpha in enumerate(basis.indices):
-            col = out[:, k]
-            for j, e in enumerate(alpha):
+        powers = []
+        for x in pts.T:
+            xe = [None, np.ascontiguousarray(x)]  # xe[e] is x^e for e >= 1
+            for _ in range(2, basis.d + 1):
+                xe.append(xe[-1] * xe[1])
+            powers.append(xe)
+        for row, alpha in zip(table, basis.indices):
+            for xe, e in zip(powers, alpha):
                 if e:
-                    col *= powers[j][:, e]
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
+                    row *= xe[e]
+    out = np.ascontiguousarray(table.T)
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=1)
         raise FloatRangeError(
             f"a monomial of degree <= {basis.d} is not a finite float "
-            f"at the point {pts[~finite][0].tolist()}"
+            f"at the point {pts[bad][0].tolist()}"
         )
     return out
 

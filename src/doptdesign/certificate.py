@@ -137,7 +137,6 @@ def build_certificate(
     support_p = cd_profile(poly, design.candidates.points)
     p_max = max(float(p_values.max()), float(n_d))
     x_hat = (n_d / p_max) * spd.inverse(poly.factor)
-    x_hat = 0.5 * (x_hat + x_hat.T)  # symmetrize away solve round-off
     try:
         dual = spd.factorize(x_hat).log_det  # PD check doubles as SOS witness
     except NotPositiveDefiniteError as err:

@@ -16,6 +16,7 @@ violation; the report is still written) or a report that fails its audit,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -466,6 +467,19 @@ def _one_line_errors(cmd):
     return run
 
 
+@contextlib.contextmanager
+def _out_dir(out_dir: str):
+    """The --out directory, created if it is missing.  An OSError from
+    creating it or from a write inside the block (--out names a file, or a
+    directory sits where an output file goes) becomes a ConfigError."""
+    try:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except OSError as err:
+        raise ConfigError(f"cannot write to --out {out_dir}: {err}") from err
+
+
 def _gate(cert, grid: CandidateSet, epsilon: float):
     """The quality gate of `solve` and `certify`.
 
@@ -516,21 +530,20 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
 
     t0 = time.perf_counter()
     report = _assemble_report(cfg, result, cert, validation)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / cfg["output"]["report_json"]
-    report_path.write_text(dump_json(report))
-    _write_csv(
-        out / cfg["output"]["support_csv"],
-        [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
-        np.column_stack(
-            [result.design.candidates.points, result.design.weights, cert.support_p]
-        ),
-    )
-    timings["report"] = time.perf_counter() - t0
-    (out / "timings.json").write_text(
-        json.dumps({k: round(v, 6) for k, v in timings.items()}, indent=1) + "\n"
-    )
+    with _out_dir(out_dir) as out:
+        report_path = out / cfg["output"]["report_json"]
+        report_path.write_text(dump_json(report))
+        _write_csv(
+            out / cfg["output"]["support_csv"],
+            [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
+            np.column_stack(
+                [result.design.candidates.points, result.design.weights, cert.support_p]
+            ),
+        )
+        timings["report"] = time.perf_counter() - t0
+        (out / "timings.json").write_text(
+            json.dumps({k: round(v, 6) for k, v in timings.items()}, indent=1) + "\n"
+        )
 
     if not quiet:
         print(f"report: {report_path}")
@@ -671,17 +684,16 @@ def cmd_eval_cd(
     grid = _grid(space, grid_resolution)
     level = levelset_report(cert, grid)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "cd_profile.csv"
-    _write_csv(
-        csv_path,
-        [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"],
-        np.column_stack(
-            [grid.points, cd_profile(cert.polynomial, grid.points), level.values]
-        ),
-        level.inside,
-    )
+    with _out_dir(out_dir) as out:
+        csv_path = out / "cd_profile.csv"
+        _write_csv(
+            csv_path,
+            [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"],
+            np.column_stack(
+                [grid.points, cd_profile(cert.polynomial, grid.points), level.values]
+            ),
+            level.inside,
+        )
     if not quiet:
         print(f"cd profile: {csv_path} ({grid.size} points)")
     return EXIT_OK
@@ -693,10 +705,9 @@ def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
     rebuilt x_hat."""
     _, _, cert = _audit_report(report_path)
     payload = asdict(extract_ellipsoid(cert))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "ellipsoid.json"
-    path.write_text(dump_json(payload))
+    with _out_dir(out_dir) as out:
+        path = out / "ellipsoid.json"
+        path.write_text(dump_json(payload))
     if not quiet:
         print(f"ellipsoid: {path}")
         print(dump_json(payload), end="")

@@ -8,13 +8,18 @@ filtered by membership or an explicit point list.
 
 One evaluator serves both: it takes each coordinate as its own array, and the
 arrays broadcast together.  An explicit list passes its columns; a grid passes
-its n axes of r points, each lying along its own dimension, so membership is
-computed in the grid's r^n shape without its (r^n, n) coordinate array, and
-only the members' points are built.
+its n axes of r points, each lying along its own dimension, so the grid's
+(r^n, n) coordinate array is never formed, and only the members' points are
+built.  Each polynomial, and each axis's box test, is evaluated on the
+broadcast shape of only the coordinates it uses: on a grid, a half-space
+x_j >= a costs r operations, not r^n.  The tests are then combined into one
+membership mask of the full shape.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,20 +72,25 @@ def _values(p: SparsePolynomial, xs) -> np.ndarray:
     along dimension j.
 
     Each term is c times x_j^e_j for j = 0, ..., n-1 in turn, and the terms are
-    summed in the order of p.terms, so every layout gives the same bits."""
-    vals = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
+    added to 0.0 in the order of p.terms, so every layout gives the same bits.
+    The sums are formed out of place, so the result has the broadcast shape of
+    only the coordinates p uses (0-d when p is constant), and each partial sum
+    has the shape of the terms added so far."""
+    vals = 0.0
     for alpha, c in p.terms.items():
         term = c
         for x, e in zip(xs, alpha):
             if e:
                 term = term * x**e
-        vals += term
-    return vals
+        vals = vals + term
+    return np.asarray(vals)
 
 
 def eval_poly_many(p: SparsePolynomial, pts) -> np.ndarray:
-    """Evaluate p at each row of pts, an (N, p.n) array."""
-    return _values(p, _rows(pts, p.n).T)
+    """Evaluate p at each row of pts, an (N, p.n) array; returns a new (N,)
+    array, also when p is constant."""
+    pts = _rows(pts, p.n)
+    return np.array(np.broadcast_to(_values(p, pts.T), pts.shape[:1]))
 
 
 @dataclass(frozen=True)
@@ -136,15 +146,27 @@ class CandidateSet:
 
 def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
     """Closed membership of the points whose coordinates are xs (as for
-    `_values`): inside the box and every g_j(x) >= 0."""
-    mask = np.ones(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
-    for x, (lo, hi) in zip(xs, s.bounding_box):
-        mask &= (x >= lo) & (x <= hi)
-    for g in s.inequalities:
-        if not mask.any():
+    `_values`): inside the box and every g_j(x) >= 0.
+
+    Each axis's box test and each g_j >= 0 is evaluated on the broadcast shape
+    of the coordinates it uses, and tests of one shape are combined on that
+    shape; once a combined test holds nowhere, no later test is evaluated.
+    The combined tests then meet smallest first, and a grid's single-axis
+    tests in axis order, so they fill the full shape in one pass.  The result
+    is an array of its own with the full broadcast shape, allocated before any
+    test runs, so a grid too large to hold fails at once."""
+    mask = np.empty(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
+    box = ((x >= lo) & (x <= hi) for x, (lo, hi) in zip(xs, s.bounding_box))
+    tests: dict[tuple[int, ...], np.ndarray] = {}
+    for ok in itertools.chain(box, (_values(g, xs) >= 0.0 for g in s.inequalities)):
+        if ok.shape in tests:
+            tests[ok.shape] &= ok
+        else:
+            tests[ok.shape] = ok
+        if not tests[ok.shape].any():
             break
-        mask &= _values(g, xs) >= 0.0
-    return mask
+    *first, last = sorted(tests.values(), key=np.size)
+    return np.logical_and(functools.reduce(np.logical_and, first, True), last, out=mask)
 
 
 def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
@@ -192,13 +214,21 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
     members = pts[membership_mask(s, pts)]
     if members.shape[0] == 0:
         raise EmptyCandidateSetError("all explicit candidate points were rejected")
-    # A stable sort puts equal rows next to each other in input order; the
-    # first of each run is kept.  Floats compare -0.0 equal to 0.0, so the
-    # two spellings are one point.
-    order = np.lexsort(members.T)
-    rows = members[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    keep = np.zeros(len(order), dtype=bool)
-    keep[order[first]] = True
+    # Only rows whose last coordinate repeats can be duplicates.  A stable
+    # sort of the last coordinate finds them; a stable sort of their rows puts
+    # equal rows next to each other in input order, and the first of each run
+    # is kept.  Floats compare -0.0 equal to 0.0, so the two spellings are one
+    # point.
+    by_last = np.argsort(members[:, -1], kind="stable")
+    last = members[by_last, -1]
+    tied = np.zeros(len(last), dtype=bool)
+    tied[1:] = last[1:] == last[:-1]
+    tied[:-1] |= tied[1:]
+    maybe = by_last[tied]
+    rows = members[maybe]
+    order = np.lexsort(rows.T)
+    later = np.zeros(len(order), dtype=bool)
+    later[1:] = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
+    keep = np.ones(len(members), dtype=bool)
+    keep[maybe[order[later]]] = False
     return CandidateSet(points=members[keep])

@@ -128,6 +128,8 @@ def quad_form_inv_many(f: SpdFactor, rows) -> np.ndarray:
 
 
 def inverse(f: SpdFactor) -> np.ndarray:
-    """Explicit A^{-1} = L^{-T} L^{-1}."""
+    """Explicit A^{-1} = L^{-T} L^{-1}, exactly symmetric: numpy forms the
+    product of a matrix's transpose with itself as one symmetric rank-k
+    update and mirrors its triangle."""
     li = f.inv_chol
     return np.dot(li.T, li)

@@ -290,3 +290,64 @@ def product_grid(bounding_box, resolution: int) -> np.ndarray:
     point, first coordinate varying slowest."""
     axes = [np.linspace(lo, hi, resolution) for lo, hi in bounding_box]
     return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
+
+
+# Straightforward bulk kernels: each evaluates on the full broadcast shape or
+# through numpy's generic routines.  The package's kernels must match them
+# bit for bit.
+
+
+def reference_vandermonde(indices, d: int, pts: np.ndarray):
+    """Monomial table from np.vander's power table of each coordinate, each
+    column multiplied in place in coordinate order.  Returns (table, i) where
+    i is the first row holding a non-finite monomial, or None."""
+    pts = np.asarray(pts, dtype=float)
+    out = np.ones((pts.shape[0], len(indices)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [
+            np.vander(pts[:, j], d + 1, increasing=True) for j in range(pts.shape[1])
+        ]
+        for k, alpha in enumerate(indices):
+            for j, e in enumerate(alpha):
+                if e:
+                    out[:, k] *= powers[j][:, e]
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    return out, (int(bad[0]) if bad.size else None)
+
+
+def reference_values(terms: dict, xs) -> np.ndarray:
+    """A polynomial given as {exponents: coefficient} at the points whose
+    coordinates are the broadcasting arrays xs, on their full broadcast
+    shape: terms added in place to zeros, in dictionary order."""
+    vals = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
+    for alpha, c in terms.items():
+        term = c
+        for x, e in zip(xs, alpha):
+            if e:
+                term = term * x**e
+        vals += term
+    return vals
+
+
+def reference_members(bounding_box, inequalities, xs) -> np.ndarray:
+    """Closed membership on the full broadcast shape of xs: the box tests,
+    then each inequality's terms (dictionaries as for reference_values)."""
+    mask = np.ones(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
+    for x, (lo, hi) in zip(xs, bounding_box):
+        mask &= (x >= lo) & (x <= hi)
+    for terms in inequalities:
+        mask &= reference_values(terms, xs) >= 0.0
+    return mask
+
+
+def reference_first_rows(rows: np.ndarray) -> np.ndarray:
+    """rows without repeats, the first occurrence of each kept, in input
+    order: one stable np.lexsort of every row puts equal rows (-0.0 equal to
+    0.0) next to each other in input order."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    keep = np.zeros(len(order), dtype=bool)
+    keep[order[first]] = True
+    return rows[keep]

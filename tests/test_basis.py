@@ -6,7 +6,7 @@ import pytest
 from doptdesign import DimensionMismatchError, FloatRangeError, InvalidDimensionError
 from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
 
-from oracles import monomial_design_matrix
+from oracles import monomial_design_matrix, reference_vandermonde
 
 
 def test_enumerate_univariate_quadratic():
@@ -136,3 +136,28 @@ def test_vandermonde_rejects_monomials_beyond_the_float_range(x):
 def test_vandermonde_keeps_large_finite_monomials():
     v = vandermonde(enumerate_basis(1, 3), [[1e80]])
     assert v[0].tolist() == [1.0, 1e80, 1e160, 1e240]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_vandermonde_matches_vander_oracle_bitwise(n, d):
+    # Random rows, -0.0, and rows whose monomials overflow (1e200^2) or are
+    # NaN, planted at random places; the error names the first bad row.
+    rng = np.random.default_rng(100 * n + d)
+    basis = enumerate_basis(n, d)
+    for trial in range(6):
+        pts = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 40)), n))
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        if trial >= 2:
+            rows = rng.integers(0, len(pts), int(rng.integers(1, 3)))
+            cols = rng.integers(0, n, rows.size)
+            pts[rows, cols] = rng.choice([1e200, -1e200, np.nan, np.inf], rows.size)
+        expected, bad = reference_vandermonde(basis.indices, d, pts)
+        if bad is None:
+            got = vandermonde(basis, pts)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(FloatRangeError) as err:
+                vandermonde(basis, pts)
+            assert str(err.value).endswith(f"at the point {pts[bad].tolist()}")

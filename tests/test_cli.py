@@ -398,6 +398,50 @@ def test_solve_unallocatable_grid_exits_config(tmp_path, capsys, grid):
     assert_one_error_line(capsys)
 
 
+def test_solve_unallocatable_half_space_grid_exits_config(tmp_path, capsys):
+    # The simplex's three single-axis half-spaces x_j + 1 >= 0 are each tested
+    # on one axis of 10^5 points, so no full-size inequality builds the mask;
+    # the 10^15-point mask itself is allocated first and fails at once.
+    half_space = [
+        [{"exponents": [int(i == j) for i in range(3)], "coeff": 1.0},
+         {"exponents": [0, 0, 0], "coeff": 1.0}]
+        for j in range(3)
+    ]
+    cfg = {
+        "dimension": 3,
+        "degree": 1,
+        "set": {"bounding_box": [[-1.0, 3.0]] * 3, "inequalities": half_space},
+        "candidates": {"source": "grid", "resolution": 3},
+        "validation_resolution": 10**5,
+    }
+    code = cmd_solve(write_config(tmp_path, cfg), str(tmp_path / "out"), True)
+    assert code == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "eval-cd", "ellipsoid"])
+@pytest.mark.parametrize("blocker", ["out-is-a-file", "output-is-a-directory"])
+def test_unwritable_out_exits_config(square_run, tmp_path, capsys, command, blocker):
+    # --out naming an existing file, or a directory where the output file
+    # goes, is one error line with exit 2, not a traceback.
+    assert square_run["code"] == EXIT_OK
+    out = tmp_path / "out"
+    name = {"solve": "report.json", "eval-cd": "cd_profile.csv",
+            "ellipsoid": "ellipsoid.json"}[command]
+    if blocker == "out-is-a-file":
+        out.write_text("")
+    else:
+        (out / name).mkdir(parents=True)
+    report = str(square_run["out"] / "report.json")
+    argv = {
+        "solve": ["solve", "--config", square_run["config"]],
+        "eval-cd": ["eval-cd", "--config", square_run["config"], "--report", report],
+        "ellipsoid": ["ellipsoid", "--report", report],
+    }[command]
+    assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert_one_error_line(capsys)
+
+
 HUGE = 10**21  # np.linspace refuses this many points with a ValueError
 
 

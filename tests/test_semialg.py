@@ -13,9 +13,20 @@ from doptdesign import (
     SparsePolynomial,
     grid_candidates,
 )
-from doptdesign.semialg import eval_poly_many, explicit_candidates, membership_mask
+from doptdesign.semialg import (
+    _members,
+    _values,
+    eval_poly_many,
+    explicit_candidates,
+    membership_mask,
+)
 
-from oracles import product_grid
+from oracles import (
+    product_grid,
+    reference_first_rows,
+    reference_members,
+    reference_values,
+)
 
 
 def unit_disk():
@@ -168,6 +179,108 @@ def test_overflowing_example_has_inf_and_nan_values():
     assert vals[0] == np.inf and np.isnan(vals[-1])
 
 
+@st.composite
+def axis_spaces(draw):
+    """A box in 1 to 3 dimensions with up to 4 inequalities, each a constant,
+    a polynomial in one coordinate (with or without a constant term), or one
+    in several coordinates."""
+    n = draw(st.integers(1, 3))
+    bounding_box = []
+    for _ in range(n):
+        lo = draw(st.floats(-4.0, 4.0))
+        bounding_box.append((lo, lo + draw(st.floats(1e-3, 8.0))))
+    coeffs = st.floats(-5.0, 5.0)
+    inequalities = []
+    for kind in draw(st.lists(st.sampled_from(["constant", "axis", "mixed"]),
+                              max_size=4)):
+        const = {(0,) * n: draw(coeffs)}
+        if kind == "constant":
+            terms = const
+        elif kind == "axis":
+            j = draw(st.integers(0, n - 1))
+            powers = draw(st.dictionaries(st.integers(1, 4), coeffs, min_size=1,
+                                          max_size=3))
+            terms = {tuple(e if i == j else 0 for i in range(n)): c
+                     for e, c in powers.items()}
+            if draw(st.booleans()):
+                terms.update(const)
+        else:
+            exponents = st.tuples(*[st.integers(0, 3)] * n)
+            terms = draw(st.dictionaries(exponents, coeffs, min_size=1, max_size=4))
+        inequalities.append(SparsePolynomial(n, terms))
+    return SemiAlgebraicSet(n, tuple(inequalities), tuple(bounding_box))
+
+
+# x^4 - x^5 >= 0 on the second axis of [-1, 1] x [-1e80, 1e80]: its values at
+# the axis's ends are inf and NaN, on one axis only.  The second inequality
+# uses both coordinates and stays finite.
+OVERFLOWING_AXIS = SemiAlgebraicSet(
+    2,
+    (SparsePolynomial(2, {(0, 4): 1.0, (0, 5): -1.0}),
+     SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1e-161})),
+    ((-1.0, 1.0), (-1e80, 1e80)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(space=axis_spaces(), resolution=st.integers(2, 7))
+@example(space=OVERFLOWING, resolution=5)
+@example(space=OVERFLOWING_AXIS, resolution=5)
+def test_grid_membership_matches_full_shape_oracle_bitwise(space, resolution):
+    # Each inequality evaluated on its own coordinates' shape gives, once
+    # broadcast, the bits of the evaluation on the full grid, and membership
+    # gives the full-shape mask as an array of its own.
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in space.bounding_box]
+    xs = np.meshgrid(*axes, indexing="ij", sparse=True)
+    full = (resolution,) * space.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in space.inequalities:
+            got = _values(g, xs)
+            assert got.ndim <= space.n
+            expected = reference_values(g.terms, xs)
+            assert np.broadcast_to(got, full).tobytes() == expected.tobytes()
+        mask = _members(space, xs)
+        expected = reference_members(
+            space.bounding_box, [g.terms for g in space.inequalities], xs
+        )
+    assert mask.shape == full and mask.flags.owndata and mask.flags.writeable
+    assert np.array_equal(mask, expected)
+
+
+def test_overflowing_axis_example_has_inf_and_nan_values():
+    xs = np.meshgrid(*[np.linspace(lo, hi, 5) for lo, hi in
+                       OVERFLOWING_AXIS.bounding_box], indexing="ij", sparse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _values(OVERFLOWING_AXIS.inequalities[0], xs)
+        disk = _values(OVERFLOWING_AXIS.inequalities[1], xs)
+    assert vals.shape == (1, 5) and disk.shape == (5, 5)
+    assert vals[0, 0] == np.inf and np.isnan(vals[0, -1])
+    assert np.isfinite(disk).all()
+
+
+def test_membership_skips_inequalities_once_no_point_is_left():
+    # x^2 overflows at 1e200; the suite turns that RuntimeWarning into an
+    # error, so these pass only if x^2 is never evaluated: the points lie
+    # outside the box, or the constant -1 >= 0 has already emptied the grid.
+    square = SparsePolynomial(1, {(2,): 1.0})
+    outside = SemiAlgebraicSet(1, (square,), ((-1.0, 1.0),))
+    assert membership_mask(outside, [[1e200], [-1e200]]).tolist() == [False, False]
+    never = SparsePolynomial(1, {(0,): -1.0})
+    wide = SemiAlgebraicSet(1, (never, square), ((-1e200, 1e200),))
+    with pytest.raises(EmptyCandidateSetError):
+        grid_candidates(wide, 5)
+
+
+@pytest.mark.parametrize("terms", [{}, {(0, 0): 2.5}])
+def test_eval_poly_many_of_a_constant_is_a_writable_vector(terms):
+    p = SparsePolynomial(2, terms)
+    pts = np.zeros((4, 2))
+    vals = eval_poly_many(p, pts)
+    expected = reference_values(p.terms, pts.T)
+    assert vals.shape == (4,) and vals.flags.writeable and vals.flags.owndata
+    assert vals.tobytes() == expected.tobytes()
+
+
 SIMPLEX = SemiAlgebraicSet(
     3,
     (
@@ -277,3 +390,31 @@ def test_explicit_all_rejected():
 def test_bad_bounding_box():
     with pytest.raises(ValueError):
         SemiAlgebraicSet(n=1, inequalities=(), bounding_box=((1.0, -1.0),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]),
+                 min_size=3, max_size=3),
+        min_size=1, max_size=40,
+    ),
+    n=st.integers(1, 3),
+    data=st.data(),
+)
+def test_explicit_dedup_matches_lexsort_oracle_bitwise(rows, n, data):
+    # Few distinct values, so rows and last coordinates repeat often, with
+    # both spellings of zero; a permutation of the same rows keeps the first
+    # occurrence of each in the new order.
+    pts = np.array(rows)[:, :n]
+    perm = data.draw(st.permutations(range(len(pts))))
+    for order in (range(len(pts)), perm):
+        shuffled = pts[list(order)]
+        members = shuffled[membership_mask(box(n), shuffled)]
+        if members.shape[0] == 0:
+            with pytest.raises(EmptyCandidateSetError):
+                explicit_candidates(box(n), shuffled)
+            continue
+        got = explicit_candidates(box(n), shuffled).points
+        expected = reference_first_rows(members)
+        assert got.tobytes() == expected.tobytes()

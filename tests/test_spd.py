@@ -281,3 +281,14 @@ def test_one_factor_forms_its_inverse_once(monkeypatch):
     assert np.allclose(a_inv @ a, np.eye(3))
     assert np.allclose(q, a_inv.diagonal())
 
+
+
+def test_inverse_is_exactly_symmetric():
+    # build_certificate scales this inverse into x_hat and does not
+    # symmetrize it, so the product must come out symmetric to the bit.
+    rng = np.random.default_rng(29)
+    for m in range(1, 80, 2):
+        b = rng.standard_normal((m, m)) * rng.uniform(1e-3, 1e3, m)
+        for a in (b @ b.T + 1e-6 * np.eye(m), b @ b.T + m * np.eye(m)):
+            a_inv = inverse(factorize(a))
+            assert np.array_equal(a_inv, a_inv.T)
