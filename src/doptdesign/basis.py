@@ -1,16 +1,23 @@
-"""Monomial basis of bounded total degree in several variables.
+"""Monomial basis of bounded total degree in several variables, and the
+moment map with its adjoint.
 
 The basis vector v(x) collects all monomials x^a with |a| <= d, ordered by
 total degree and, within a degree, so that earlier variables dominate
 (1, x1, x2, x1^2, x1*x2, x2^2, ...).  Every matrix and report in this
 package is indexed by this ordering; it is deterministic and stable.
+
+The paper's linear pair lives here too, and only here.  The moment map M_d
+(`moment_matrix`) fills the moment matrix from a degree-2d moment vector y,
+so M(w) = M_d(y); its adjoint M_d* (`adjoint_expand`) takes a matrix X to
+the degree-2d coefficients c of v(x)^T X v(x), so p = V2 c.  Both read one
+index map, `MultiIndexBasis.products`; no other module touches it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 import numpy as np
@@ -58,13 +65,31 @@ class MultiIndexBasis:
         return len(self.indices)
 
     @cached_property
-    def position(self) -> dict[MultiIndex, int]:
-        """Inverse lookup: multi-index -> row in the basis."""
-        return {a: k for k, a in enumerate(self.indices)}
+    def products(self) -> np.ndarray:
+        """Positions of the pairwise index sums inside the degree-2d basis.
+
+        A read-only integer array P of shape (size, size) with
+        enumerate_basis(n, 2d).indices[P[i, j]] == indices[i] + indices[j]:
+        entry (i, j) of the moment matrix carries the moment of that
+        monomial.
+        """
+        doubled = enumerate_basis(self.n, 2 * self.d).indices
+        rank = {a: k for k, a in enumerate(doubled)}
+        out = np.array(
+            [[rank[tuple(p + q for p, q in zip(a, b))] for b in self.indices]
+             for a in self.indices],
+            dtype=np.int64,
+        )
+        out.flags.writeable = False
+        return out
 
 
+@cache
 def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
     """Enumerate the monomial basis of degree at most d in n variables.
+
+    Memoized: each (n, d) yields one `MultiIndexBasis`, so its `products`
+    map is built once.
 
     Raises:
         InvalidDimensionError: if n < 1 or d < 1.  Degree 0 is rejected:
@@ -124,27 +149,37 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     return out
 
 
-def outer_position_map(basis: MultiIndexBasis, basis2d: MultiIndexBasis) -> np.ndarray:
-    """Positions of the pairwise index sums inside the degree-2d basis.
+def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:
+    """The moment map M_d: the symmetric moment matrix over `basis_d`, filled
+    from a degree-2d moment vector y as y[P] with P = `basis_d.products`.
 
-    Returns an integer array P of shape (size, size) with
-    basis2d.indices[P[i, j]] == indices[i] + indices[j]: entry (i, j) of the
-    moment matrix carries the moment of that monomial.  This map makes the
-    moment matrix a linear function of the degree-2d moment vector, and by
-    transposition it fixes the adjoint expansion used in certificates.
+    Raises:
+        SizeMismatchError: if y does not have one entry per monomial of
+            degree at most 2d.
     """
-    if basis2d.n != basis.n or basis2d.d != 2 * basis.d:
+    s = enumerate_basis(basis_d.n, 2 * basis_d.d).size
+    y = np.asarray(y, dtype=float)
+    if y.shape != (s,):
+        raise SizeMismatchError(f"moment vector has shape {y.shape}, expected ({s},)")
+    return y[basis_d.products]
+
+
+def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> np.ndarray:
+    """The adjoint M_d*: coefficients of v(x)^T X v(x) in the degree-2d basis.
+
+    The coefficient of the monomial a is the sum of X_ij over all index pairs
+    with indices[i] + indices[j] = a (both triangles), added in row-major
+    order.  trace(M_d(y) X) equals the returned coefficients dotted with y
+    for every moment vector y.
+
+    Raises:
+        SizeMismatchError: if X is not square of the basis's size.
+    """
+    x_mat = np.asarray(x_mat, dtype=float)
+    m = basis_d.size
+    if x_mat.shape != (m, m):
         raise SizeMismatchError(
-            f"doubled basis must have n={basis.n}, d={2 * basis.d}, "
-            f"got n={basis2d.n}, d={basis2d.d}"
+            f"matrix has shape {x_mat.shape}, basis needs ({m}, {m})"
         )
-    pos = basis2d.position
-    m = basis.size
-    out = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(basis.indices):
-        for j in range(i, m):
-            b = basis.indices[j]
-            k = pos[tuple(p + q for p, q in zip(a, b))]
-            out[i, j] = k
-            out[j, i] = k
-    return out
+    s = enumerate_basis(basis_d.n, 2 * basis_d.d).size
+    return np.bincount(basis_d.products.ravel(), x_mat.ravel(), minlength=s)

@@ -10,10 +10,12 @@ iterate, not only in the limit, so weak duality is a running numerical check:
 
 At optimality p_max -> n_d, recovering the unscaled X = M^{-1}, multiplier
 z = -n_d, and gap 0.  Because X is positive definite, q is a sum of squares.
-`dual_values` is the one evaluator of q; `adjoint_expand`, the adjoint M_d*
-of the moment map `design.moment_matrix`, gives its degree-2d coefficients
-as a plain array.  The level set {q <= n_d} and its contact points are read
-in `geometry.levelset_report`.
+`dual_values` is the one evaluator of q.  This module holds the other half of
+the paper's linear pair: `adjoint_expand`, the adjoint M_d* of the moment map
+`design.moment_matrix`, gives the degree-2d coefficients of q as a plain
+array.  Both maps are defined in `basis`, which alone reads their index map.
+The level set {q <= n_d} and its contact points are read in
+`geometry.levelset_report`.
 
 A certificate depends only on its design, its candidates and its degree:
 `build_certificate` builds the design's Christoffel-Darboux polynomial and
@@ -28,25 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import (
-    MultiIndexBasis,
-    enumerate_basis,
-    outer_position_map,
-    vandermonde,
-)
-from .design import (
-    CDPolynomial,
-    DesignMeasure,
-    cd_polynomial,
-    cd_profile,
-    moment_matrix,
-)
-from .errors import (
-    DegenerateDesignError,
-    FloatRangeError,
-    NotPositiveDefiniteError,
-    SizeMismatchError,
-)
+from .basis import MultiIndexBasis, adjoint_expand, vandermonde
+from .design import CDPolynomial, DesignMeasure, cd_polynomial, cd_profile
+from .errors import DegenerateDesignError, FloatRangeError, NotPositiveDefiniteError
 from .semialg import CandidateSet
 
 
@@ -81,34 +67,6 @@ class DualCertificate:
     @property
     def basis(self) -> MultiIndexBasis:
         return self.polynomial.basis
-
-
-def adjoint_expand(x_mat, basis_d: MultiIndexBasis) -> np.ndarray:
-    """Coefficients of the polynomial v(x)^T X v(x) in the degree-2d basis.
-
-    The coefficient of the monomial a is the sum of X_ij over all index pairs
-    with indices[i] + indices[j] = a (both triangles).  This is the adjoint
-    M_d* of the moment map `design.moment_matrix`: trace(M_d(y) X) equals the
-    returned coefficients dotted with y for every moment vector y.
-    """
-    x_mat = np.asarray(x_mat, dtype=float)
-    m = basis_d.size
-    if x_mat.shape != (m, m):
-        raise SizeMismatchError(
-            f"matrix has shape {x_mat.shape}, basis needs ({m}, {m})"
-        )
-    basis2d = enumerate_basis(basis_d.n, 2 * basis_d.d)
-    coeffs = np.zeros(basis2d.size)
-    np.add.at(coeffs, outer_position_map(basis_d, basis2d), x_mat)
-    return coeffs
-
-
-def adjoint_identity_check(y, x_mat, basis_d: MultiIndexBasis) -> float:
-    """|trace(M_d(y) X) - <M_d*(X), y>|; zero in exact arithmetic."""
-    x_mat = np.asarray(x_mat, dtype=float)
-    coeffs = adjoint_expand(x_mat, basis_d)
-    lhs = float(np.sum(moment_matrix(y, basis_d) * x_mat))
-    return abs(lhs - float(coeffs @ y))
 
 
 def build_certificate(

@@ -3,8 +3,10 @@
 A design is a probability measure w on a finite candidate set.  Its degree-2d
 moment vector y collects the weighted monomial sums, and the information
 matrix M(w) = sum_i w_i v(x_i) v(x_i)^T is the Gram matrix of the regression
-functions under w; `moment_matrix` fills it from y (the moment map M_d), and
-`certificate.adjoint_expand` is its adjoint.  Both are plain array functions.
+functions under w.  This module holds one half of the paper's linear pair,
+the moment map M(w) = M_d(y), as `moment_matrix`; `certificate` holds the
+other half, the adjoint M_d*.  Both maps are defined in `basis`, which alone
+reads their index map.
 The Christoffel-Darboux polynomial of a non-degenerate design is
 p(x) = v(x)^T M(w)^{-1} v(x); it is kept in factored form and evaluated at
 (N, n) rows of points as ||L^{-1} v(x)||^2 with M = L L^T (`cd_profile`),
@@ -19,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import (
-    MultiIndexBasis,
-    enumerate_basis,
-    outer_position_map,
-    vandermonde,
-)
-from .errors import DegenerateDesignError, NotPositiveDefiniteError, SizeMismatchError
+from .basis import MultiIndexBasis, enumerate_basis, moment_matrix, vandermonde
+from .errors import DegenerateDesignError, NotPositiveDefiniteError
 from .semialg import CandidateSet
 
 #: Largest deviation of sum(weights) from 1 that is silently renormalized.
@@ -81,7 +78,10 @@ class CDPolynomial:
 
     basis: MultiIndexBasis
     factor: spd.SpdFactor
-    n_d: int
+
+    @property
+    def n_d(self) -> int:
+        return self.basis.size
 
 
 def moment_vector(mu: DesignMeasure, d: int) -> np.ndarray:
@@ -89,23 +89,6 @@ def moment_vector(mu: DesignMeasure, d: int) -> np.ndarray:
     in the order of `enumerate_basis(n, 2d)`."""
     v2 = vandermonde(enumerate_basis(mu.n, 2 * d), mu.candidates.points)
     return v2.T @ mu.weights
-
-
-def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:
-    """The moment map M_d: fill the symmetric moment matrix over `basis_d`
-    from a degree-2d moment vector y.
-
-    Raises:
-        SizeMismatchError: if y does not have one entry per monomial of
-            degree at most 2d.
-    """
-    basis2d = enumerate_basis(basis_d.n, 2 * basis_d.d)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (basis2d.size,):
-        raise SizeMismatchError(
-            f"moment vector has shape {y.shape}, expected ({basis2d.size},)"
-        )
-    return y[outer_position_map(basis_d, basis2d)]
 
 
 def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
@@ -142,8 +125,7 @@ def assemble_information(mu: DesignMeasure, d: int) -> spd.SpdFactor:
 def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
     """Christoffel-Darboux polynomial of a non-degenerate design."""
     factor = assemble_information(mu, d)
-    basis = enumerate_basis(mu.n, d)
-    return CDPolynomial(basis=basis, factor=factor, n_d=basis.size)
+    return CDPolynomial(basis=enumerate_basis(mu.n, d), factor=factor)
 
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:

@@ -158,13 +158,16 @@ def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
     mask = np.empty(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
     box = ((x >= lo) & (x <= hi) for x, (lo, hi) in zip(xs, s.bounding_box))
     tests: dict[tuple[int, ...], np.ndarray] = {}
-    for ok in itertools.chain(box, (_values(g, xs) >= 0.0 for g in s.inequalities)):
-        if ok.shape in tests:
-            tests[ok.shape] &= ok
-        else:
-            tests[ok.shape] = ok
-        if not tests[ok.shape].any():
-            break
+    # Far outside the box g_j can overflow to inf or give NaN; the
+    # comparison still decides membership there, so the warning is noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ok in itertools.chain(box, (_values(g, xs) >= 0.0 for g in s.inequalities)):
+            if ok.shape in tests:
+                tests[ok.shape] &= ok
+            else:
+                tests[ok.shape] = ok
+            if not tests[ok.shape].any():
+                break
     *first, last = sorted(tests.values(), key=np.size)
     return np.logical_and(functools.reduce(np.logical_and, first, True), last, out=mask)
 

@@ -50,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import enumerate_basis, outer_position_map, vandermonde
+from .basis import (
+    MultiIndexBasis,
+    adjoint_expand,
+    enumerate_basis,
+    moment_matrix,
+    vandermonde,
+)
 from .design import DesignMeasure
 from .errors import (
     DegenerateDesignError,
@@ -102,24 +108,22 @@ class SolveResult:
 class _Iterate:
     """One evaluated iterate: weights w on the rows `support` of the candidates.
 
-    rows holds those rows of the degree-2d Vandermonde matrix V2 and pos =
-    outer_position_map(basis_d, basis_2d).  The evaluation, made once when
-    the iterate is built, forms y = rows^T w, M(w) = y[pos], its factor
+    rows holds those rows of the degree-2d Vandermonde matrix V2, and basis_d
+    is the degree-d basis.  The evaluation, made once when the iterate is
+    built, forms y = rows^T w, M(w) = M_d(y) (`moment_matrix`), its factor
     `spd.factorize(M(w))`, and reads from that factor log det M(w), li =
-    L^{-1} and m_inv = M^{-1}; then c with c_g the sum of M^{-1}_ij over
-    pos_ij = g, and p = V2 c on every candidate; the support's p is
-    p[support].
+    L^{-1} and m_inv = M^{-1}; then c = M_d*(M^{-1}) (`adjoint_expand`) and
+    p = V2 c on every candidate; the support's p is p[support].
 
     Raises DegenerateDesignError when M(w) fails the factor's pivot test.
     """
 
-    def __init__(self, v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
-                 w: np.ndarray):
-        self.support, self.w, self.pos = support, w, pos
+    def __init__(self, v2: np.ndarray, basis_d: MultiIndexBasis,
+                 support: np.ndarray, w: np.ndarray):
+        self.support, self.w, self.basis_d = support, w, basis_d
         self.rows = v2[support]
-        y = np.dot(w, self.rows)
         try:
-            factor = spd.factorize(y[pos])
+            factor = spd.factorize(moment_matrix(np.dot(w, self.rows), basis_d))
         except NotPositiveDefiniteError:
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
@@ -128,8 +132,7 @@ class _Iterate:
         self.log_det = factor.log_det
         self.li = factor.inv_chol
         self.m_inv = spd.inverse(factor)
-        self.p = np.dot(v2, np.bincount(pos.ravel(), self.m_inv.ravel(),
-                                        minlength=y.size))
+        self.p = np.dot(v2, adjoint_expand(self.m_inv, basis_d))
 
     def gain(self, dy: np.ndarray) -> float:
         """log det M(y + dy) - log det M(y) for a change dy of the moments.
@@ -139,7 +142,7 @@ class _Iterate:
         drowns in their round-off; -inf when M(y + dy) is not positive
         definite.
         """
-        b = np.dot(self.li, np.dot(self.li, dy[self.pos]).T)
+        b = np.dot(self.li, np.dot(self.li, moment_matrix(dy, self.basis_d)).T)
         lam = np.linalg.eigvalsh(b)
         if not lam[0] > -1.0:
             return -np.inf
@@ -275,19 +278,19 @@ def _exchange(it: _Iterate, v2: np.ndarray, k: int):
     return support[held], w[held], gain
 
 
-def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
+def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
             w: np.ndarray, target: float, budget: int):
     """The solve: Newton steps on the support, exchanges to bring atoms in.
 
-    v2 is the degree-2d Vandermonde matrix of every candidate and (support,
-    w) the start.  Each iterate is evaluated once (`_Iterate`), and its step
-    reads that evaluation.  While p > target on some candidate, the step is
-    one Newton trial on the weights (`_newton_step`) while some support atom
-    fails the target; otherwise, or when the trial does not raise log det,
-    the exchange moves mass into the worst candidate (`_exchange`).  When
-    the Newton system is singular, or an exchange grows the support past
-    s = v2.shape[1] atoms, the design is reduced to independent moment rows
-    (`_reduce`), which is not a step.
+    v2 is the degree-2d Vandermonde matrix of every candidate, basis_d the
+    degree-d basis and (support, w) the start.  Each iterate is evaluated
+    once (`_Iterate`), and its step reads that evaluation.  While p > target
+    on some candidate, the step is one Newton trial on the weights
+    (`_newton_step`) while some support atom fails the target; otherwise,
+    or when the trial does not raise log det, the exchange moves mass into
+    the worst candidate (`_exchange`).  When the Newton system is singular,
+    or an exchange grows the support past s = v2.shape[1] atoms, the design
+    is reduced to independent moment rows (`_reduce`), which is not a step.
 
     Returns (support, weights, trace, converged): trace holds one
     (objective, p_max over every candidate) pair for the start and one per
@@ -297,7 +300,7 @@ def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
     its gain is lost in round-off.  An exchange that moves no mass ends the
     call unconverged.
     """
-    it = _Iterate(v2, pos, support, w)
+    it = _Iterate(v2, basis_d, support, w)
     objective = it.log_det
     trace = [(objective, float(it.p.max()))]
     while True:
@@ -310,7 +313,7 @@ def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
             step = None
             support, w = _reduce(v2, it.support, it.w)
             if support.size < it.support.size:  # else round-off: exchange instead
-                it = _Iterate(v2, pos, support, w)
+                it = _Iterate(v2, basis_d, support, w)
                 continue
         if step is None:
             step = _exchange(it, v2, k)
@@ -320,7 +323,7 @@ def _newton(v2: np.ndarray, pos: np.ndarray, support: np.ndarray,
         if support.size > v2.shape[1]:
             support, w = _reduce(v2, support, w)
         objective += gain
-        it = _Iterate(v2, pos, support, w)
+        it = _Iterate(v2, basis_d, support, w)
         trace.append((objective, float(it.p.max())))
 
 
@@ -350,12 +353,10 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             f"{cands.size} candidates for {count} regression functions"
         )
 
-    basis_2d = enumerate_basis(cands.n, 2 * d)
-    pos = outer_position_map(enumerate_basis(cands.n, d), basis_2d)
-    v2 = vandermonde(basis_2d, cands.points)
+    v2 = vandermonde(enumerate_basis(cands.n, 2 * d), cands.points)
     start = _greedy(v2[:, :n_d])
     support, w, trace, converged = _newton(
-        v2, pos, start, np.full(start.size, 1.0 / start.size),
+        v2, enumerate_basis(cands.n, d), start, np.full(start.size, 1.0 / start.size),
         n_d * (1.0 + cfg.epsilon), cfg.max_iters,
     )
     order = np.argsort(support)

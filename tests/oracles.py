@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own code paths: reference
 Cholesky runs the textbook scalar recurrence, determinants go through
 numpy's slogdet or exact rational arithmetic, and the simplex searches only
-ever evaluate the objective, never its gradient structure.
+ever evaluate the objective, never its gradient structure.  The one
+exception is `adjoint_identity_check`, which tests the library's moment map
+against its adjoint.
 """
 
 from __future__ import annotations
@@ -56,6 +58,34 @@ def _compositions(total: int, parts: int):
     for head in range(total, -1, -1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
+
+
+def reference_products(n: int, d: int) -> np.ndarray:
+    """(n_d, n_d) positions of the index sums a_i + a_j among the degree-2d
+    multi-indices, found by searching the graded list for each sum."""
+    low = [a for t in range(d + 1) for a in _compositions(t, n)]
+    high = [a for t in range(2 * d + 1) for a in _compositions(t, n)]
+    return np.array(
+        [[high.index(tuple(p + q for p, q in zip(a, b))) for b in low] for a in low]
+    )
+
+
+def reference_adjoint_expand(x: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Degree-2d coefficients of v^T X v: each X_ij added in row-major order
+    into the coefficient of a_i + a_j by np.add.at."""
+    coeffs = np.zeros(math.comb(n + 2 * d, n))
+    np.add.at(coeffs, reference_products(n, d), x)
+    return coeffs
+
+
+def adjoint_identity_check(y, x_mat, basis_d) -> float:
+    """|trace(M_d(y) X) - <M_d*(X), y>| through the library's pair; zero in
+    exact arithmetic."""
+    from doptdesign.basis import adjoint_expand, moment_matrix
+
+    x_mat = np.asarray(x_mat, dtype=float)
+    lhs = float(np.sum(moment_matrix(y, basis_d) * x_mat))
+    return abs(lhs - float(adjoint_expand(x_mat, basis_d) @ y))
 
 
 def log_det_objective(v: np.ndarray, w: np.ndarray) -> float:

@@ -17,7 +17,6 @@ import pytest
 
 from doptdesign import CandidateSet, SolverConfig, build_certificate, solve
 from doptdesign.basis import enumerate_basis
-from doptdesign.certificate import adjoint_identity_check
 from doptdesign.cli import EXIT_OK, cmd_solve
 from doptdesign.design import (
     DesignMeasure,
@@ -30,6 +29,7 @@ from doptdesign.geometry import extract_ellipsoid
 from doptdesign.spd import inverse as spd_inverse
 
 from oracles import (
+    adjoint_identity_check,
     exact_hankel_inverse_univariate_thirds,
     monomial_design_matrix,
     simplex_grid_search,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from doptdesign import DimensionMismatchError, FloatRangeError, InvalidDimensionError
-from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
+from doptdesign.basis import enumerate_basis, vandermonde
 
-from oracles import monomial_design_matrix, reference_vandermonde
+from oracles import monomial_design_matrix, reference_products, reference_vandermonde
 
 
 def test_enumerate_univariate_quadratic():
@@ -39,6 +39,8 @@ def test_invalid_dimensions_rejected(n, d):
 
 def test_enumeration_deterministic():
     assert enumerate_basis(3, 4).indices == enumerate_basis(3, 4).indices
+    # Memoized: one basis per (n, d), so its products map is built once.
+    assert enumerate_basis(3, 4) is enumerate_basis(3, 4)
 
 
 def test_no_duplicates():
@@ -85,24 +87,14 @@ def test_eval_dimension_mismatch():
         vandermonde(enumerate_basis(2, 1), [[1.0, 2.0, 3.0]])
 
 
-def test_outer_map_univariate_hankel():
-    b, b2 = enumerate_basis(1, 1), enumerate_basis(1, 2)
-    pos = outer_position_map(b, b2)
-    assert b2.indices[pos[0, 0]] == (0,)
-    assert b2.indices[pos[0, 1]] == (1,)
-    assert b2.indices[pos[1, 1]] == (2,)
-
-
-def test_outer_map_cross_term():
-    b, b2 = enumerate_basis(2, 1), enumerate_basis(2, 2)
-    assert b2.indices[outer_position_map(b, b2)[1, 2]] == (1, 1)
-
-
-def test_outer_map_diagonal_doubles():
-    b, b2 = enumerate_basis(2, 2), enumerate_basis(2, 4)
-    pos = outer_position_map(b, b2)
-    for k, alpha in enumerate(b.indices):
-        assert b2.indices[pos[k, k]] == tuple(2 * e for e in alpha)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_products_match_brute_force_index_sums(n, d):
+    # Covers the Hankel fill (n = 1), cross terms and doubled diagonals.
+    products = enumerate_basis(n, d).products
+    assert products.dtype == np.int64
+    assert not products.flags.writeable
+    assert np.array_equal(products, reference_products(n, d))
 
 
 def test_outer_product_matches_monomial_evaluation():
@@ -110,12 +102,11 @@ def test_outer_product_matches_monomial_evaluation():
     for n, d in [(1, 2), (2, 2), (3, 1)]:
         b = enumerate_basis(n, d)
         b2 = enumerate_basis(n, 2 * d)
-        pos = outer_position_map(b, b2)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=(1, n))
             v = vandermonde(b, x)[0]
             outer = np.outer(v, v)
-            via_map = vandermonde(b2, x)[0][pos]
+            via_map = vandermonde(b2, x)[0][b.products]
             assert np.allclose(outer, via_map, rtol=1e-12, atol=1e-14)
 
 

@@ -12,13 +12,17 @@ from doptdesign import (
     validate_dual_feasibility,
 )
 from doptdesign.basis import enumerate_basis, vandermonde
-from doptdesign.certificate import adjoint_expand, adjoint_identity_check
+from doptdesign.certificate import adjoint_expand
 from doptdesign.design import DesignMeasure, moment_matrix, moment_vector
 from doptdesign.errors import SizeMismatchError
 from doptdesign.geometry import levelset_report
 from doptdesign.spd import factorize
 
-from oracles import monomial_design_matrix
+from oracles import (
+    adjoint_identity_check,
+    monomial_design_matrix,
+    reference_adjoint_expand,
+)
 
 
 def cands1d(points):
@@ -62,6 +66,18 @@ def test_adjoint_expand_thirds_inverse():
 def test_adjoint_expand_size_mismatch():
     with pytest.raises(SizeMismatchError):
         adjoint_expand(np.eye(3), enumerate_basis(1, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_adjoint_expand_matches_add_at_reference_bitwise(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    size = enumerate_basis(n, d).size
+    for scale in (1e-8, 1.0, 1e8):
+        x = scale * rng.standard_normal((size, size))
+        x = 0.5 * (x + x.T)
+        got = adjoint_expand(x, enumerate_basis(n, d))
+        assert got.tobytes() == reference_adjoint_expand(x, n, d).tobytes()
 
 
 def test_adjoint_identity_diagonal():

@@ -338,6 +338,15 @@ def test_explicit_filters_outside_points():
     assert cands.points.tolist() == [[-1.0], [0.5]]
 
 
+def test_explicit_filters_far_points_without_a_warning():
+    # g = 1 - x^2 overflows at 1e200, outside the box; the suite turns any
+    # RuntimeWarning into an error, so this also checks that none is printed.
+    g = SparsePolynomial(1, {(0,): 1.0, (2,): -1.0})
+    s = SemiAlgebraicSet(n=1, inequalities=(g,), bounding_box=((-1.0, 1.0),))
+    cands = explicit_candidates(s, [[-1.0], [0.5], [1.0], [1e200]])
+    assert cands.points.tolist() == [[-1.0], [0.5], [1.0]]
+
+
 def test_explicit_drops_duplicates_keeps_first():
     cands = explicit_candidates(box(1), [[0.5], [-1.0], [0.5]])
     assert cands.points.tolist() == [[0.5], [-1.0]]

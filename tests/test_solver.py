@@ -9,7 +9,7 @@ from doptdesign import (
     solve,
 )
 from doptdesign import solver
-from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
+from doptdesign.basis import enumerate_basis, vandermonde
 
 from oracles import (
     christoffel_values,
@@ -245,14 +245,13 @@ def test_exchange_interior_alpha_matches_solver_iteration():
     # dy = dw_k V2[k] + dw_j V2[j], is the change in log det of the
     # rank-one sum M.
     basis_2d = enumerate_basis(1, 4)
-    pos = outer_position_map(enumerate_basis(1, 2), basis_2d)
     for seed, size in ((0, 5), (50, 9)):
         pts = np.random.default_rng(seed).uniform(-1, 1, size=(size, 1))
         v = monomial_design_matrix(pts, 2)
         w = np.full(size, 1 / size)
         exchanged = reference_exchange(v, w)
         v2 = vandermonde(basis_2d, pts)
-        it = solver._Iterate(v2, pos, np.arange(size), w)
+        it = solver._Iterate(v2, enumerate_basis(1, 2), np.arange(size), w)
         support, kept, rise = solver._exchange(it, v2, int(it.p.argmax()))
         after = np.zeros(size)
         after[support] = kept

@@ -17,7 +17,7 @@ from doptdesign import (
     solve,
     solver,
 )
-from doptdesign.basis import enumerate_basis, outer_position_map, vandermonde
+from doptdesign.basis import enumerate_basis, moment_matrix, vandermonde
 
 from oracles import christoffel_values
 
@@ -69,14 +69,13 @@ def test_converged_is_the_stop_test_on_every_candidate():
 
 def moment_route_p(pts, w, d):
     """p of the design w on pts at pts, as the solver evaluates an iterate."""
-    basis_2d = enumerate_basis(pts.shape[1], 2 * d)
-    pos = outer_position_map(enumerate_basis(pts.shape[1], d), basis_2d)
-    rows = np.arange(pts.shape[0])
-    return solver._Iterate(vandermonde(basis_2d, pts), pos, rows, w).p
+    n = pts.shape[1]
+    v2 = vandermonde(enumerate_basis(n, 2 * d), pts)
+    return solver._Iterate(v2, enumerate_basis(n, d), np.arange(pts.shape[0]), w).p
 
 
 def test_moment_route_p_matches_dense_oracle():
-    # The iterate assembles M(w) = y[pos] from y = V2^T w and evaluates
+    # The iterate assembles M(w) = M_d(y) from y = V2^T w and evaluates
     # p = V2 c from the adjoint c of M^{-1}; the oracle solves with the
     # rank-one sum M explicitly.
     rng = np.random.default_rng(2024)
@@ -178,8 +177,8 @@ def test_reduce_keeps_the_moments_on_at_most_s_atoms(n, d, size, seed, circle):
     assert abs(kept.sum() - 1.0) <= 1e-12
     y = w @ v2
     assert np.linalg.norm(kept @ v2[rows] - y) <= 1e-12 * np.linalg.norm(y)
-    pos = outer_position_map(enumerate_basis(n, d), basis_2d)
-    before, after = y[pos], (kept @ v2[rows])[pos]
+    basis_d = enumerate_basis(n, d)
+    before, after = moment_matrix(y, basis_d), moment_matrix(kept @ v2[rows], basis_d)
     if np.linalg.cond(before) < 1e8:  # non-degenerate designs only
         assert abs(np.linalg.slogdet(after)[1] - np.linalg.slogdet(before)[1]) <= 1e-12
 
