@@ -72,14 +72,25 @@ class MultiIndexBasis:
         enumerate_basis(n, 2d).indices[P[i, j]] == indices[i] + indices[j]:
         entry (i, j) of the moment matrix carries the moment of that
         monomial.
+
+        The position of a sum a is counted, not looked up: the indices of
+        lower total degree, C(|a| - 1 + n, n) of them, come first; then, one
+        variable at a time, the indices of the same degree that agree with a
+        on the variables before and have a larger exponent on this one, the
+        compositions of the remaining degree r into the m variables left
+        whose head exceeds a_j, C(r - a_j + m - 2, m - 1) of them.  Every
+        count is at most the size of the degree-2d basis, so none overflows.
         """
-        doubled = enumerate_basis(self.n, 2 * self.d).indices
-        rank = {a: k for k, a in enumerate(doubled)}
-        out = np.array(
-            [[rank[tuple(p + q for p, q in zip(a, b))] for b in self.indices]
-             for a in self.indices],
-            dtype=np.int64,
-        )
+        n, top = self.n, 2 * self.d
+        idx = np.array(self.indices, dtype=np.int64)
+        sums = idx[:, None, :] + idx[None, :, :]
+        left = sums.sum(axis=2)
+        lower = [math.comb(t - 1 + n, n) for t in range(top + 1)]
+        out = np.array(lower, dtype=np.int64)[left]
+        for j, m in enumerate(range(n, 1, -1)):
+            left = left - sums[..., j]
+            ahead = [math.comb(r + m - 2, m - 1) for r in range(top + 1)]
+            out += np.array(ahead, dtype=np.int64)[left]
         out.flags.writeable = False
         return out
 

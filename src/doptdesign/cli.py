@@ -411,7 +411,8 @@ def _assemble_report(cfg, result, cert, validation) -> dict:
         "p_values": cert.p_values,
         "trace": {
             "objective": result.trace_objective,
-            "p_max": result.trace_p_max,
+            # null where the iterate was not priced (NaN in the solver's trace).
+            "p_max": [None if math.isnan(v) else v for v in result.trace_p_max.tolist()],
         },
         "certificate": {
             "x_hat": cert.x_hat,
@@ -553,6 +554,7 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
         )
         print(
             f"converged={report['converged']} iterations={result.iterations} "
+            f"priced={int(np.isfinite(result.trace_p_max).sum())} "
             f"support={result.design.size} "
             f"max_violation={gate.max_violation:.3e}"
         )

@@ -21,7 +21,13 @@ design's degree-2d moment vector y = V2^T w fills M(w) = M_d(y), and p is
 expanded in the degree-2d basis through the adjoint map,
 c = M_d^*(M(w)^{-1}), so that p = V2 c on every candidate.  V2, the
 degree-2d Vandermonde matrix of the candidates, is built once; its first n_d
-columns are the degree-d one.  The certificate evaluates p of the final
+columns are the degree-d one.  The evaluation reads p on the support only;
+p on every candidate, the pass through all of V2 that prices the candidates
+(column generation), is formed on first read, which happens only when the
+step needs it: to test convergence, or to pick the exchange's candidate
+once no support atom fails the stop test or the Newton trial does not raise
+log det.  A support atom that fails the test already shows that the
+iterate has not converged.  The certificate evaluates p of the final
 design from its own rank-one assembly of M and the inverse of its Cholesky
 factor instead, an independent route.
 
@@ -34,8 +40,10 @@ one on fewer atoms with the same y, hence the same M, p and certificate.
 The solve stops once the stop test holds on every candidate, when the
 budget runs out, or when an exchange moves no mass.  max_iters counts the
 Newton steps and exchanges.  The trace records one (objective, p_max) pair
-per evaluated iterate, with p_max taken over every candidate, so it holds
-iterations + 1 entries.
+for the start and one per step, so it holds iterations + 1 entries.  p_max
+is taken over every candidate where the iterate was priced and is NaN where
+its step did not need p on every candidate; the last iterate is always
+priced.
 
 The design returned is the last iterate's atoms of positive weight, and
 converged means p <= n_d (1 + epsilon) on every candidate.  p of the final
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,10 +98,11 @@ class SolveResult:
     """Final design, the iteration record and the solver's verdict.
 
     converged means p <= n_d (1 + epsilon) held on every candidate at the
-    final iterate.  iterations counts Newton steps and exchanges.  trace
-    holds one (objective, p_max) pair per evaluated iterate, with p_max over
-    every candidate: trace[0] is the greedy start, then one per step, so it
-    has iterations + 1 entries.
+    final iterate.  iterations counts Newton steps and exchanges.  The traces
+    hold one entry for the greedy start, then one per step, so they have
+    iterations + 1 entries.  trace_p_max holds p_max over every candidate
+    where that iterate was priced and NaN where its step did not need p on
+    every candidate; its last entry is always priced.
     prune_rolled_back is always False: nothing is pruned, and the field is
     kept for the benchmark, which reads it.
     """
@@ -113,14 +123,15 @@ class _Iterate:
     built, forms y = rows^T w, M(w) = M_d(y) (`moment_matrix`), its factor
     `spd.factorize(M(w))`, and reads from that factor log det M(w), li =
     L^{-1} and m_inv = M^{-1}; then c = M_d*(M^{-1}) (`adjoint_expand`) and
-    p = V2 c on every candidate; the support's p is p[support].
+    the support's p, p_support = rows c.  p = V2 c on every candidate is
+    formed on first read and kept.
 
     Raises DegenerateDesignError when M(w) fails the factor's pivot test.
     """
 
     def __init__(self, v2: np.ndarray, basis_d: MultiIndexBasis,
                  support: np.ndarray, w: np.ndarray):
-        self.support, self.w, self.basis_d = support, w, basis_d
+        self.v2, self.support, self.w, self.basis_d = v2, support, w, basis_d
         self.rows = v2[support]
         try:
             factor = spd.factorize(moment_matrix(np.dot(w, self.rows), basis_d))
@@ -132,7 +143,13 @@ class _Iterate:
         self.log_det = factor.log_det
         self.li = factor.inv_chol
         self.m_inv = spd.inverse(factor)
-        self.p = np.dot(v2, adjoint_expand(self.m_inv, basis_d))
+        self.c = adjoint_expand(self.m_inv, basis_d)
+        self.p_support = np.dot(self.rows, self.c)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """p = V2 c on every candidate: the pricing pass."""
+        return np.dot(self.v2, self.c)
 
     def gain(self, dy: np.ndarray) -> float:
         """log det M(y + dy) - log det M(y) for a change dy of the moments.
@@ -244,8 +261,9 @@ def _newton_step(it: _Iterate):
 def _exchange(it: _Iterate, v2: np.ndarray, k: int):
     """Move the det-maximizing mass from the lowest-p atom to candidate k.
 
-    Reads p and M^{-1} from the evaluated iterate it.  Moving alpha from atom
-    j to candidate k multiplies det M by
+    Reads M^{-1} and the priced p on every candidate (`_Iterate.p`) from the
+    evaluated iterate it; the donor j is the argmin of that p over the
+    support.  Moving alpha from atom j to candidate k multiplies det M by
     r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
     p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
     (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j (a
@@ -284,38 +302,43 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
 
     v2 is the degree-2d Vandermonde matrix of every candidate, basis_d the
     degree-d basis and (support, w) the start.  Each iterate is evaluated
-    once (`_Iterate`), and its step reads that evaluation.  While p > target
-    on some candidate, the step is one Newton trial on the weights
-    (`_newton_step`) while some support atom fails the target; otherwise,
-    or when the trial does not raise log det, the exchange moves mass into
+    once (`_Iterate`), and its step reads that evaluation.  While some
+    support atom fails p <= target, the iterate has not converged and the
+    step is one Newton trial on the weights (`_newton_step`), taken without
+    pricing every candidate.  Otherwise, or when the trial does not raise
+    log det, the iterate is priced (`_Iterate.p`): it has converged when
+    p <= target on every candidate, and else the exchange moves mass into
     the worst candidate (`_exchange`).  When the Newton system is singular,
     or an exchange grows the support past s = v2.shape[1] atoms, the design
     is reduced to independent moment rows (`_reduce`), which is not a step.
 
     Returns (support, weights, trace, converged): trace holds one
-    (objective, p_max over every candidate) pair for the start and one per
-    step, at most budget steps, and converged means p <= target on every
-    candidate.  The objective advances by each step's measured
-    `_Iterate.gain`; an exchange is taken whenever it moves mass, even where
-    its gain is lost in round-off.  An exchange that moves no mass ends the
-    call unconverged.
+    [objective, p_max] pair for the start and one per step, at most budget
+    steps, with p_max over every candidate where the iterate was priced and
+    NaN elsewhere.  The last iterate is always priced, and converged means
+    p <= target on every candidate.  The objective advances by each step's
+    measured `_Iterate.gain`; an exchange is taken whenever it moves mass,
+    even where its gain is lost in round-off.  An exchange that moves no
+    mass ends the call unconverged.
     """
     it = _Iterate(v2, basis_d, support, w)
     objective = it.log_det
-    trace = [(objective, float(it.p.max()))]
+    trace = [[objective, math.nan]]
     while True:
-        k = int(it.p.argmax())
-        if it.p[k] <= target or len(trace) > budget:
-            return it.support, it.w, trace, bool(it.p[k] <= target)
-        try:
-            step = _newton_step(it) if it.p[it.support].max() > target else None
-        except NotPositiveDefiniteError:
-            step = None
-            support, w = _reduce(v2, it.support, it.w)
-            if support.size < it.support.size:  # else round-off: exchange instead
-                it = _Iterate(v2, basis_d, support, w)
-                continue
+        step = None
+        if it.p_support.max() > target and len(trace) <= budget:
+            try:
+                step = _newton_step(it)
+            except NotPositiveDefiniteError:
+                support, w = _reduce(v2, it.support, it.w)
+                if support.size < it.support.size:  # else round-off: exchange instead
+                    it = _Iterate(v2, basis_d, support, w)
+                    continue
         if step is None:
+            k = int(it.p.argmax())
+            trace[-1][1] = float(it.p[k])
+            if it.p[k] <= target or len(trace) > budget:
+                return it.support, it.w, trace, bool(it.p[k] <= target)
             step = _exchange(it, v2, k)
             if step is None:
                 return it.support, it.w, trace, False
@@ -324,7 +347,7 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
             support, w = _reduce(v2, support, w)
         objective += gain
         it = _Iterate(v2, basis_d, support, w)
-        trace.append((objective, float(it.p.max())))
+        trace.append([objective, math.nan])
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:

@@ -97,6 +97,18 @@ def test_products_match_brute_force_index_sums(n, d):
     assert np.array_equal(products, reference_products(n, d))
 
 
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(1, 5) for d in range(1, 7)] + [(45, 1)]
+)
+def test_products_index_the_pairwise_sums(n, d):
+    # The definition: the degree-2d index at P[i, j] is indices[i] + indices[j].
+    # At n = 45, d = 1 a mixed-radix key sum a_j 3^j would pass 2^63.
+    b = enumerate_basis(n, d)
+    idx = np.array(b.indices)
+    doubled = np.array(enumerate_basis(n, 2 * d).indices)
+    assert np.array_equal(doubled[b.products], idx[:, None, :] + idx[None, :, :])
+
+
 def test_outer_product_matches_monomial_evaluation():
     rng = np.random.default_rng(7)
     for n, d in [(1, 2), (2, 2), (3, 1)]:

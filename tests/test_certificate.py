@@ -180,7 +180,12 @@ def test_weak_duality_on_every_iterate():
         SolverConfig(max_iters=200),
     )
     n_d = 3
-    gaps = n_d * np.log(res.trace_p_max / n_d)
+    # Only priced iterates carry p_max; the others hold NaN.
+    priced = np.isfinite(res.trace_p_max)
+    assert res.trace_p_max.shape[0] == res.iterations + 1
+    assert priced.any()
+    assert res.converged and priced[-1]
+    gaps = n_d * np.log(res.trace_p_max[priced] / n_d)
     assert (gaps >= -1e-10).all()
 
 

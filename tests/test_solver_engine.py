@@ -1,6 +1,8 @@
 """Properties of the solver's engine: its greedy start, exchange step,
 moment-space evaluation, stop test, support reduction and Newton steps."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,63 @@ def test_each_iterate_is_evaluated_once(monkeypatch, cands, d, epsilon):
     assert res.converged
     assert len(evaluations) == res.iterations + 1 + sum(reductions)
     assert len(gains) <= 2 * res.iterations
+
+
+@pytest.mark.parametrize("cands,d,epsilon", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, id="disk-d4"),
+    pytest.param(cloud_40(), 2, 1e-12, id="cloud-40"),
+])
+def test_support_p_gathered_or_read_from_the_full_pricing_gives_one_path(
+        monkeypatch, cands, d, epsilon):
+    # The evaluation forms the support's p from the support's own rows; an
+    # iterate that prices every candidate and reads the support's p from
+    # that pass must take the same steps, bit for bit.
+    cfg = SolverConfig(epsilon=epsilon)
+    lazy = solve(cands, d, cfg)
+
+    class Eager(solver._Iterate):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.p_support = self.p[self.support]
+
+    monkeypatch.setattr(solver, "_Iterate", Eager)
+    eager = solve(cands, d, cfg)
+    assert lazy.converged and eager.converged
+    assert lazy.iterations == eager.iterations
+    for a, b in [(lazy.design.candidates.points, eager.design.candidates.points),
+                 (lazy.design.weights, eager.design.weights),
+                 (lazy.trace_objective, eager.trace_objective),
+                 (lazy.trace_p_max, eager.trace_p_max)]:
+        assert a.tobytes() == b.tobytes()
+
+
+def test_every_candidate_is_priced_on_at_most_half_the_iterates(monkeypatch):
+    # A Newton trial reads p on the support only, so the full pass p = V2 c
+    # runs only to test convergence and to pick an exchange's candidate:
+    # 44 of the 133 iterates on disk-d4.
+    priced = []
+
+    class Counted(solver._Iterate):
+        @cached_property
+        def p(self):
+            priced.append(1)
+            return super().p
+
+    monkeypatch.setattr(solver, "_Iterate", Counted)
+    res = solve(unit_disk_grid(101), 4, SolverConfig(epsilon=1e-3))
+    assert res.converged
+    assert len(priced) == np.isfinite(res.trace_p_max).sum()
+    assert 2 * len(priced) <= res.iterations + 1
+    assert np.isfinite(res.trace_p_max[-1])
+
+
+def test_a_solve_stopped_by_its_budget_prices_its_last_iterate():
+    res = solve(unit_disk_grid(101), 4, SolverConfig(epsilon=1e-3, max_iters=20))
+    assert not res.converged
+    assert res.iterations == 20
+    assert res.trace_p_max.shape[0] == 21
+    assert np.isfinite(res.trace_p_max[-1])
+    assert np.isnan(res.trace_p_max).any()
 
 
 def test_round_off_regime_converges_in_150_steps():
