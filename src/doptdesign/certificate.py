@@ -33,7 +33,7 @@ from . import spd
 from .basis import MultiIndexBasis, adjoint_expand, vandermonde
 from .design import CDPolynomial, DesignMeasure, cd_polynomial, cd_profile
 from .errors import DegenerateDesignError, FloatRangeError, NotPositiveDefiniteError
-from .semialg import CandidateSet
+from .semialg import CandidateSet, GridMembers
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,28 @@ def dual_values(cert: DualCertificate, pts) -> np.ndarray:
 
 
 def validate_dual_feasibility(
-    cert: DualCertificate, validation: CandidateSet
+    cert: DualCertificate, validation: CandidateSet | GridMembers
 ) -> tuple[float, np.ndarray]:
     """Worst violation of v(x)^T X v(x) <= n_d over a validation set.
 
-    Returns the signed maximum of v^T X v - n_d and its argmax point.  A
-    positive value means the level set of the certified polynomial pokes
-    above n_d between training candidates: the training grid was too coarse.
+    Returns the signed maximum of v^T X v - n_d and its argmax point, the
+    first in the set's order on a tie.  A positive value means the level set
+    of the certified polynomial pokes above n_d between training candidates:
+    the training grid was too coarse.  A held grid is evaluated one block of
+    its members at a time, so only one block's v(x) is ever formed.
+
+    Raises:
+        FloatRangeError: naming the first point, in the set's order, where q
+            is not a finite float.
     """
-    vals = dual_values(cert, validation.points)
-    i = int(np.argmax(vals))
-    return float(vals[i] - cert.n_d), validation.points[i]
+    blocks = (
+        [validation.points] if isinstance(validation, CandidateSet)
+        else validation.blocks()
+    )
+    best, argmax_point = -np.inf, None
+    for pts in blocks:
+        vals = dual_values(cert, pts)
+        i = int(np.argmax(vals))
+        if vals[i] > best:  # q is finite, so the first block always enters
+            best, argmax_point = vals[i], pts[i].copy()
+    return float(best - cert.n_d), argmax_point

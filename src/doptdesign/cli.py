@@ -52,10 +52,12 @@ from .errors import (
 from .geometry import extract_ellipsoid, levelset_report
 from .semialg import (
     CandidateSet,
+    GridMembers,
     SemiAlgebraicSet,
     SparsePolynomial,
     explicit_candidates,
     grid_candidates,
+    grid_members,
 )
 from .solver import SolverConfig, solve
 
@@ -323,16 +325,17 @@ def load_config(path: str | Path) -> dict:
     return parse_config(raw)
 
 
-def _grid(space: SemiAlgebraicSet, resolution: int) -> CandidateSet:
-    """The candidate, validation or evaluation grid, and the CLI's one
-    resolution check (a resolution below 2, or a grid whose axes or r^n
-    membership mask are too large to allocate or to index, raises
-    ConfigError; an empty grid raises EmptyCandidateSetError).  The grid never
-    forms its (r^n, n) coordinate array, only the members' points."""
+def _grid(build, space: SemiAlgebraicSet, resolution: int):
+    """build(space, resolution): the candidate or evaluation grid's points
+    (`grid_candidates`) or the held validation grid (`grid_members`), and the
+    CLI's one resolution check (a resolution below 2, or a grid whose axes or
+    r^n membership mask are too large to allocate or to index, raises
+    ConfigError; an empty grid raises EmptyCandidateSetError).  Neither forms
+    the grid's (r^n, n) coordinate array."""
     if resolution < 2:
         raise ConfigError(f"grid resolution must be >= 2, got {resolution}")
     try:
-        return grid_candidates(space, resolution)
+        return build(space, resolution)
     except EmptyCandidateSetError:
         raise
     except (MemoryError, ValueError) as err:
@@ -362,7 +365,7 @@ def build_problem(cfg: dict) -> tuple[SemiAlgebraicSet, CandidateSet]:
     space = _build_set(cfg)
     cand_cfg = cfg["candidates"]
     if cand_cfg["source"] == "grid":
-        cands = _grid(space, cand_cfg["resolution"])
+        cands = _grid(grid_candidates, space, cand_cfg["resolution"])
     elif cand_cfg["source"] == "points":
         cands = explicit_candidates(space, np.array(cand_cfg["points"], dtype=float))
     else:
@@ -481,11 +484,12 @@ def _out_dir(out_dir: str):
         raise ConfigError(f"cannot write to --out {out_dir}: {err}") from err
 
 
-def _gate(cert, grid: CandidateSet, epsilon: float):
+def _gate(cert, grid: GridMembers, epsilon: float):
     """The quality gate of `solve` and `certify`.
 
     Samples the dual constraint v(x)^T X v(x) <= n_d on `grid`, a fresh grid
-    of the set (`validate_dual_feasibility`), and passes when the certified
+    of the set held as its membership mask (`validate_dual_feasibility`
+    walks its members one block at a time), and passes when the certified
     gap is at most n_d log1p(epsilon), which is p_max <= n_d (1 + epsilon) up
     to rounding, and the worst sampled violation is at most n_d epsilon.
     """
@@ -507,7 +511,7 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     space, cands = build_problem(cfg)
     # Built before the solve, so a bad validation grid fails at once.
     t0 = time.perf_counter()
-    grid = _grid(space, cfg["validation_resolution"])
+    grid = _grid(grid_members, space, cfg["validation_resolution"])
     grid_s = time.perf_counter() - t0
     solver_cfg = SolverConfig(**cfg["solver"])
     d = cfg["degree"]
@@ -562,6 +566,24 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     return EXIT_OK if gate.passed else EXIT_GATE_FAILED
 
 
+def _candidate_rows(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The row of `cands` equal to each row of `points`, or -1 where none is.
+
+    One stable np.lexsort of the candidates followed by the points puts equal
+    rows next to each other, each run led by its candidate (the candidates
+    are distinct); every point takes the leader of its run.  Rows compare as
+    floats, so -0.0 matches 0.0 and a NaN matches nothing."""
+    rows = np.concatenate([cands, points])
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    lead = np.empty(len(order), dtype=np.intp)
+    lead[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
+    match = lead[len(cands):]
+    return np.where(match < len(cands), match, -1)
+
+
 def _audit_report(
     report_path: str,
 ) -> tuple[dict, SemiAlgebraicSet, DualCertificate]:
@@ -607,11 +629,11 @@ def _audit_report(
             f"report design points must be rows of {cfg['dimension']} coordinates"
         )
     space, cands = build_problem(cfg)
-    row = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
-    support = [row.get(pt) for pt in map(tuple, points.tolist())]
-    if None in support:
+    support = _candidate_rows(cands.points, points)
+    missing = support < 0
+    if missing.any():
         raise _Rejected(
-            f"report design point {points[support.index(None)].tolist()} "
+            f"report design point {points[np.argmax(missing)].tolist()} "
             "is not a candidate of its config"
         )
     try:
@@ -647,7 +669,8 @@ def cmd_certify(report_path: str, resolution: int | None, quiet=False) -> int:
     cfg, space, cert = _audit_report(report_path)
     if resolution is None:
         resolution = cfg["validation_resolution"]
-    gate = _gate(cert, _grid(space, resolution), cfg["solver"]["epsilon"])
+    grid = _grid(grid_members, space, resolution)
+    gate = _gate(cert, grid, cfg["solver"]["epsilon"])
     if not quiet:
         print(f"primal_value={cert.primal_value:.12g}")
         print(f"dual_value={cert.dual_value:.12g}")
@@ -683,7 +706,7 @@ def cmd_eval_cd(
     space = _build_set(cfg)
     if grid_resolution is None:
         grid_resolution = cfg["validation_resolution"]
-    grid = _grid(space, grid_resolution)
+    grid = _grid(grid_candidates, space, grid_resolution)  # every point is written
     level = levelset_report(cert, grid)
 
     with _out_dir(out_dir) as out:
@@ -721,7 +744,9 @@ def cmd_ellipsoid(report_path: str, out_dir: str, quiet=False) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing is per call."""
     parser = argparse.ArgumentParser(
         prog="doptdesign",
         description="D-optimal design on semi-algebraic candidate sets "

@@ -9,17 +9,24 @@ filtered by membership or an explicit point list.
 One evaluator serves both: it takes each coordinate as its own array, and the
 arrays broadcast together.  An explicit list passes its columns; a grid passes
 its n axes of r points, each lying along its own dimension, so the grid's
-(r^n, n) coordinate array is never formed, and only the members' points are
-built.  Each polynomial, and each axis's box test, is evaluated on the
-broadcast shape of only the coordinates it uses: on a grid, a half-space
-x_j >= a costs r operations, not r^n.  The tests are then combined into one
-membership mask of the full shape.
+(r^n, n) coordinate array is never formed.  Each polynomial, and each axis's
+box test, is evaluated on the broadcast shape of only the coordinates it
+uses: on a grid, a half-space x_j >= a costs r operations, not r^n.  The tests
+are then combined into one membership mask of the full shape.
+
+A grid is held as its axes and its r^n membership mask (`GridMembers`).  The
+mask is filled, and the members' points are built, one block of whole
+leading-axis slabs (about 2^16 grid points) at a time, so no array of a
+block's values or points outgrows the block: a sampled check such as the
+certificate's walks the blocks and never holds every member at once.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +34,9 @@ import numpy as np
 from .errors import DimensionMismatchError, EmptyCandidateSetError
 
 MultiIndex = tuple[int, ...]
+
+#: Grid points per block of a grid's leading-axis slabs (at least one slab).
+_BLOCK_POINTS = 1 << 16
 
 
 def _rows(pts, n: int) -> np.ndarray:
@@ -144,7 +154,7 @@ class CandidateSet:
         return self.points.shape[1]
 
 
-def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
+def _members(s: SemiAlgebraicSet, xs, out=None) -> np.ndarray:
     """Closed membership of the points whose coordinates are xs (as for
     `_values`): inside the box and every g_j(x) >= 0.
 
@@ -153,9 +163,10 @@ def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
     shape; once a combined test holds nowhere, no later test is evaluated.
     The combined tests then meet smallest first, and a grid's single-axis
     tests in axis order, so they fill the full shape in one pass.  The result
-    is an array of its own with the full broadcast shape, allocated before any
-    test runs, so a grid too large to hold fails at once."""
-    mask = np.empty(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
+    is written to `out`, a bool array of the full broadcast shape, or to a new
+    one allocated before any test runs."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*(x.shape for x in xs)), dtype=bool)
     box = ((x >= lo) & (x <= hi) for x, (lo, hi) in zip(xs, s.bounding_box))
     tests: dict[tuple[int, ...], np.ndarray] = {}
     # Far outside the box g_j can overflow to inf or give NaN; the
@@ -169,7 +180,7 @@ def _members(s: SemiAlgebraicSet, xs) -> np.ndarray:
             if not tests[ok.shape].any():
                 break
     *first, last = sorted(tests.values(), key=np.size)
-    return np.logical_and(functools.reduce(np.logical_and, first, True), last, out=mask)
+    return np.logical_and(functools.reduce(np.logical_and, first, True), last, out=out)
 
 
 def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
@@ -178,26 +189,82 @@ def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
     return _members(s, _rows(pts, s.n).T)
 
 
-def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
-    """Uniform box grid with `resolution` points per axis, filtered by membership.
+@dataclass(frozen=True)
+class GridMembers:
+    """The members of a uniform box grid: its n broadcast axes (axis j, of r
+    points, lying along dimension j) and its r^n membership mask.
 
-    Membership is tested on the r^n grid through its broadcast axes, so the
-    grid's own (r^n, n) coordinate array is never formed: only the members'
-    points are built.  Point order is row-major over the axes (first
-    coordinate varies slowest), so the output is deterministic.
+    `blocks` yields the members' points one block of whole leading-axis slabs
+    at a time, so a walk over them holds one block's points, never all."""
+
+    axes: tuple[np.ndarray, ...]
+    mask: np.ndarray  # shape (r,) * n
+
+    def _slabs(self) -> Iterator[slice]:
+        """Leading-axis slices of about _BLOCK_POINTS grid points each."""
+        r, *rest = self.mask.shape
+        step = max(1, _BLOCK_POINTS // math.prod(rest))
+        return (slice(i, i + step) for i in range(0, r, step))
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The members' points as (k, n) arrays, k >= 1, in row-major order
+        over the axes (first coordinate varies slowest)."""
+        lead, *rest = self.axes
+        for slab in self._slabs():
+            inside = self.mask[slab]
+            if inside.any():
+                coords = np.broadcast_arrays(lead[slab], *rest)
+                yield np.stack([x[inside] for x in coords], axis=1)
+
+
+def grid_members(s: SemiAlgebraicSet, resolution: int) -> GridMembers:
+    """Uniform box grid with `resolution` points per axis, held as its
+    membership mask.
+
+    The r^n mask is allocated first, so a grid too large to hold fails at
+    once; it is then filled one block of leading-axis slabs at a time through
+    the grid's broadcast axes.
 
     Raises:
+        ValueError: if resolution < 2.
         EmptyCandidateSetError: if no grid point is a member.
     """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
     axes = [np.linspace(lo, hi, resolution) for lo, hi in s.bounding_box]
-    idx = np.nonzero(_members(s, np.meshgrid(*axes, indexing="ij", sparse=True)))
-    if idx[0].size == 0:
+    grid = GridMembers(
+        tuple(np.meshgrid(*axes, indexing="ij", sparse=True)),
+        np.empty((resolution,) * s.n, dtype=bool),
+    )
+    lead, *rest = grid.axes
+    for slab in grid._slabs():
+        _members(s, [lead[slab], *rest], out=grid.mask[slab])
+    if not grid.mask.any():
         raise EmptyCandidateSetError(
             f"no point of the {resolution}^{s.n} grid satisfies membership"
         )
-    return CandidateSet(points=np.stack([a[i] for a, i in zip(axes, idx)], axis=1))
+    return grid
+
+
+def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
+    """Uniform box grid with `resolution` points per axis, filtered by membership.
+
+    The members' points are gathered from `grid_members`' blocks into one
+    array, so the grid's own (r^n, n) coordinate array is never formed.  Point
+    order is row-major over the axes (first coordinate varies slowest), so
+    the output is deterministic.
+
+    Raises:
+        ValueError: if resolution < 2.
+        EmptyCandidateSetError: if no grid point is a member.
+    """
+    grid = grid_members(s, resolution)
+    points = np.empty((np.count_nonzero(grid.mask), s.n))
+    k = 0
+    for block in grid.blocks():
+        points[k : k + len(block)] = block
+        k += len(block)
+    return CandidateSet(points=points)
 
 
 def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:

@@ -814,6 +814,70 @@ def test_certify_rejects_design_off_the_candidates(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+THREE_POINT_CONFIG = {
+    "dimension": 1,
+    "degree": 2,
+    "set": {"bounding_box": [[-1.0, 1.0]]},
+    "candidates": {"source": "points", "points": [[-1.0], [0.0], [1.0]]},
+    "validation_resolution": 11,
+}
+
+
+@pytest.fixture
+def three_point_report(tmp_path):
+    """The report of the optimal quadratic design on {-1, 0, 1}."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, THREE_POINT_CONFIG)
+    assert cmd_solve(cfg, str(out), True) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["design"]["points"] == [[-1.0], [0.0], [1.0]]
+    return report
+
+
+def certify_design_points(report, points, tmp_path):
+    """Exit code of certify on `report` with its design points replaced
+    (written with json.dumps, which spells NaN as NaN)."""
+    report["design"]["points"] = points
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(report))
+    return cmd_certify(str(path), None, quiet=True)
+
+
+def test_certify_matches_a_negative_zero_design_point(
+    three_point_report, tmp_path, capsys
+):
+    points = [[-1.0], [-0.0], [1.0]]
+    assert certify_design_points(three_point_report, points, tmp_path) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_certify_never_matches_a_nan_design_point(three_point_report, tmp_path, capsys):
+    points = [[-1.0], [math.nan], [1.0]]
+    code = certify_design_points(three_point_report, points, tmp_path)
+    assert code == EXIT_GATE_FAILED
+    err = capsys.readouterr().err
+    assert err == "error: report design point [nan] is not a candidate of its config\n"
+
+
+def test_certify_names_the_first_design_point_off_the_candidates(
+    three_point_report, tmp_path, capsys
+):
+    # 7.0 sorts after 5.0, but comes first in the design.
+    points = [[7.0], [0.0], [5.0]]
+    code = certify_design_points(three_point_report, points, tmp_path)
+    assert code == EXIT_GATE_FAILED
+    err = capsys.readouterr().err
+    assert err == "error: report design point [7.0] is not a candidate of its config\n"
+
+
+def test_parser_is_built_once_and_parses_each_call(square_run, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    report = str(square_run["out"] / "report.json")
+    assert main(["certify", "--report", report, "--quiet"]) == EXIT_OK
+    assert main(["certify", "--report", report]) == EXIT_OK
+    assert "max_violation=" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("config", [TRUNCATED_CONFIG, SQUARE_CONFIG, INTERVAL_CONFIG])
 def test_certify_untouched_report_keeps_its_exit_code(tmp_path, capsys, config):
     out = tmp_path / "out"
