@@ -118,6 +118,37 @@ def enumerate_basis(n: int, d: int) -> MultiIndexBasis:
     return basis
 
 
+#: Bytes of the largest temporary block that a pass over N points forms.
+_BLOCK_BYTES = 1 << 19
+
+
+def _row_blocks(count: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of range(count), each of at most _BLOCK_BYTES //
+    row_bytes rows (at least one).  The package's one block sizer: every pass
+    over N points holds its N-sized result and one such block.
+
+    Above 64 rows a block is a whole number of 64 rows.  BLAS computes a
+    product's rows in tiles and may round the rows of a partial tile
+    differently, so blocks that end on tile boundaries give the bits of one
+    product over every row more often; they cannot always, as the last
+    block's tail can still meet another kernel.
+    """
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    if step > 64:
+        step -= step % 64
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def _as_points(basis: MultiIndexBasis, points) -> np.ndarray:
+    """points as a float array of shape (N, basis.n)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != basis.n:
+        raise DimensionMismatchError(
+            f"expected points of shape (N, {basis.n}), got {pts.shape}"
+        )
+    return pts
+
+
 def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     """Evaluate the basis at many points: row i is v(points[i]).
 
@@ -125,39 +156,52 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
     place where monomials are computed, so it is the one place that checks
     them.  Each coordinate's powers are contiguous vectors, x^e = x^(e-1) * x,
     and a monomial multiplies its factors x_j^e_j in the order j = 0, ..., n-1;
-    it is built as a contiguous row of the transposed table, which is copied
-    into C order once at the end.
+    it is built as a contiguous row of a transposed table of one block of
+    points (`_row_blocks`), whose transpose is copied into the output's rows.
 
     Raises:
         FloatRangeError: if a monomial is not a finite float at some
             point (|x|^k beyond the float range, or a non-finite coordinate);
             the message names the first such point.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != basis.n:
-        raise DimensionMismatchError(
-            f"expected points of shape (N, {basis.n}), got {pts.shape}"
-        )
-    table = np.ones((basis.size, pts.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = []
-        for x in pts.T:
-            xe = [None, np.ascontiguousarray(x)]  # xe[e] is x^e for e >= 1
-            for _ in range(2, basis.d + 1):
-                xe.append(xe[-1] * xe[1])
-            powers.append(xe)
-        for row, alpha in zip(table, basis.indices):
-            for xe, e in zip(powers, alpha):
-                if e:
-                    row *= xe[e]
-    out = np.ascontiguousarray(table.T)
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out).all(axis=1)
-        raise FloatRangeError(
-            f"a monomial of degree <= {basis.d} is not a finite float "
-            f"at the point {pts[bad][0].tolist()}"
-        )
+    pts = _as_points(basis, points)
+    out = np.empty((pts.shape[0], basis.size))
+    for rows in _row_blocks(pts.shape[0], 8 * basis.size):
+        block = pts[rows]
+        table = np.ones((basis.size, block.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = []
+            for x in block.T:
+                xe = [None, np.ascontiguousarray(x)]  # xe[e] is x^e for e >= 1
+                for _ in range(2, basis.d + 1):
+                    xe.append(xe[-1] * xe[1])
+                powers.append(xe)
+            for row, alpha in zip(table, basis.indices):
+                for xe, e in zip(powers, alpha):
+                    if e:
+                        row *= xe[e]
+        finite = np.isfinite(table)
+        if not finite.all():
+            raise FloatRangeError(
+                f"a monomial of degree <= {basis.d} is not a finite float "
+                f"at the point {block[np.argmin(finite.all(axis=0))].tolist()}"
+            )
+        out[rows] = table.T
     return out
+
+
+def vandermonde_blocks(
+    basis: MultiIndexBasis, points
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, vandermonde(basis, points[rows])) for consecutive row blocks that
+    cover the points in order, each block at most _BLOCK_BYTES.
+
+    The points are checked before the first block, so an ill-shaped array
+    raises the error that `vandermonde` raises on it, whatever its size.
+    """
+    pts = _as_points(basis, points)
+    for rows in _row_blocks(pts.shape[0], 8 * basis.size):
+        yield rows, vandermonde(basis, pts[rows])
 
 
 def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import MultiIndexBasis, adjoint_expand, vandermonde
+from .basis import MultiIndexBasis, adjoint_expand, vandermonde_blocks
 from .design import CDPolynomial, DesignMeasure, cd_polynomial, cd_profile
 from .errors import DegenerateDesignError, FloatRangeError, NotPositiveDefiniteError
 from .semialg import CandidateSet, GridMembers
@@ -122,20 +122,23 @@ def build_certificate(
 
 
 def dual_values(cert: DualCertificate, pts) -> np.ndarray:
-    """q(x) = v(x)^T X v(x) at the rows of an (N, n) array of points.
+    """q(x) = v(x)^T X v(x) at the rows of an (N, n) array of points, formed
+    one block of rows at a time (`vandermonde_blocks`).
 
     Raises:
         FloatRangeError: if q is not a finite float at some point (q has
-            degree 2d, so it can overflow where v(x) does not).
+            degree 2d, so it can overflow where v(x) does not); the message
+            names the first such point.
     """
-    v = vandermonde(cert.basis, pts)
+    q = np.empty(np.shape(pts)[:1])
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+        for rows, v in vandermonde_blocks(cert.basis, pts):
+            q[rows] = np.einsum("ij,ij->i", v @ cert.x_hat, v)
     finite = np.isfinite(q)
     if not finite.all():
         raise FloatRangeError(
             "the certified polynomial is not a finite float "
-            f"at the point {np.asarray(pts)[~finite][0].tolist()}"
+            f"at the point {np.asarray(pts)[np.argmin(finite)].tolist()}"
         )
     return q
 

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import MultiIndexBasis, enumerate_basis, moment_matrix, vandermonde
+from .basis import (
+    MultiIndexBasis,
+    enumerate_basis,
+    moment_matrix,
+    vandermonde,
+    vandermonde_blocks,
+)
 from .errors import DegenerateDesignError, NotPositiveDefiniteError
 from .semialg import CandidateSet
 
@@ -129,5 +135,10 @@ def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
 
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:
-    """Evaluate p at the rows of an (N, n) array of points, in order."""
-    return spd.quad_form_inv_many(p.factor, vandermonde(p.basis, pts))
+    """Evaluate p at the rows of an (N, n) array of points, in order, one
+    block of rows at a time (`vandermonde_blocks`): only the N values and one
+    block's v(x) and L^{-1} v(x) are held."""
+    out = np.empty(np.shape(pts)[:1])
+    for rows, v in vandermonde_blocks(p.basis, pts):
+        out[rows] = spd.quad_form_inv_many(p.factor, v)
+    return out

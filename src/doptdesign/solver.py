@@ -166,6 +166,11 @@ class _Iterate:
         return float(np.log1p(lam).sum())
 
 
+#: Relative width of a tie: the greedy start picks the lowest index among the
+#: residual norms within this fraction of the largest.
+_TIE = 1e-9
+
+
 def _greedy(vd: np.ndarray) -> np.ndarray:
     """n_d rows of V_d by pivoted Gram-Schmidt, the largest residual first.
 
@@ -175,17 +180,32 @@ def _greedy(vd: np.ndarray) -> np.ndarray:
     polynomials on the points separate them).  When the rank falls short,
     the picks end at a zero residual or pass round-off residuals, and the
     start's information matrix is singular.
+
+    No residual matrix is formed: the squared residual norms start as the
+    rows' squared norms and each pick's unit direction q downdates them,
+    norms -= (V_d q)^2.  Only the picked row's residual is formed,
+    orthogonalized twice against the directions picked before.  A tie, norms
+    within a relative _TIE of the largest, goes to the lowest index, so
+    mirror-image candidates do not pick by round-off.  vd may be a column
+    view of V2; its products are taken with @, which does not copy it.
     """
-    r = np.array(vd)
+    n_d = vd.shape[1]
+    norms = np.einsum("ij,ij->i", vd, vd)
+    qs = np.empty((n_d, n_d))  # row j: the unit direction of pick j
     picked = []
-    for _ in range(vd.shape[1]):
-        norms = np.einsum("ij,ij->i", r, r)
-        k = int(norms.argmax())
-        if not norms[k] > 0.0:
+    for j in range(n_d):
+        top = norms.max()
+        if not top > 0.0:
             break
+        k = int(np.argmax(norms >= top * (1.0 - _TIE)))
+        r = vd[k] - (qs[:j] @ vd[k]) @ qs[:j]
+        r -= (qs[:j] @ r) @ qs[:j]
+        size = math.sqrt(r @ r)
+        if not size > 0.0:
+            break
+        qs[j] = r / size
         picked.append(k)
-        q = r[k] / math.sqrt(norms[k])
-        r -= np.outer(np.dot(r, q), q)
+        norms -= np.square(vd @ qs[j])
     return np.array(picked)
 
 
@@ -202,7 +222,8 @@ def _reduce(v2: np.ndarray, atoms: np.ndarray,
     weights along each null vector in turn, until the first of them reaches
     0, empties one atom per vector; the other null vectors are then
     eliminated at that atom so later walks leave it empty.  The rows kept
-    are linearly independent.
+    are linearly independent.  Rows that already are come back untouched,
+    atoms and w themselves: renormalizing w would move log det by round-off.
     """
     rows = v2[atoms]
     # Scaling columns leaves the null space alone and evens out the moments
@@ -211,6 +232,8 @@ def _reduce(v2: np.ndarray, atoms: np.ndarray,
     u, sv, _ = np.linalg.svd(rows / np.where(scale > 0.0, scale, 1.0))
     tol = sv[0] * max(rows.shape) * np.finfo(float).eps
     null = u[:, int(np.count_nonzero(sv > tol)):]
+    if not null.shape[1]:
+        return atoms, w
     w = w.copy()
     for j in range(null.shape[1]):
         step = null[:, j] if null[:, j].max() > 0.0 else -null[:, j]

@@ -381,3 +381,22 @@ def reference_first_rows(rows: np.ndarray) -> np.ndarray:
     keep = np.zeros(len(order), dtype=bool)
     keep[order[first]] = True
     return rows[keep]
+
+
+def reference_greedy(vd: np.ndarray, tie: float = 1e-9) -> np.ndarray:
+    """Pivoted Gram-Schmidt on the rows of vd with an explicit residual
+    matrix: each step recomputes every residual norm, picks the lowest index
+    among the norms within a relative `tie` of the largest, and subtracts
+    every row's projection onto the pick's unit residual."""
+    r = np.array(vd, dtype=float)
+    picked = []
+    for _ in range(r.shape[1]):
+        norms = np.einsum("ij,ij->i", r, r)
+        top = norms.max()
+        if not top > 0.0:
+            break
+        k = int(np.argmax(norms >= top * (1.0 - tie)))
+        picked.append(k)
+        q = r[k] / math.sqrt(norms[k])
+        r -= np.outer(r @ q, q)
+    return np.array(picked)

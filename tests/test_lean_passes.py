@@ -1,0 +1,161 @@
+"""Passes over N points hold their N-sized result and one bounded block.
+
+`basis.vandermonde` writes its output one row block at a time, the greedy
+start downdates residual norms instead of copying V_d, `cd_profile` and
+`dual_values` evaluate one block of rows at a time, and `solve` streams the
+large arrays of report.json.  Each test bounds a traced peak (tracemalloc
+counts numpy's buffers) or checks that the blocks change no byte.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from doptdesign import FloatRangeError, SemiAlgebraicSet, SparsePolynomial, solver
+from doptdesign import basis, cli
+from doptdesign.basis import enumerate_basis, vandermonde
+from doptdesign.cli import EXIT_OK, _Streamed, _write_json, cmd_solve, dump_json
+from doptdesign.semialg import grid_candidates
+
+MIB = 2**20
+
+DISK = SemiAlgebraicSet(
+    2,
+    (SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}),),
+    ((-1.0, 1.0),) * 2,
+)
+
+SIMPLEX_INEQUALITIES = [
+    [{"exponents": [1, 0, 0], "coeff": 1.0}, {"exponents": [0, 0, 0], "coeff": 1.0}],
+    [{"exponents": [0, 1, 0], "coeff": 1.0}, {"exponents": [0, 0, 0], "coeff": 1.0}],
+    [{"exponents": [0, 0, 1], "coeff": 1.0}, {"exponents": [0, 0, 0], "coeff": 1.0}],
+    [{"exponents": [0, 0, 0], "coeff": 1.0}, {"exponents": [1, 0, 0], "coeff": -1.0},
+     {"exponents": [0, 1, 0], "coeff": -1.0}, {"exponents": [0, 0, 1], "coeff": -1.0}],
+]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module")
+def disk_v2():
+    """V2 of the unit disk's 101^2 grid at d = 4 (7,837 x 45, 2.69 MiB)."""
+    return vandermonde(enumerate_basis(2, 8), grid_candidates(DISK, 101).points)
+
+
+@pytest.fixture(scope="module")
+def cloud_config(tmp_path_factory):
+    """The simplex's 4 vertices and 20,000 seeded interior points at d = 1,
+    validated on the 101^3 grid."""
+    work = tmp_path_factory.mktemp("cloud")
+    rng = np.random.default_rng(2024)
+    vertices = np.array([[-1.0, -1.0, -1.0], [3.0, -1.0, -1.0],
+                         [-1.0, 3.0, -1.0], [-1.0, -1.0, 3.0]])
+    interior = rng.dirichlet(np.ones(4), size=20_000) @ vertices
+    np.savetxt(work / "cloud.txt", np.vstack([vertices, interior]), fmt="%.17g")
+    cfg = {
+        "dimension": 3,
+        "degree": 1,
+        "set": {"bounding_box": [[-1.0, 3.0]] * 3, "inequalities": SIMPLEX_INEQUALITIES},
+        "candidates": {"source": "point_cloud_file", "path": str(work / "cloud.txt")},
+        "validation_resolution": 101,
+    }
+    path = work / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_vandermonde_peak_is_its_output_and_one_block(disk_v2):
+    pts = grid_candidates(DISK, 101).points
+    out, peak = traced_peak(vandermonde, enumerate_basis(2, 8), pts)
+    assert out.flags.c_contiguous
+    assert peak <= out.nbytes + 1.5 * MIB  # one (45 x N) table took 6.68 MiB
+
+
+def test_vandermonde_blocks_change_no_bit(disk_v2, monkeypatch):
+    pts = grid_candidates(DISK, 101).points
+    monkeypatch.setattr(basis, "_BLOCK_BYTES", 1 << 40)  # one block
+    assert vandermonde(enumerate_basis(2, 8), pts).tobytes() == disk_v2.tobytes()
+
+
+def test_vandermonde_names_the_first_bad_point_past_the_first_block(monkeypatch):
+    # x^4 overflows from about 1.3e77 on; the first such point of the line
+    # lies in a later block, and one block names the same point.
+    pts = np.linspace(0.0, 1.5e77, 50_001).reshape(-1, 1)
+    quartic = enumerate_basis(1, 4)
+    with pytest.raises(FloatRangeError) as blocked:
+        vandermonde(quartic, pts)
+    monkeypatch.setattr(basis, "_BLOCK_BYTES", 1 << 40)
+    with pytest.raises(FloatRangeError) as whole:
+        vandermonde(quartic, pts)
+    assert str(blocked.value) == str(whole.value)
+    first_bad = float(str(whole.value).rsplit("[", 1)[1].rstrip("]"))
+    assert first_bad > pts[(1 << 19) // 40, 0]
+
+
+def test_greedy_on_the_column_view_copies_nothing(disk_v2):
+    vd = disk_v2[:, :15]  # as solve passes it: not contiguous
+    picks, peak = traced_peak(solver._greedy, vd)
+    assert picks.size == 15
+    assert peak <= 0.5 * MIB  # the residual copy and its update took 2.04 MiB
+
+
+def test_solve_peak_on_a_20004_point_cloud(cloud_config, tmp_path):
+    assert cmd_solve(str(cloud_config), str(tmp_path / "warm"), quiet=True) == EXIT_OK
+    code, peak = traced_peak(cmd_solve, str(cloud_config), str(tmp_path / "out"),
+                             quiet=True)
+    assert code == EXIT_OK
+    assert peak <= 5 * MIB  # 5.6-5.8 MiB with one block per pass
+
+
+def test_streamed_report_is_dump_json_of_the_report(cloud_config, tmp_path, monkeypatch):
+    written = []
+
+    def write_json(path, obj):
+        written.append(obj)
+        _write_json(path, obj)
+
+    monkeypatch.setattr(cli, "_write_json", write_json)
+    assert cmd_solve(str(cloud_config), str(tmp_path), quiet=True) == EXIT_OK
+    (report,) = written
+    assert report["p_values"].values.size > 4 * cli._CHUNK
+    assert (tmp_path / "report.json").read_text() == dump_json(report)
+
+
+def test_write_json_streams_nulls_and_empty_arrays(tmp_path):
+    trace = np.arange(2 * cli._CHUNK + 3) / 7.0
+    trace[::5] = np.nan
+    obj = {
+        "head": [1, 2.5],
+        "values": _Streamed(np.linspace(-1.0, 1.0, 3 * cli._CHUNK + 1)),
+        "trace": {"none": _Streamed(np.empty(0)), "p_max": _Streamed(trace, nulls=True)},
+        "tail": "end",
+    }
+    path = tmp_path / "report.json"
+    _write_json(path, obj)
+    text = path.read_text()
+    assert text == dump_json(obj)
+    assert json.loads(text)["trace"]["p_max"][:6] == [None, *trace[1:5].tolist(), None]
+
+
+@pytest.mark.parametrize(
+    ("values", "nulls"),
+    [(np.array([1.0, np.nan, 2.0]), False), (np.array([1.0, np.inf, np.nan]), True)],
+    ids=["nan", "inf-with-nulls"],
+)
+def test_a_non_finite_streamed_value_raises_before_the_file_exists(tmp_path, values, nulls):
+    path = tmp_path / "report.json"
+    big = np.concatenate([np.ones(cli._CHUNK + 1), values])
+    with pytest.raises(ValueError):
+        _write_json(path, {"n_d": 3, "p_values": _Streamed(big, nulls)})
+    assert not path.exists()

@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doptdesign import (
@@ -21,7 +21,7 @@ from doptdesign import (
 )
 from doptdesign.basis import enumerate_basis, moment_matrix, vandermonde
 
-from oracles import christoffel_values
+from oracles import christoffel_values, reference_greedy
 
 GRID_401 = np.linspace(-1.0, 1.0, 401)
 
@@ -160,6 +160,9 @@ def test_interval_401_converges_in_500_steps(d):
     seed=st.integers(0, 2**32 - 1),
     circle=st.booleans(),
 )
+# 20 atoms in 3-D at d = 3 are independent (s = 84): nothing is dropped, and
+# renormalizing the weights anyway moved log det by 3e-12 (cond M = 1.8e6).
+@example(n=3, d=3, size=20, seed=1, circle=False)
 def test_reduce_keeps_the_moments_on_at_most_s_atoms(n, d, size, seed, circle):
     rng = np.random.default_rng(seed)
     if circle:
@@ -409,3 +412,67 @@ def test_box_41_squared_at_d8_converges_in_1500_steps():
     design = res.design
     p = christoffel_values(design.candidates.points, design.weights, pts, 8)
     assert p.max() <= 45.0 * (1.0 + 1e-6)
+
+
+def test_reduce_leaves_independent_atoms_untouched():
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-1.0, 1.0, size=(20, 3))
+    v2 = vandermonde(enumerate_basis(3, 6), pts)
+    atoms, w = np.arange(20), rng.dirichlet(np.ones(20))
+    kept, kept_w = solver._reduce(v2, atoms, w)
+    assert kept is atoms and kept_w is w
+
+
+def square_grid(r):
+    axis = np.linspace(-1.0, 1.0, r)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def greedy_view(pts, d):
+    """V_d as solve passes it to _greedy: the first n_d columns of V2."""
+    n = pts.shape[1]
+    v2 = vandermonde(enumerate_basis(n, 2 * d), pts)
+    return v2[:, :enumerate_basis(n, d).size]
+
+
+@pytest.mark.parametrize(
+    ("pts", "d"),
+    [pytest.param(GRID_401.reshape(-1, 1), d, id=f"interval-401-d{d}")
+     for d in (4, 8, 12, 16, 20)]
+    + [pytest.param(square_grid(41), d, id=f"square-41-d{d}") for d in (4, 8)],
+)
+def test_greedy_picks_the_explicit_residual_picks(pts, d):
+    vd = greedy_view(pts, d)
+    assert not vd.flags.c_contiguous
+    picks = solver._greedy(vd)
+    assert picks.size == vd.shape[1]
+    assert picks.tolist() == reference_greedy(vd).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+    lattice=st.booleans(),
+)
+def test_greedy_picks_the_explicit_residual_picks_on_clouds(n, d, extra, seed, lattice):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(enumerate_basis(n, d).size + extra, n))
+    if lattice:  # coordinates on a 9-point lattice: repeats and mirror ties
+        pts = np.round(4.0 * pts) / 4.0
+    vd = greedy_view(pts, d)
+    picks, expected = solver._greedy(vd).tolist(), reference_greedy(vd).tolist()
+    rank = np.linalg.matrix_rank(vd)
+    if rank == vd.shape[1]:
+        assert picks == expected
+    else:  # past the rank both pick round-off residuals, or stop
+        assert len(picks) >= rank and picks[:rank] == expected[:rank]
+
+
+def test_greedy_breaks_a_mirror_tie_at_the_lowest_index():
+    # Both ends of [-1, 1] have the largest norm, |v(+-1)|^2 = d + 1; the tie
+    # goes to -1, the lower index, and the next pick is then 1.
+    picks = solver._greedy(greedy_view(GRID_401.reshape(-1, 1), 2))
+    assert picks[:2].tolist() == [0, 400]

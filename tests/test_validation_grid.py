@@ -23,6 +23,7 @@ from doptdesign import (
     solve,
     validate_dual_feasibility,
 )
+from doptdesign.basis import vandermonde
 from doptdesign.design import DesignMeasure
 from doptdesign.semialg import _BLOCK_POINTS, grid_members
 
@@ -168,3 +169,21 @@ def test_simplex_validation_peak_memory():
         tracemalloc.stop()
     assert violation <= 1e-9
     assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [pytest.param(lambda: uniform_certificate(SIMPLEX_VERTICES, 1), id="vertices-d1"),
+     pytest.param(lambda: solved_certificate(SIMPLEX, 11, 2), id="solved-d2")],
+)
+def test_simplex_validation_is_bitwise_one_product_over_every_member(cert):
+    # dual_values forms q one block of rows at a time; one product over all
+    # 174,473 members gives the same maximum and argmax, bit for bit.
+    cert = cert()
+    whole = grid_candidates(SIMPLEX, 101).points
+    v = vandermonde(cert.basis, whole)
+    q = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+    i = int(np.argmax(q))
+    violation, point = validate_dual_feasibility(cert, grid_members(SIMPLEX, 101))
+    assert np.float64(violation).tobytes() == np.float64(q[i] - cert.n_d).tobytes()
+    assert point.tobytes() == whole[i].tobytes()
