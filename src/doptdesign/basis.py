@@ -11,6 +11,8 @@ The paper's linear pair lives here too, and only here.  The moment map M_d
 so M(w) = M_d(y); its adjoint M_d* (`adjoint_expand`) takes a matrix X to
 the degree-2d coefficients c of v(x)^T X v(x), so p = V2 c.  Both read one
 index map, `MultiIndexBasis.products`; no other module touches it.
+`_rows` is the package's one check of an (N, n) array of points, and
+`_row_blocks` its one block sizer.
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ _BLOCK_BYTES = 1 << 19
 def _row_blocks(count: int, row_bytes: int) -> Iterator[slice]:
     """Consecutive slices of range(count), each of at most _BLOCK_BYTES //
     row_bytes rows (at least one).  The package's one block sizer: every pass
-    over N points holds its N-sized result and one such block.
+    over N points holds its N-sized result and one such block, and a grid's
+    slabs and a CSV table's rows are cut the same way.
 
     Above 64 rows a block is a whole number of 64 rows.  BLAS computes a
     product's rows in tiles and may round the rows of a partial tile
@@ -139,12 +142,12 @@ def _row_blocks(count: int, row_bytes: int) -> Iterator[slice]:
     return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def _as_points(basis: MultiIndexBasis, points) -> np.ndarray:
-    """points as a float array of shape (N, basis.n)."""
+def _rows(points, n: int) -> np.ndarray:
+    """points as a float array of shape (N, n)."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != basis.n:
+    if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionMismatchError(
-            f"expected points of shape (N, {basis.n}), got {pts.shape}"
+            f"expected points of shape (N, {n}), got {pts.shape}"
         )
     return pts
 
@@ -164,7 +167,7 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
             point (|x|^k beyond the float range, or a non-finite coordinate);
             the message names the first such point.
     """
-    pts = _as_points(basis, points)
+    pts = _rows(points, basis.n)
     out = np.empty((pts.shape[0], basis.size))
     for rows in _row_blocks(pts.shape[0], 8 * basis.size):
         block = pts[rows]
@@ -188,20 +191,6 @@ def vandermonde(basis: MultiIndexBasis, points) -> np.ndarray:
             )
         out[rows] = table.T
     return out
-
-
-def vandermonde_blocks(
-    basis: MultiIndexBasis, points
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """(rows, vandermonde(basis, points[rows])) for consecutive row blocks that
-    cover the points in order, each block at most _BLOCK_BYTES.
-
-    The points are checked before the first block, so an ill-shaped array
-    raises the error that `vandermonde` raises on it, whatever its size.
-    """
-    pts = _as_points(basis, points)
-    for rows in _row_blocks(pts.shape[0], 8 * basis.size):
-        yield rows, vandermonde(basis, pts[rows])
 
 
 def moment_matrix(y, basis_d: MultiIndexBasis) -> np.ndarray:

@@ -10,7 +10,9 @@ iterate, not only in the limit, so weak duality is a running numerical check:
 
 At optimality p_max -> n_d, recovering the unscaled X = M^{-1}, multiplier
 z = -n_d, and gap 0.  Because X is positive definite, q is a sum of squares.
-`dual_values` is the one evaluator of q.  This module holds the other half of
+`dual_values`, the one evaluator of q, forms it from p as n_d (p / p_max):
+dividing first rounds p / p_max to at most 1 where p <= p_max, so q <= n_d
+holds exactly at every training candidate.  This module holds the other half of
 the paper's linear pair: `adjoint_expand`, the adjoint M_d* of the moment map
 `design.moment_matrix`, gives the degree-2d coefficients of q as a plain
 array.  Both maps are defined in `basis`, which alone reads their index map.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .basis import MultiIndexBasis, adjoint_expand, vandermonde_blocks
+from .basis import MultiIndexBasis, adjoint_expand
 from .design import CDPolynomial, DesignMeasure, cd_polynomial, cd_profile
 from .errors import DegenerateDesignError, FloatRangeError, NotPositiveDefiniteError
 from .semialg import CandidateSet, GridMembers
@@ -69,6 +71,14 @@ class DualCertificate:
         return self.polynomial.basis
 
 
+def _scaled(p: np.ndarray, n_d: int, p_max: float) -> np.ndarray:
+    """q = n_d (p / p_max), written over the design's p values, for
+    `dual_values` and the complementarity residual."""
+    p /= p_max
+    p *= n_d
+    return p
+
+
 def build_certificate(
     design: DesignMeasure, candidates: CandidateSet, d: int
 ) -> DualCertificate:
@@ -103,9 +113,8 @@ def build_certificate(
             "design's information matrix is too ill-conditioned to certify"
         ) from err
     z_hat = -p_max
-    residual = float(
-        np.sum(design.weights * (n_d - (n_d / p_max) * support_p))
-    )
+    support_q = _scaled(support_p.copy(), n_d, p_max)
+    residual = float(np.sum(design.weights * (n_d - support_q)))
     return DualCertificate(
         polynomial=poly,
         x_hat=x_hat,
@@ -123,17 +132,15 @@ def build_certificate(
 
 def dual_values(cert: DualCertificate, pts) -> np.ndarray:
     """q(x) = v(x)^T X v(x) at the rows of an (N, n) array of points, formed
-    one block of rows at a time (`vandermonde_blocks`).
+    from p (`cd_profile`) as n_d (p / p_max), never through X.
 
     Raises:
         FloatRangeError: if q is not a finite float at some point (q has
             degree 2d, so it can overflow where v(x) does not); the message
             names the first such point.
     """
-    q = np.empty(np.shape(pts)[:1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, v in vandermonde_blocks(cert.basis, pts):
-            q[rows] = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+        q = _scaled(cd_profile(cert.polynomial, pts), cert.n_d, cert.p_max)
     finite = np.isfinite(q)
     if not finite.all():
         raise FloatRangeError(

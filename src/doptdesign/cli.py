@@ -32,6 +32,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from . import __version__
+from .basis import _row_blocks
 from .certificate import (
     DualCertificate,
     adjoint_expand,
@@ -55,6 +56,7 @@ from .semialg import (
     GridMembers,
     SemiAlgebraicSet,
     SparsePolynomial,
+    _first_equal_rows,
     explicit_candidates,
     grid_candidates,
     grid_members,
@@ -168,18 +170,21 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray, flags=None) -> 
     the row's entry of the boolean `flags`, if given, as true or false.
 
     The cells reach csv.writer as Python floats, which it writes as their
-    shortest round-trip repr.  Raises ValueError on a non-finite value.
+    shortest round-trip repr, one block of rows (`_row_blocks`) at a time.
+    Raises ValueError on a non-finite value, before the file is opened.
     """
     if not np.isfinite(table).all():
         raise ValueError(f"non-finite value in {path.name}")
-    rows = table.tolist()
-    if flags is not None:
-        for row, flag in zip(rows, flags.tolist()):
-            row.append("true" if flag else "false")
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for block in _row_blocks(len(table), 8 * table.shape[1]):
+            rows = table[block].tolist()
+            if flags is not None:
+                for row, flag in zip(rows, flags[block].tolist()):
+                    row.append("true" if flag else "false")
+            writer.writerows(rows)
+            del rows  # freed before the next block is built
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +643,10 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
 def _candidate_rows(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The row of `cands` equal to each row of `points`, or -1 where none is.
 
-    One stable np.lexsort of the candidates followed by the points puts equal
-    rows next to each other, each run led by its candidate (the candidates
-    are distinct); every point takes the leader of its run.  Rows compare as
-    floats, so -0.0 matches 0.0 and a NaN matches nothing."""
-    rows = np.concatenate([cands, points])
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    lead = np.empty(len(order), dtype=np.intp)
-    lead[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
-    match = lead[len(cands):]
+    The candidates are distinct and come first, so the first row equal to a
+    point (`_first_equal_rows`) is its candidate when it has one.  Rows
+    compare as floats, so -0.0 matches 0.0 and a NaN matches nothing."""
+    match = _first_equal_rows(np.concatenate([cands, points]))[len(cands):]
     return np.where(match < len(cands), match, -1)
 
 

@@ -23,10 +23,11 @@ import numpy as np
 from . import spd
 from .basis import (
     MultiIndexBasis,
+    _row_blocks,
+    _rows,
     enumerate_basis,
     moment_matrix,
     vandermonde,
-    vandermonde_blocks,
 )
 from .errors import DegenerateDesignError, NotPositiveDefiniteError
 from .semialg import CandidateSet
@@ -136,9 +137,10 @@ def cd_polynomial(mu: DesignMeasure, d: int) -> CDPolynomial:
 
 def cd_profile(p: CDPolynomial, pts) -> np.ndarray:
     """Evaluate p at the rows of an (N, n) array of points, in order, one
-    block of rows at a time (`vandermonde_blocks`): only the N values and one
-    block's v(x) and L^{-1} v(x) are held."""
-    out = np.empty(np.shape(pts)[:1])
-    for rows, v in vandermonde_blocks(p.basis, pts):
-        out[rows] = spd.quad_form_inv_many(p.factor, v)
+    block of rows at a time (`_row_blocks`): only the N values and one block's
+    v(x) and L^{-1} v(x) are held."""
+    pts = _rows(pts, p.basis.n)
+    out = np.empty(len(pts))
+    for rows in _row_blocks(len(pts), 8 * p.n_d):
+        out[rows] = spd.quad_form_inv_many(p.factor, vandermonde(p.basis, pts[rows]))
     return out

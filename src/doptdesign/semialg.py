@@ -19,6 +19,8 @@ mask is filled, and the members' points are built, one block of whole
 leading-axis slabs (about 2^16 grid points) at a time, so no array of a
 block's values or points outgrows the block: a sampled check such as the
 certificate's walks the blocks and never holds every member at once.
+`_first_equal_rows` alone matches equal rows, for an explicit list's
+duplicates and for a report's design points in `cli`.
 """
 
 from __future__ import annotations
@@ -31,22 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import _row_blocks, _rows
 from .errors import DimensionMismatchError, EmptyCandidateSetError
 
 MultiIndex = tuple[int, ...]
-
-#: Grid points per block of a grid's leading-axis slabs (at least one slab).
-_BLOCK_POINTS = 1 << 16
-
-
-def _rows(pts, n: int) -> np.ndarray:
-    """pts as a float array with one point of n coordinates per row."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise DimensionMismatchError(
-            f"expected points of shape (N, {n}), got {pts.shape}"
-        )
-    return pts
 
 
 @dataclass(frozen=True)
@@ -201,10 +191,9 @@ class GridMembers:
     mask: np.ndarray  # shape (r,) * n
 
     def _slabs(self) -> Iterator[slice]:
-        """Leading-axis slices of about _BLOCK_POINTS grid points each."""
+        """Leading-axis slices of about 2^16 grid points each (`_row_blocks`)."""
         r, *rest = self.mask.shape
-        step = max(1, _BLOCK_POINTS // math.prod(rest))
-        return (slice(i, i + step) for i in range(0, r, step))
+        return _row_blocks(r, 8 * math.prod(rest))
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The members' points as (k, n) arrays, k >= 1, in row-major order
@@ -284,21 +273,31 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
     members = pts[membership_mask(s, pts)]
     if members.shape[0] == 0:
         raise EmptyCandidateSetError("all explicit candidate points were rejected")
-    # Only rows whose last coordinate repeats can be duplicates.  A stable
-    # sort of the last coordinate finds them; a stable sort of their rows puts
-    # equal rows next to each other in input order, and the first of each run
-    # is kept.  Floats compare -0.0 equal to 0.0, so the two spellings are one
-    # point.
-    by_last = np.argsort(members[:, -1], kind="stable")
-    last = members[by_last, -1]
-    tied = np.zeros(len(last), dtype=bool)
+    first = _first_equal_rows(members)
+    return CandidateSet(points=members[first == np.arange(len(members))])
+
+
+def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of an (N, n) array, the index of the first row equal to it
+    as floats (-0.0 equals 0.0; a row holding a NaN is its own first).
+
+    Only rows whose last coordinate repeats can equal another.  A stable sort
+    of the last coordinate finds them; one stable lexsort of their rows puts
+    equal rows next to each other in index order, each run led by its first."""
+    by_last = np.argsort(rows[:, -1], kind="stable")
+    last = rows[by_last, -1]
+    tied = np.zeros(len(rows), dtype=bool)
     tied[1:] = last[1:] == last[:-1]
     tied[:-1] |= tied[1:]
     maybe = by_last[tied]
-    rows = members[maybe]
-    order = np.lexsort(rows.T)
-    later = np.zeros(len(order), dtype=bool)
-    later[1:] = np.all(rows[order[1:]] == rows[order[:-1]], axis=1)
-    keep = np.ones(len(members), dtype=bool)
-    keep[maybe[order[later]]] = False
-    return CandidateSet(points=members[keep])
+    del by_last, last, tied  # each array is freed once read
+    # Contiguous columns as keys: np.lexsort copies a strided key first.
+    order = maybe[np.lexsort([rows[maybe, j] for j in range(rows.shape[1])])]
+    del maybe
+    ranked = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    del ranked
+    first = np.arange(len(rows))
+    first[order] = order[np.flatnonzero(starts)][np.cumsum(starts) - 1]
+    return first

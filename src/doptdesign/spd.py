@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .basis import _rows
 from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -118,12 +119,7 @@ def solve(f: SpdFactor, b) -> np.ndarray:
 def quad_form_inv_many(f: SpdFactor, rows) -> np.ndarray:
     """v^T A^{-1} v for every row v of `rows`, an (N, size) array; each value
     is computed as ||L^{-1} v||^2, so it is never negative."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != f.size:
-        raise DimensionMismatchError(
-            f"expected vectors of shape (N, {f.size}), got {rows.shape}"
-        )
-    z = np.dot(f.inv_chol, rows.T)
+    z = np.dot(f.inv_chol, _rows(rows, f.size).T)
     return np.einsum("ij,ij->j", z, z)
 
 

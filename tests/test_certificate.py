@@ -12,7 +12,7 @@ from doptdesign import (
     validate_dual_feasibility,
 )
 from doptdesign.basis import enumerate_basis, vandermonde
-from doptdesign.certificate import adjoint_expand
+from doptdesign.certificate import adjoint_expand, dual_values
 from doptdesign.design import DesignMeasure, moment_matrix, moment_vector
 from doptdesign.errors import SizeMismatchError
 from doptdesign.geometry import levelset_report
@@ -243,6 +243,18 @@ def test_validate_on_training_candidates():
     )
     violation, _ = validate_dual_feasibility(cert, grid)
     assert violation <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [4, 7, 18, 23])
+def test_dual_constraint_holds_exactly_on_training_candidates(seed):
+    # q = n_d (p / p_max) rounds p / p_max to at most 1, so q <= n_d holds in
+    # floats, not only up to round-off.  On these clouds the product v^T X v
+    # rounds above n_d by up to 3.6e-15.
+    n, d = 1 + seed % 3, 1 + (seed // 3) % 3
+    pts = np.random.default_rng(seed).uniform(-1, 1, (300, n))
+    cands = CandidateSet(points=pts)
+    _, cert = solve_and_certify(cands, d, SolverConfig(epsilon=1e-6, max_iters=5000))
+    assert dual_values(cert, cands.points).max() <= cert.n_d
 
 
 def test_validate_fine_grid_degree_one():

@@ -1,10 +1,12 @@
 """Passes over N points hold their N-sized result and one bounded block.
 
 `basis.vandermonde` writes its output one row block at a time, the greedy
-start downdates residual norms instead of copying V_d, `cd_profile` and
-`dual_values` evaluate one block of rows at a time, and `solve` streams the
-large arrays of report.json.  Each test bounds a traced peak (tracemalloc
-counts numpy's buffers) or checks that the blocks change no byte.
+start downdates residual norms instead of copying V_d, `cd_profile`
+evaluates one block of rows at a time and `dual_values` reads q from it,
+`solve` streams the large arrays of report.json, and `cli._write_csv` turns
+one block of a table's rows into Python objects at a time.  Each test bounds
+a traced peak (tracemalloc counts numpy's buffers) or checks that the blocks
+change no byte.
 """
 
 import json
@@ -16,7 +18,14 @@ import pytest
 from doptdesign import FloatRangeError, SemiAlgebraicSet, SparsePolynomial, solver
 from doptdesign import basis, cli
 from doptdesign.basis import enumerate_basis, vandermonde
-from doptdesign.cli import EXIT_OK, _Streamed, _write_json, cmd_solve, dump_json
+from doptdesign.cli import (
+    EXIT_OK,
+    _Streamed,
+    _write_csv,
+    _write_json,
+    cmd_solve,
+    dump_json,
+)
 from doptdesign.semialg import grid_candidates
 
 MIB = 2**20
@@ -101,6 +110,18 @@ def test_vandermonde_names_the_first_bad_point_past_the_first_block(monkeypatch)
     assert str(blocked.value) == str(whole.value)
     first_bad = float(str(whole.value).rsplit("[", 1)[1].rstrip("]"))
     assert first_bad > pts[(1 << 19) // 40, 0]
+
+
+def test_csv_peak_is_one_block_and_the_blocks_change_no_byte(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    table = rng.standard_normal((100_000, 4))
+    flags = table[:, -1] > 0
+    header = ["x1", "x2", "p", "p_scaled", "inside_levelset"]
+    _, peak = traced_peak(_write_csv, tmp_path / "blocks.csv", header, table, flags)
+    assert peak <= 5 * MIB  # 3.8 MiB; the whole table as Python lists took 22.1 MiB
+    monkeypatch.setattr(basis, "_BLOCK_BYTES", 1 << 40)  # one block
+    _write_csv(tmp_path / "whole.csv", header, table, flags)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_greedy_on_the_column_view_copies_nothing(disk_v2):

@@ -14,6 +14,7 @@ from doptdesign import (
     grid_candidates,
 )
 from doptdesign.semialg import (
+    _first_equal_rows,
     _members,
     _values,
     eval_poly_many,
@@ -427,3 +428,25 @@ def test_explicit_dedup_matches_lexsort_oracle_bitwise(rows, n, data):
         got = explicit_candidates(box(n), shuffled).points
         expected = reference_first_rows(members)
         assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, np.nan]),
+                 min_size=2, max_size=2),
+        min_size=1, max_size=30,
+    ),
+    n=st.integers(1, 2),
+)
+@example(rows=[[0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0], [np.nan, 1.0]], n=2)
+def test_first_equal_rows_matches_brute_force(rows, n):
+    # For each row, the first index whose row compares equal as floats:
+    # -0.0 equals 0.0, and a row holding a NaN equals nothing, not even
+    # itself, so it is its own first.
+    pts = np.array(rows)[:, :n]
+    expected = [
+        next((j for j in range(i) if (pts[j] == pts[i]).all()), i)
+        for i in range(len(pts))
+    ]
+    assert _first_equal_rows(pts).tolist() == expected

@@ -1,7 +1,8 @@
 """The validation grid held as its membership mask and walked block by block.
 
 `grid_members` fills the r^n mask and yields the members' points one block of
-whole leading-axis slabs (about 2^16 grid points) at a time, and
+whole leading-axis slabs (about 2^16 grid points, cut by the package's one
+block sizer `basis._row_blocks`) at a time, and
 `validate_dual_feasibility` keeps a running maximum over the blocks.  Each
 result must be the one a single pass over the materialized grid
 (`grid_candidates`) gives, bit for bit.
@@ -23,9 +24,10 @@ from doptdesign import (
     solve,
     validate_dual_feasibility,
 )
-from doptdesign.basis import vandermonde
+from doptdesign import spd
+from doptdesign.basis import _row_blocks, vandermonde
 from doptdesign.design import DesignMeasure
-from doptdesign.semialg import _BLOCK_POINTS, grid_members
+from doptdesign.semialg import grid_members
 
 from oracles import reference_members
 
@@ -76,9 +78,10 @@ def solved_certificate(space, resolution, d):
 
 
 def slab_blocks(grid):
-    """The number of blocks a grid's slabs fall into."""
+    """The number of blocks a grid's slabs fall into: the one sizer's blocks
+    of rows of r^(n - 1) float coordinates."""
     r, n = grid.mask.shape[0], grid.mask.ndim
-    step = max(1, _BLOCK_POINTS // r ** (n - 1))
+    step = next(_row_blocks(r, 8 * r ** (n - 1))).stop
     return -(-r // step)
 
 
@@ -177,12 +180,13 @@ def test_simplex_validation_peak_memory():
      pytest.param(lambda: solved_certificate(SIMPLEX, 11, 2), id="solved-d2")],
 )
 def test_simplex_validation_is_bitwise_one_product_over_every_member(cert):
-    # dual_values forms q one block of rows at a time; one product over all
-    # 174,473 members gives the same maximum and argmax, bit for bit.
+    # dual_values forms q = n_d (p / p_max) one block of rows at a time; one
+    # product over all 174,473 members gives the same maximum and argmax,
+    # bit for bit.
     cert = cert()
     whole = grid_candidates(SIMPLEX, 101).points
     v = vandermonde(cert.basis, whole)
-    q = np.einsum("ij,ij->i", v @ cert.x_hat, v)
+    q = cert.n_d * (spd.quad_form_inv_many(cert.polynomial.factor, v) / cert.p_max)
     i = int(np.argmax(q))
     violation, point = validate_dual_feasibility(cert, grid_members(SIMPLEX, 101))
     assert np.float64(violation).tobytes() == np.float64(q[i] - cert.n_d).tobytes()
