@@ -192,13 +192,22 @@ def _write_csv(path: Path, header: list[str], table: np.ndarray, flags=None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str):
-    unknown = set(section) - allowed
+def _section(value, where: str, allowed, required=()) -> dict:
+    """`value`, the config object named `where`: ConfigError unless it is an
+    object whose keys are all `allowed` and include every `required` one."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be an object")
+    unknown = value.keys() - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(section)
+    missing = set(required) - value.keys()
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+    return value
+
+
+#: The one key each candidate source takes besides `source`.
+_SOURCE_KEYS = {"grid": "resolution", "points": "points", "point_cloud_file": "path"}
 
 
 def _as_int(value, where: str) -> int:
@@ -222,13 +231,17 @@ def _as_number(value, where: str) -> float:
 def parse_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in defaults.
 
-    Returns a normalized copy; raises ConfigError on any unknown key,
-    missing key, type error or cross-section inconsistency.
+    Every config object (the root, `set`, each inequality term,
+    `candidates`, `solver` and `output`) passes one check, `_section`: it
+    must be an object with no unknown key and no missing one.  `candidates`
+    takes `source` and the one key `_SOURCE_KEYS` names for that source.
+    Returns a normalized copy, in the key order that reports echo; raises
+    ConfigError on any unknown key, missing key, type error or cross-section
+    inconsistency.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(
+    raw = _section(
         raw,
+        "config",
         allowed={
             "dimension",
             "degree",
@@ -239,7 +252,6 @@ def parse_config(raw: dict) -> dict:
             "output",
         },
         required={"dimension", "degree", "set", "candidates"},
-        where="config",
     )
     n = _as_int(raw["dimension"], "dimension")
     d = _as_int(raw["degree"], "degree")
@@ -248,14 +260,9 @@ def parse_config(raw: dict) -> dict:
     if d < 1:
         raise ConfigError(f"degree must be >= 1, got {d}")
 
-    set_raw = raw["set"]
-    if not isinstance(set_raw, dict):
-        raise ConfigError("'set' must be an object")
-    _require_keys(
-        set_raw,
-        allowed={"bounding_box", "inequalities"},
+    set_raw = _section(
+        raw["set"], "set", allowed={"bounding_box", "inequalities"},
         required={"bounding_box"},
-        where="set",
     )
     box = set_raw["bounding_box"]
     if not isinstance(box, list) or len(box) != n:
@@ -279,12 +286,8 @@ def parse_config(raw: dict) -> dict:
         terms_norm = []
         for ti, term in enumerate(terms):
             where = f"inequalities[{gi}][{ti}]"
-            if not isinstance(term, dict):
-                raise ConfigError(f"{where} must be an object")
-            _require_keys(
-                term, allowed={"exponents", "coeff"},
-                required={"exponents", "coeff"}, where=where,
-            )
+            keys = {"exponents", "coeff"}
+            term = _section(term, where, allowed=keys, required=keys)
             expo = term["exponents"]
             if not isinstance(expo, list) or len(expo) != n:
                 raise ConfigError(f"{where}.exponents must list {n} integers")
@@ -298,50 +301,34 @@ def parse_config(raw: dict) -> dict:
             )
         ineqs_norm.append(terms_norm)
 
-    cand_raw = raw["candidates"]
-    if not isinstance(cand_raw, dict):
-        raise ConfigError("'candidates' must be an object")
+    cand_raw = _section(
+        raw["candidates"], "candidates", allowed={"source", *_SOURCE_KEYS.values()}
+    )
     source = cand_raw.get("source")
-    if source == "grid":
-        _require_keys(
-            cand_raw, allowed={"source", "resolution"},
-            required={"source", "resolution"}, where="candidates",
-        )
-        resolution = _as_int(cand_raw["resolution"], "candidates.resolution")
-        cand_norm: dict[str, Any] = {"source": "grid", "resolution": resolution}
-    elif source == "points":
-        _require_keys(
-            cand_raw, allowed={"source", "points"},
-            required={"source", "points"}, where="candidates",
-        )
-        pts = cand_raw["points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError("candidates.points must be a non-empty list")
-        pts_norm = []
-        for pi, pt in enumerate(pts):
-            if not isinstance(pt, list) or len(pt) != n:
-                raise ConfigError(f"candidates.points[{pi}] must list {n} numbers")
-            pts_norm.append([_as_number(c, f"candidates.points[{pi}]") for c in pt])
-        cand_norm = {"source": "points", "points": pts_norm}
-    elif source == "point_cloud_file":
-        _require_keys(
-            cand_raw, allowed={"source", "path"},
-            required={"source", "path"}, where="candidates",
-        )
-        path = cand_raw["path"]
-        if not isinstance(path, str) or not Path(path).is_file():
-            raise ConfigError(f"candidates.path does not exist: {path!r}")
-        cand_norm = {"source": "point_cloud_file", "path": path}
-    else:
+    if not isinstance(source, str) or source not in _SOURCE_KEYS:
         raise ConfigError(
             "candidates.source must be 'grid', 'points' or 'point_cloud_file'"
         )
+    name = _SOURCE_KEYS[source]
+    keys = {"source", name}
+    value = _section(cand_raw, "candidates", allowed=keys, required=keys)[name]
+    if source == "grid":
+        value = _as_int(value, "candidates.resolution")
+    elif source == "points":
+        if not isinstance(value, list) or not value:
+            raise ConfigError("candidates.points must be a non-empty list")
+        pts_norm = []
+        for pi, pt in enumerate(value):
+            if not isinstance(pt, list) or len(pt) != n:
+                raise ConfigError(f"candidates.points[{pi}] must list {n} numbers")
+            pts_norm.append([_as_number(c, f"candidates.points[{pi}]") for c in pt])
+        value = pts_norm
+    elif not isinstance(value, str) or not Path(value).is_file():
+        raise ConfigError(f"candidates.path does not exist: {value!r}")
+    cand_norm = {"source": source, name: value}
 
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise ConfigError("'solver' must be an object")
     defaults = {f.name: f.default for f in fields(SolverConfig)}
-    _require_keys(solver_raw, allowed=set(defaults), required=set(), where="solver")
+    solver_raw = _section(raw.get("solver", {}), "solver", allowed=set(defaults))
     solver_norm = {}
     for key, default in defaults.items():
         as_type = _as_int if isinstance(default, int) else _as_number
@@ -356,12 +343,7 @@ def parse_config(raw: dict) -> dict:
     )
     validation_resolution = _as_int(validation_resolution, "validation_resolution")
 
-    output_raw = raw.get("output", {})
-    if not isinstance(output_raw, dict):
-        raise ConfigError("'output' must be an object")
-    _require_keys(
-        output_raw, allowed=set(_DEFAULT_OUTPUT), required=set(), where="output"
-    )
+    output_raw = _section(raw.get("output", {}), "output", allowed=set(_DEFAULT_OUTPUT))
     output_norm = dict(_DEFAULT_OUTPUT)
     for key, val in output_raw.items():
         # A plain file name: solve writes it into --out, which it creates.
@@ -643,11 +625,14 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
 def _candidate_rows(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The row of `cands` equal to each row of `points`, or -1 where none is.
 
-    The candidates are distinct and come first, so the first row equal to a
-    point (`_first_equal_rows`) is its candidate when it has one.  Rows
-    compare as floats, so -0.0 matches 0.0 and a NaN matches nothing."""
-    match = _first_equal_rows(np.concatenate([cands, points]))[len(cands):]
-    return np.where(match < len(cands), match, -1)
+    Only a candidate whose last coordinate is some point's can match, so
+    `_first_equal_rows` sorts just those candidates, then the points.  The
+    candidates are distinct and come first, so the first row equal to a
+    point is its candidate when it has one.  Rows compare as floats, so -0.0
+    matches 0.0 and a NaN matches nothing."""
+    maybe = np.flatnonzero(np.isin(cands[:, -1], points[:, -1]))
+    match = _first_equal_rows(np.concatenate([cands[maybe], points]))[len(maybe):]
+    return np.append(maybe, -1)[np.minimum(match, len(maybe))]
 
 
 def _audit_report(
@@ -656,8 +641,11 @@ def _audit_report(
     """Rebuild a report's certificate from its config and design, and audit it.
 
     Only the config and the design (points and weights) are read as input.
-    Every design point must be a candidate of the config; points are written
-    with round-trip precision, so the match is exact.  build_certificate
+    The config passes `parse_config` again, so a report cannot carry a key
+    that a config file may not.  Every design point must be a candidate of
+    the config (`_candidate_rows`, which sorts only the candidates that share
+    a point's last coordinate); points are written with round-trip
+    precision, so the match is exact.  build_certificate
     rebuilds the certificate from the design and the candidates; each stored
     n_d, objective, p_max, gap and x_hat must agree with its rebuilt value to
     a relative _CERTIFY_RTOL (measured against at least 1, so values near 0

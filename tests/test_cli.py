@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doptdesign import cli
 from doptdesign.cli import (
@@ -153,6 +155,38 @@ def test_solve_rejects_the_prune_threshold_key(tmp_path, capsys):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == "error: unknown key(s) ['prune_threshold'] in solver\n"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([], "'config' must be an object"),
+        (dict(PAIR_CONFIG, set=[]), "'set' must be an object"),
+        (
+            dict(PAIR_CONFIG, set={"bounding_box": [[-1, 1]], "inequalities": [[5]]}),
+            "'inequalities[0][0]' must be an object",
+        ),
+        (dict(PAIR_CONFIG, candidates=[]), "'candidates' must be an object"),
+        (dict(PAIR_CONFIG, solver=[]), "'solver' must be an object"),
+        (dict(PAIR_CONFIG, output=[]), "'output' must be an object"),
+        (
+            dict(PAIR_CONFIG, candidates={"source": []}),
+            "candidates.source must be 'grid', 'points' or 'point_cloud_file'",
+        ),
+        (
+            dict(PAIR_CONFIG, candidates={"source": "grid", "points": [[0.0]]}),
+            "unknown key(s) ['points'] in candidates",
+        ),
+        (
+            dict(PAIR_CONFIG, candidates={"source": "points"}),
+            "missing key(s) ['points'] in candidates",
+        ),
+    ],
+)
+def test_parse_config_checks_every_object_alike(raw, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(raw)
+    assert str(err.value) == message
 
 
 def test_parse_config_rejects_non_finite_number():
@@ -868,6 +902,31 @@ def test_certify_names_the_first_design_point_off_the_candidates(
     assert code == EXIT_GATE_FAILED
     err = capsys.readouterr().err
     assert err == "error: report design point [7.0] is not a candidate of its config\n"
+
+
+FLOAT_ROWS = st.lists(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, math.nan]), min_size=2, max_size=2),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cands=FLOAT_ROWS, points=FLOAT_ROWS.filter(bool), n=st.integers(1, 2))
+@example(cands=[[1.0, 0.0], [0.0, 1.0]], points=[[1.0, -0.0]], n=2)  # -0.0 == 0.0
+@example(cands=[[math.nan, 1.0], [0.0, math.nan]], points=[[math.nan, 1.0]], n=2)
+@example(cands=[[0.0, 1.0], [1.0, 1.0]], points=[[0.0, -1.0], [1.0, 0.0]], n=2)
+def test_candidate_rows_matches_brute_force(cands, points, n):
+    # Distinct candidates, as build_problem makes them: each row unequal, as
+    # floats, to every row before it (a row holding a NaN equals none).
+    cands = np.array(cands).reshape(-1, 2)[:, :n]
+    cands = cands[[not any((c == cands[j]).all() for j in range(i))
+                   for i, c in enumerate(cands)]]
+    points = np.array(points)[:, :n]
+    expected = [
+        next((j for j in range(len(cands)) if (cands[j] == p).all()), -1)
+        for p in points
+    ]
+    assert cli._candidate_rows(cands, points).tolist() == expected
 
 
 def test_parser_is_built_once_and_parses_each_call(square_run, capsys):

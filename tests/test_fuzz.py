@@ -6,7 +6,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doptdesign import SolverConfig
@@ -131,18 +131,27 @@ CONFIG_ENTRIES = {
 }
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_parse_config_sections_return_config_or_raise_config_error(data):
+@st.composite
+def raw_configs(draw):
+    """PAIR_CONFIG with one or two of its entries deleted or redrawn."""
     raw = json.loads(json.dumps(PAIR_CONFIG))
-    keys = data.draw(
+    keys = draw(
         st.sets(st.sampled_from(sorted(CONFIG_ENTRIES)), min_size=1, max_size=2)
     )
     for key in sorted(keys):
-        if data.draw(st.booleans(), label=f"delete {key}"):
+        if draw(st.booleans()):
             raw.pop(key, None)
         else:
-            raw[key] = data.draw(st.one_of(CONFIG_ENTRIES[key], VALUES), label=key)
+            raw[key] = draw(st.one_of(CONFIG_ENTRIES[key], VALUES))
+    return raw
+
+
+@settings(max_examples=300)
+@given(raw_configs())
+@example([])  # a list as the root
+@example(dict(PAIR_CONFIG, candidates={"source": []}))  # a source no table can hold
+@example(dict(PAIR_CONFIG, set={"bounding_box": [[-1.0, 1.0]], "inequalities": [[5]]}))
+def test_parse_config_sections_return_config_or_raise_config_error(raw):
     try:
         cfg = parse_config(raw)
     except ConfigError:

@@ -3,10 +3,11 @@
 `basis.vandermonde` writes its output one row block at a time, the greedy
 start downdates residual norms instead of copying V_d, `cd_profile`
 evaluates one block of rows at a time and `dual_values` reads q from it,
-`solve` streams the large arrays of report.json, and `cli._write_csv` turns
-one block of a table's rows into Python objects at a time.  Each test bounds
-a traced peak (tracemalloc counts numpy's buffers) or checks that the blocks
-change no byte.
+`solve` streams the large arrays of report.json, `cli._write_csv` turns
+one block of a table's rows into Python objects at a time, and
+`cli._candidate_rows` sorts only the candidates that can match a point.
+Each test bounds a traced peak (tracemalloc counts numpy's buffers) or
+checks that the blocks change no byte.
 """
 
 import json
@@ -122,6 +123,14 @@ def test_csv_peak_is_one_block_and_the_blocks_change_no_byte(tmp_path, monkeypat
     monkeypatch.setattr(basis, "_BLOCK_BYTES", 1 << 40)  # one block
     _write_csv(tmp_path / "whole.csv", header, table, flags)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_candidate_rows_sorts_only_the_candidates_that_can_match():
+    cands = grid_candidates(DISK, 401).points  # 125,621 candidates, 1.92 MiB
+    rows = np.random.default_rng(5).choice(len(cands), 27, replace=False)
+    match, peak = traced_peak(cli._candidate_rows, cands, cands[rows])
+    assert match.tolist() == rows.tolist()
+    assert peak <= cands.nbytes  # 1.20 MiB; sorting every candidate took 6.83 MiB
 
 
 def test_greedy_on_the_column_view_copies_nothing(disk_v2):
