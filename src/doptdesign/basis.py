@@ -63,9 +63,6 @@ class MultiIndexBasis:
     def size(self) -> int:
         return len(self.indices)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     @cached_property
     def products(self) -> np.ndarray:
         """Positions of the pairwise index sums inside the degree-2d basis.

@@ -72,7 +72,6 @@ _DEFAULT_VALIDATION_RESOLUTION = 101
 #: Relative agreement the report audit demands between a stored number and
 #: its recomputation (the same tolerance as the benchmark's independent check).
 _CERTIFY_RTOL = 1e-9
-_DEFAULT_OUTPUT = {"report_json": "report.json", "support_csv": "support.csv"}
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +230,10 @@ def _as_number(value, where: str) -> float:
 def parse_config(raw: dict) -> dict:
     """Validate a raw config dict and fill in defaults.
 
-    Every config object (the root, `set`, each inequality term,
-    `candidates`, `solver` and `output`) passes one check, `_section`: it
-    must be an object with no unknown key and no missing one.  `candidates`
-    takes `source` and the one key `_SOURCE_KEYS` names for that source.
+    Every config object (the root, `set`, each inequality term, `candidates`
+    and `solver`) passes one check, `_section`: it must be an object with no
+    unknown key and no missing one.  `candidates` takes `source` and the one
+    key `_SOURCE_KEYS` names for that source.
     Returns a normalized copy, in the key order that reports echo; raises
     ConfigError on any unknown key, missing key, type error or cross-section
     inconsistency.
@@ -249,7 +248,6 @@ def parse_config(raw: dict) -> dict:
             "candidates",
             "solver",
             "validation_resolution",
-            "output",
         },
         required={"dimension", "degree", "set", "candidates"},
     )
@@ -343,22 +341,6 @@ def parse_config(raw: dict) -> dict:
     )
     validation_resolution = _as_int(validation_resolution, "validation_resolution")
 
-    output_raw = _section(raw.get("output", {}), "output", allowed=set(_DEFAULT_OUTPUT))
-    output_norm = dict(_DEFAULT_OUTPUT)
-    for key, val in output_raw.items():
-        # A plain file name: solve writes it into --out, which it creates.
-        if (not isinstance(val, str) or val in ("", "..") or "\0" in val
-                or Path(val).name != val):
-            raise ConfigError(
-                f"output.{key} must be a file name without a directory, got {val!r}"
-            )
-        output_norm[key] = val
-    if len({*output_norm.values(), "timings.json"}) < 3:
-        raise ConfigError(
-            "output.report_json, output.support_csv and timings.json must be "
-            "distinct file names"
-        )
-
     return {
         "dimension": n,
         "degree": d,
@@ -366,7 +348,6 @@ def parse_config(raw: dict) -> dict:
         "candidates": cand_norm,
         "solver": solver_norm,
         "validation_resolution": validation_resolution,
-        "output": output_norm,
     }
 
 
@@ -563,6 +544,8 @@ def _gate(cert, grid: GridMembers, epsilon: float):
 
 @_one_line_errors
 def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
+    """Solve, certify and gate a config's problem; write report.json,
+    support.csv and timings.json into `out_dir`."""
     cfg = load_config(config_path)
     space, cands = build_problem(cfg)
     # Built before the solve, so a bad validation grid fails at once.
@@ -592,10 +575,10 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     t0 = time.perf_counter()
     report = _assemble_report(cfg, result, cert, validation)
     with _out_dir(out_dir) as out:
-        report_path = out / cfg["output"]["report_json"]
+        report_path = out / "report.json"
         _write_json(report_path, report)
         _write_csv(
-            out / cfg["output"]["support_csv"],
+            out / "support.csv",
             [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
             np.column_stack(
                 [result.design.candidates.points, result.design.weights, cert.support_p]

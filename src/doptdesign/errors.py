@@ -28,9 +28,9 @@ class NotPositiveDefiniteError(ArithmeticError):
     positivity was lost.
     """
 
-    def __init__(self, pivot: int, message: str | None = None):
+    def __init__(self, pivot: int):
         self.pivot = pivot
-        super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
+        super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
 class DegenerateDesignError(ValueError):

@@ -45,7 +45,7 @@ class Ellipsoid:
 class LevelSetReport:
     """The certified polynomial q = v^T X v at each probe point (`values`),
     membership of each in {q <= n_d} (`inside`), and the probe points where
-    q reaches n_d - delta (`contact`)."""
+    q reaches n_d - n_d * 1e-4 (`contact`)."""
 
     values: np.ndarray
     inside: np.ndarray
@@ -111,25 +111,19 @@ def contains(e: Ellipsoid, x) -> bool:
     return float(diff @ e.shape @ diff) <= e.radius_sq * (1.0 + BOUNDARY_SLACK)
 
 
-def levelset_report(
-    cert: DualCertificate, probe: CandidateSet, delta: float | None = None
-) -> LevelSetReport:
+def levelset_report(cert: DualCertificate, probe: CandidateSet) -> LevelSetReport:
     """Evaluate the enclosing level set {q <= n_d} on a probe set.
 
     A point is inside when q <= n_d (1 + BOUNDARY_SLACK).  Contact points
-    are probe points where q reaches n_d - delta (default delta =
-    n_d * 1e-4, terminal solver accuracy with margin); with the training
-    candidates as probe, at convergence they contain every support atom of
-    weight at least n_d epsilon / delta, since p averages n_d over the
-    design and exceeds it by at most n_d epsilon.
+    are probe points where q reaches n_d - delta, delta = n_d * 1e-4
+    (terminal solver accuracy with margin); with the training candidates as
+    probe, at convergence they contain every support atom of weight at least
+    n_d epsilon / delta = 1e4 epsilon, since p averages n_d over the design
+    and exceeds it by at most n_d epsilon.
     """
-    if delta is None:
-        delta = cert.n_d * 1e-4
-    if not delta > 0:
-        raise ValueError(f"contact tolerance must be positive, got {delta}")
     values = dual_values(cert, probe.points)
     return LevelSetReport(
         values=values,
         inside=values <= cert.n_d * (1.0 + BOUNDARY_SLACK),
-        contact=probe.points[values >= cert.n_d - delta],
+        contact=probe.points[values >= cert.n_d - cert.n_d * 1e-4],
     )

@@ -263,11 +263,10 @@ def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:
     first occurrence.
 
     Raises:
+        DimensionMismatchError: if pts is not an (N, n) array.
         EmptyCandidateSetError: if every point is rejected.
     """
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
+    pts = _rows(pts, s.n)
     if pts.shape[0] == 0:
         raise EmptyCandidateSetError("empty candidate point list")
     members = pts[membership_mask(s, pts)]

@@ -25,6 +25,7 @@ from doptdesign.design import (
     cd_profile,
     moment_vector,
 )
+from doptdesign.errors import DegenerateDesignError
 from doptdesign.geometry import extract_ellipsoid
 from doptdesign.spd import inverse as spd_inverse
 
@@ -282,7 +283,7 @@ def test_criterion_08_micro_oracle_equivalence():
         n, d = models[i % len(models)]
         n_d = enumerate_basis(n, d).size
         total = int(rng.integers(n_d, 6))
-        while True:
+        for _ in range(10):
             pts = rng.uniform(-1, 1, size=(total, n))
             cands = CandidateSet(points=pts)
             try:
@@ -291,8 +292,10 @@ def test_criterion_08_micro_oracle_equivalence():
                     SolverConfig(epsilon=1e-8, max_iters=60_000),
                 )
                 break
-            except Exception:
+            except DegenerateDesignError:
                 continue  # resample near-degenerate candidate draws
+        else:
+            pytest.fail("10 candidate draws in a row were degenerate")
         v = monomial_design_matrix(pts, d)
         oracle = simplex_grid_search(v, step=1e-3)
         objective = -build_certificate(res.design, cands, d).primal_value
@@ -305,6 +308,7 @@ def test_criterion_08_micro_oracle_equivalence():
 def test_criterion_09_multiplicative_monotonicity():
     rng = np.random.default_rng(2009)
     worst_drop = 0.0
+    stepped = 0
     for _ in range(50):
         n = int(rng.integers(1, 3))
         d = int(rng.integers(1, 4))
@@ -316,13 +320,18 @@ def test_criterion_09_multiplicative_monotonicity():
                 CandidateSet(points=pts), d,
                 SolverConfig(max_iters=300),
             )
-        except Exception:
+        except DegenerateDesignError:
             continue
         drops = np.diff(res.trace_objective)
         if drops.size:
+            stepped += 1
             worst_drop = min(worst_drop, float(drops.min()))
-    ok = worst_drop >= -1e-12
-    report("9", ok, f"worst objective step {worst_drop:.3e} over 50 runs")
+    # 31 of the 50 draws take at least one step; fewer means the runs that
+    # should be checked were lost, and the bound would hold on no data.
+    ok = worst_drop >= -1e-12 and stepped >= 31
+    report(
+        "9", ok, f"worst objective step {worst_drop:.3e} over {stepped} stepping runs"
+    )
     assert ok
 
 

@@ -288,13 +288,6 @@ def test_contact_points_quadratic_all_three():
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
 
-def test_contact_points_degenerate_tolerance():
-    cands = cands1d([-1.0, 0.0, 1.0])
-    _, cert = solve_and_certify(cands, 1, SolverConfig())
-    rep = levelset_report(cert, cands, delta=float(cert.n_d))
-    assert rep.contact.shape[0] == 3
-
-
 def test_contact_contains_support():
     # An atom of weight w can sit up to n_d * epsilon / w below the ceiling
     # (complementarity bounds only the weighted sum), so the contact

@@ -109,8 +109,13 @@ def test_parse_config_fills_defaults():
 
 
 def test_parse_config_rejects_unknown_root_key():
-    # Runs are deterministic, so there is no `seed` key either.
-    for key, value in [("epsilonn", 1e-6), ("seed", 1)]:
+    # Runs are deterministic, so there is no `seed` key either, and solve
+    # writes its files under fixed names, so there is no `output` object.
+    for key, value in [
+        ("epsilonn", 1e-6),
+        ("seed", 1),
+        ("output", {"report_json": "report.json", "support_csv": "support.csv"}),
+    ]:
         with pytest.raises(
             ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config"
         ):
@@ -168,7 +173,10 @@ def test_solve_rejects_the_prune_threshold_key(tmp_path, capsys):
         ),
         (dict(PAIR_CONFIG, candidates=[]), "'candidates' must be an object"),
         (dict(PAIR_CONFIG, solver=[]), "'solver' must be an object"),
-        (dict(PAIR_CONFIG, output=[]), "'output' must be an object"),
+        (
+            dict(PAIR_CONFIG, set={"bounding_box": [[-1, 1]], "inequalities": [[{}]]}),
+            "missing key(s) ['coeff', 'exponents'] in inequalities[0][0]",
+        ),
         (
             dict(PAIR_CONFIG, candidates={"source": []}),
             "candidates.source must be 'grid', 'points' or 'point_cloud_file'",
@@ -382,34 +390,12 @@ def test_solve_inequalities_not_a_list_exits_config(tmp_path, capsys, inequaliti
     assert_one_error_line(capsys)
 
 
-@pytest.mark.parametrize(
-    "output",
-    [
-        {"report_json": "nodir/r.json"},
-        {"support_csv": "/abs/s.csv"},
-        {"report_json": ".."},
-        {"report_json": "r\0.json"},
-        {"report_json": "out.txt", "support_csv": "out.txt"},
-        {"support_csv": "report.json"},
-        {"report_json": "timings.json"},
-    ],
-    ids=[
-        "directory", "absolute", "parent", "nul", "equal", "default-report", "timings",
-    ],
-)
-def test_solve_output_names_must_be_distinct_plain_names(tmp_path, capsys, output):
-    cfg = dict(PAIR_CONFIG, output=output)
+def test_solve_writes_report_support_and_timings(tmp_path):
     out = tmp_path / "out"
-    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_CONFIG
-    assert_one_error_line(capsys)
-    assert not out.exists()
-
-
-def test_solve_writes_renamed_outputs(tmp_path):
-    cfg = dict(PAIR_CONFIG, output={"report_json": "r.json", "support_csv": "s.csv"})
-    out = tmp_path / "out"
-    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_OK
-    assert sorted(p.name for p in out.iterdir()) == ["r.json", "s.csv", "timings.json"]
+    assert cmd_solve(write_config(tmp_path, PAIR_CONFIG), str(out), True) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "report.json", "support.csv", "timings.json",
+    ]
 
 
 @pytest.mark.parametrize("grid", ["candidates", "validation"])
@@ -1036,6 +1022,19 @@ def test_certify_rejects_report_naming_prune_threshold(interval_run, tmp_path, c
     assert capsys.readouterr().err == (
         "error: unknown key(s) ['prune_threshold'] in solver\n"
     )
+
+
+def test_certify_rejects_report_naming_output(interval_run, tmp_path, capsys):
+    # Reports written while solve took its file names from the config echo
+    # the names it used.
+    report = json.loads(json.dumps(interval_run["report"]))
+    report["config"]["output"] = {
+        "report_json": "report.json", "support_csv": "support.csv",
+    }
+    path = tmp_path / "report.json"
+    path.write_text(dump_json(report))
+    assert cmd_certify(str(path), None, quiet=True) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: unknown key(s) ['output'] in config\n"
 
 
 # -- eval-cd ----------------------------------------------------------------

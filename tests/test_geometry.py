@@ -134,12 +134,6 @@ def test_levelset_report_square():
     assert [1.0, 1.0] in rep.contact.tolist()
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
-def test_levelset_report_rejects_non_positive_contact_tolerance(delta):
-    with pytest.raises(ValueError, match="contact tolerance"):
-        levelset_report(square_cert(), SQUARE, delta=delta)
-
-
 def test_minimality_of_square_certificate():
     # Local optimality witness: feasible perturbations of X = I_3 that keep
     # all four vertices inside the level set cannot increase log det.

@@ -392,6 +392,13 @@ def test_explicit_dedup_matches_unique_rows_reference(seed):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_explicit_rejects_a_flat_point_list():
+    # A 1-D list is not read as a column: like every evaluator, the explicit
+    # filter takes (N, n) rows only.
+    with pytest.raises(DimensionMismatchError):
+        explicit_candidates(box(1), [-1.0, 0.5])
+
+
 def test_explicit_all_rejected():
     with pytest.raises(EmptyCandidateSetError):
         explicit_candidates(box(1), [[3.0], [4.0]])
