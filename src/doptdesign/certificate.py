@@ -10,14 +10,13 @@ iterate, not only in the limit, so weak duality is a running numerical check:
 
 At optimality p_max -> n_d, recovering the unscaled X = M^{-1}, multiplier
 z = -n_d, and gap 0.  Because X is positive definite, q is a sum of squares.
-`dual_values`, the one evaluator of q, forms it from p as n_d (p / p_max):
+q is formed from p as n_d (p / p_max), by `_certified` alone, for
+`dual_values` and for `eval-cd`, which tabulates p and q from one pass:
 dividing first rounds p / p_max to at most 1 where p <= p_max, so q <= n_d
 holds exactly at every training candidate.  This module holds the other half of
 the paper's linear pair: `adjoint_expand`, the adjoint M_d* of the moment map
 `design.moment_matrix`, gives the degree-2d coefficients of q as a plain
 array.  Both maps are defined in `basis`, which alone reads their index map.
-The level set {q <= n_d} and its contact points are read in
-`geometry.levelset_report`.
 
 A certificate depends only on its design, its candidates and its degree:
 `build_certificate` builds the design's Christoffel-Darboux polynomial and
@@ -72,8 +71,8 @@ class DualCertificate:
 
 
 def _scaled(p: np.ndarray, n_d: int, p_max: float) -> np.ndarray:
-    """q = n_d (p / p_max), written over the design's p values, for
-    `dual_values` and the complementarity residual."""
+    """q = n_d (p / p_max), written over p, for `_certified` and the
+    complementarity residual."""
     p /= p_max
     p *= n_d
     return p
@@ -130,6 +129,25 @@ def build_certificate(
     )
 
 
+def _certified(cert: DualCertificate, p: np.ndarray, pts) -> np.ndarray:
+    """q = n_d (p / p_max), written over p, the values of `cd_profile` at the
+    rows of pts.
+
+    Raises:
+        FloatRangeError: if q is not a finite float at some point; the
+            message names the first such row of pts.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _scaled(p, cert.n_d, cert.p_max)
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise FloatRangeError(
+            "the certified polynomial is not a finite float "
+            f"at the point {np.asarray(pts)[np.argmin(finite)].tolist()}"
+        )
+    return q
+
+
 def dual_values(cert: DualCertificate, pts) -> np.ndarray:
     """q(x) = v(x)^T X v(x) at the rows of an (N, n) array of points, formed
     from p (`cd_profile`) as n_d (p / p_max), never through X.
@@ -140,14 +158,8 @@ def dual_values(cert: DualCertificate, pts) -> np.ndarray:
             names the first such point.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        q = _scaled(cd_profile(cert.polynomial, pts), cert.n_d, cert.p_max)
-    finite = np.isfinite(q)
-    if not finite.all():
-        raise FloatRangeError(
-            "the certified polynomial is not a finite float "
-            f"at the point {np.asarray(pts)[np.argmin(finite)].tolist()}"
-        )
-    return q
+        p = cd_profile(cert.polynomial, pts)
+    return _certified(cert, p, pts)
 
 
 def validate_dual_feasibility(

@@ -35,6 +35,7 @@ from . import __version__
 from .basis import _row_blocks
 from .certificate import (
     DualCertificate,
+    _certified,
     adjoint_expand,
     build_certificate,
     validate_dual_feasibility,
@@ -50,7 +51,7 @@ from .errors import (
     TooFewCandidatesError,
     WrongDegreeError,
 )
-from .geometry import extract_ellipsoid, levelset_report
+from .geometry import extract_ellipsoid
 from .semialg import (
     CandidateSet,
     GridMembers,
@@ -720,6 +721,11 @@ def cmd_certify(report_path: str, resolution: int | None, quiet=False) -> int:
     return EXIT_OK if gate.passed else EXIT_GATE_FAILED
 
 
+#: Relative slack of eval-cd's membership test q <= n_d (1 + BOUNDARY_SLACK),
+#: absorbing round-off for points exactly on the boundary.
+BOUNDARY_SLACK = 1e-10
+
+
 @_one_line_errors
 def cmd_eval_cd(
     config_path: str,
@@ -729,9 +735,10 @@ def cmd_eval_cd(
     quiet=False,
 ) -> int:
     """Tabulate the audited report's p, the certified q = (n_d / p_max) p
-    and membership in {q <= n_d} (`levelset_report`) on a grid of the
-    config's set (at its validation_resolution unless given).  Tabulates
-    only: an untouched unconverged report exits 0."""
+    and membership in {q <= n_d (1 + BOUNDARY_SLACK)} on a grid of the
+    config's set (at its validation_resolution unless given), from one pass
+    of p over the grid.  Tabulates only: an untouched unconverged report
+    exits 0."""
     cfg = load_config(config_path)
     report_cfg, _, cert = _audit_report(report_path)
     n, d = report_cfg["dimension"], report_cfg["degree"]
@@ -744,17 +751,17 @@ def cmd_eval_cd(
     if grid_resolution is None:
         grid_resolution = cfg["validation_resolution"]
     grid = _grid(grid_candidates, space, grid_resolution)  # every point is written
-    level = levelset_report(cert, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # q's check names the point
+        p = cd_profile(cert.polynomial, grid.points)
+    q = _certified(cert, p.copy(), grid.points)
 
     with _out_dir(out_dir) as out:
         csv_path = out / "cd_profile.csv"
         _write_csv(
             csv_path,
             [f"x{j + 1}" for j in range(n)] + ["p", "p_scaled", "inside_levelset"],
-            np.column_stack(
-                [grid.points, cd_profile(cert.polynomial, grid.points), level.values]
-            ),
-            level.inside,
+            np.column_stack([grid.points, p, q]),
+            q <= cert.n_d * (1.0 + BOUNDARY_SLACK),
         )
     if not quiet:
         print(f"cd profile: {csv_path} ({grid.size} points)")

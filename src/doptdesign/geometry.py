@@ -5,9 +5,8 @@ inequality, so {x : v(x)^T X v(x) <= n_d} is an ellipsoid containing the
 design space, and maximizing log det X shrinks it: the degree-1 design
 problem is the minimum-volume enclosing ellipsoid problem.  For higher
 degree the enclosing set {p(x) <= n_d} is a general sublevel set and only
-the log-det volume proxy is reported.  `levelset_report` is the one
-definition of that set on a probe set: which points lie inside it and which
-touch its boundary.
+the log-det volume proxy is reported; `eval-cd` tabulates membership in it
+on a grid.
 """
 
 from __future__ import annotations
@@ -17,18 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd
-from .certificate import DualCertificate, dual_values
-from .errors import (
-    DimensionMismatchError,
-    NotAnEllipsoidError,
-    NotPositiveDefiniteError,
-    WrongDegreeError,
-)
-from .semialg import CandidateSet
-
-#: Relative slack applied to boundary comparisons, absorbing round-off for
-#: points exactly on the boundary.
-BOUNDARY_SLACK = 1e-10
+from .certificate import DualCertificate
+from .errors import NotAnEllipsoidError, NotPositiveDefiniteError, WrongDegreeError
 
 
 @dataclass(frozen=True)
@@ -39,17 +28,6 @@ class Ellipsoid:
     shape: np.ndarray
     radius_sq: float
     log_volume_proxy: float
-
-
-@dataclass(frozen=True)
-class LevelSetReport:
-    """The certified polynomial q = v^T X v at each probe point (`values`),
-    membership of each in {q <= n_d} (`inside`), and the probe points where
-    q reaches n_d - n_d * 1e-4 (`contact`)."""
-
-    values: np.ndarray
-    inside: np.ndarray
-    contact: np.ndarray
 
 
 def ellipsoid_from_quadratic(x_hat: np.ndarray, n_d: float) -> Ellipsoid:
@@ -99,31 +77,3 @@ def extract_ellipsoid(cert: DualCertificate) -> Ellipsoid:
         )
     return ellipsoid_from_quadratic(cert.x_hat, cert.n_d)
 
-
-def contains(e: Ellipsoid, x) -> bool:
-    """Membership in the ellipsoid, with relative slack on the boundary."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != e.center.shape[0]:
-        raise DimensionMismatchError(
-            f"point has {x.shape[0]} coordinates, ellipsoid has {e.center.shape[0]}"
-        )
-    diff = x - e.center
-    return float(diff @ e.shape @ diff) <= e.radius_sq * (1.0 + BOUNDARY_SLACK)
-
-
-def levelset_report(cert: DualCertificate, probe: CandidateSet) -> LevelSetReport:
-    """Evaluate the enclosing level set {q <= n_d} on a probe set.
-
-    A point is inside when q <= n_d (1 + BOUNDARY_SLACK).  Contact points
-    are probe points where q reaches n_d - delta, delta = n_d * 1e-4
-    (terminal solver accuracy with margin); with the training candidates as
-    probe, at convergence they contain every support atom of weight at least
-    n_d epsilon / delta = 1e4 epsilon, since p averages n_d over the design
-    and exceeds it by at most n_d epsilon.
-    """
-    values = dual_values(cert, probe.points)
-    return LevelSetReport(
-        values=values,
-        inside=values <= cert.n_d * (1.0 + BOUNDARY_SLACK),
-        contact=probe.points[values >= cert.n_d - cert.n_d * 1e-4],
-    )

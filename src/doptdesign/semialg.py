@@ -86,13 +86,6 @@ def _values(p: SparsePolynomial, xs) -> np.ndarray:
     return np.asarray(vals)
 
 
-def eval_poly_many(p: SparsePolynomial, pts) -> np.ndarray:
-    """Evaluate p at each row of pts, an (N, p.n) array; returns a new (N,)
-    array, also when p is constant."""
-    pts = _rows(pts, p.n)
-    return np.array(np.broadcast_to(_values(p, pts.T), pts.shape[:1]))
-
-
 @dataclass(frozen=True)
 class SemiAlgebraicSet:
     """Compact design space: a bounding box intersected with g_j(x) >= 0.

@@ -281,11 +281,11 @@ def _newton_step(it: _Iterate):
     return it.support[held], trial[held], gain
 
 
-def _exchange(it: _Iterate, v2: np.ndarray, k: int):
+def _exchange(it: _Iterate, k: int):
     """Move the det-maximizing mass from the lowest-p atom to candidate k.
 
-    Reads M^{-1} and the priced p on every candidate (`_Iterate.p`) from the
-    evaluated iterate it; the donor j is the argmin of that p over the
+    Reads V2, M^{-1} and the priced p on every candidate (`_Iterate.p`) from
+    the evaluated iterate it; the donor j is the argmin of that p over the
     support.  Moving alpha from atom j to candidate k multiplies det M by
     r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
     p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
@@ -296,7 +296,7 @@ def _exchange(it: _Iterate, v2: np.ndarray, k: int):
     rise measured by `_Iterate.gain` on the moment change
     dy = dw_k V2[k] + dw_j V2[j]; or None when the exchange moves no mass.
     """
-    support, p, n_d = it.support, it.p, it.m_inv.shape[0]
+    support, p, v2, n_d = it.support, it.p, it.v2, it.m_inv.shape[0]
     i = int(p[support].argmin())
     j = int(support[i])
     p_k, p_j = float(p[k]), float(p[j])
@@ -362,7 +362,7 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
             trace[-1][1] = float(it.p[k])
             if it.p[k] <= target or len(trace) > budget:
                 return it.support, it.w, trace, bool(it.p[k] <= target)
-            step = _exchange(it, v2, k)
+            step = _exchange(it, k)
             if step is None:
                 return it.support, it.w, trace, False
         support, w, gain = step

@@ -15,7 +15,6 @@ from doptdesign.basis import enumerate_basis, vandermonde
 from doptdesign.certificate import adjoint_expand, dual_values
 from doptdesign.design import DesignMeasure, moment_matrix, moment_vector
 from doptdesign.errors import SizeMismatchError
-from doptdesign.geometry import levelset_report
 from doptdesign.spd import factorize
 
 from oracles import (
@@ -274,17 +273,22 @@ def test_validate_detects_coarse_training_grid():
     assert abs(argmax_point[0]) >= 0.9
 
 
+def contact_points(cert, cands):
+    """The candidates where q reaches n_d - delta, delta = n_d * 1e-4."""
+    return cands.points[dual_values(cert, cands.points) >= cert.n_d - cert.n_d * 1e-4]
+
+
 def test_contact_points_linear():
     cands = cands1d([-1.0, 0.0, 1.0])
     _, cert = solve_and_certify(cands, 1, SolverConfig())
-    pts = levelset_report(cert, cands).contact
+    pts = contact_points(cert, cands)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 1.0]  # p(0) = 1 < 2
 
 
 def test_contact_points_quadratic_all_three():
     cands = cands1d([-1.0, 0.0, 1.0])
     _, cert = solve_and_certify(cands, 2, SolverConfig(epsilon=1e-9))
-    pts = levelset_report(cert, cands).contact
+    pts = contact_points(cert, cands)
     assert sorted(pts[:, 0].tolist()) == [-1.0, 0.0, 1.0]
 
 
@@ -301,7 +305,7 @@ def test_contact_contains_support():
     )
     assert res.converged
     assert res.design.weights.min() >= 1e-3
-    contact = set(map(tuple, levelset_report(cert, cands).contact))
+    contact = set(map(tuple, contact_points(cert, cands)))
     support = set(map(tuple, res.design.candidates.points))
     assert support <= contact
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -189,12 +190,22 @@ def test_solve_rejects_the_prune_threshold_key(tmp_path, capsys):
             dict(PAIR_CONFIG, candidates={"source": "points"}),
             "missing key(s) ['points'] in candidates",
         ),
+        (dict(PAIR_CONFIG, seed=1), "unknown key(s) ['seed'] in config"),
+        (
+            dict(PAIR_CONFIG, output={"report_json": "report.json"}),
+            "unknown key(s) ['output'] in config",
+        ),
     ],
 )
-def test_parse_config_checks_every_object_alike(raw, message):
+def test_parse_config_checks_every_object_alike(tmp_path, capsys, raw, message):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert str(err.value) == message
+    # solve refuses the config with that message as its one error line.
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, raw), str(out), True) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_parse_config_rejects_non_finite_number():
@@ -1114,6 +1125,59 @@ def test_eval_cd_builds_one_problem(interval_run, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_eval_cd_tabulates_one_pass_of_p_bitwise(interval_run, tmp_path, monkeypatch):
+    # One pass of p over the 9-point grid gives both columns: p is
+    # `cd_profile` and p_scaled is `dual_values` on the same grid, bit for
+    # bit.  The audit's passes over the 201 candidates and 3 atoms are not
+    # the grid's.
+    from doptdesign import certificate, design
+    from doptdesign.certificate import dual_values
+
+    passes = []
+    real_profile = design.cd_profile
+
+    def counting(poly, pts):
+        passes.append(len(pts))
+        return real_profile(poly, pts)
+
+    for module in (cli, certificate, design):
+        monkeypatch.setattr(module, "cd_profile", counting)
+    report = str(interval_run["out"] / "report.json")
+    code = cmd_eval_cd(interval_run["config"], report, 9, str(tmp_path), True)
+    assert code == EXIT_OK
+    assert passes.count(9) == 1
+
+    with (tmp_path / "cd_profile.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    pts = np.array([[float(r[0])] for r in rows])
+    p, q = (np.array([float(r[j]) for r in rows]) for j in (1, 2))
+    _, _, cert = cli._audit_report(report)
+    assert p.tobytes() == real_profile(cert.polynomial, pts).tobytes()
+    assert q.tobytes() == dual_values(cert, pts).tobytes()
+    inside = q <= cert.n_d * (1.0 + cli.BOUNDARY_SLACK)
+    assert [r[3] for r in rows] == ["true" if ok else "false" for ok in inside]
+
+
+def test_eval_cd_names_the_first_point_where_q_overflows(tmp_path, capsys):
+    # At x = -1e80 the monomials reach 1e160, but p sums their squares and
+    # overflows.  The suite turns a RuntimeWarning into an error, so this
+    # also checks that the pass of p warns of nothing.
+    cfg = dict(PAIR_CONFIG, degree=2)
+    cfg["candidates"] = {"source": "points", "points": [[-1.0], [0.0], [1.0]]}
+    out = tmp_path / "out"
+    assert cmd_solve(write_config(tmp_path, cfg), str(out), True) == EXIT_OK
+    huge = dict(cfg, set={"bounding_box": [[-1e80, 1e80]]})
+    code = cmd_eval_cd(
+        write_config(tmp_path, huge, "huge.json"), str(out / "report.json"), 3,
+        str(tmp_path / "profile"), True,
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: the certified polynomial is not a finite float at the point [-1e+80]\n"
+    )
+    assert not (tmp_path / "profile" / "cd_profile.csv").exists()
+
+
 def test_eval_cd_mismatched_report(tmp_path, interval_run):
     config_path = write_config(tmp_path, PAIR_CONFIG)  # degree 1 vs report's 2
     code = cmd_eval_cd(
@@ -1130,6 +1194,7 @@ def test_ellipsoid_square(square_run):
     out = square_run["out"]
     assert cmd_ellipsoid(str(out / "report.json"), str(out), True) == EXIT_OK
     ell = json.loads((out / "ellipsoid.json").read_text())
+    assert set(ell) == {"center", "shape", "radius_sq", "log_volume_proxy"}
     assert np.allclose(ell["center"], [0.0, 0.0], atol=1e-8)
     assert np.allclose(ell["shape"], np.eye(2), atol=1e-8)
     assert abs(ell["radius_sq"] - 2.0) < 1e-8

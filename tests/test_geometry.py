@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
 
-from doptdesign import (
-    CandidateSet,
-    DimensionMismatchError,
-    SolverConfig,
-    build_certificate,
-    solve,
-)
+from doptdesign import CandidateSet, SolverConfig, build_certificate, solve
+from doptdesign.certificate import dual_values
 from doptdesign.errors import NotAnEllipsoidError, WrongDegreeError
-from doptdesign.geometry import (
-    contains,
-    ellipsoid_from_quadratic,
-    extract_ellipsoid,
-    levelset_report,
-)
+from doptdesign.geometry import ellipsoid_from_quadratic, extract_ellipsoid
 
 SQUARE = CandidateSet(
     points=np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
 )
+
+
+def contains(e, x):
+    """Membership in the ellipsoid, with relative slack 1e-10 on the boundary."""
+    diff = np.asarray(x, dtype=float) - e.center
+    return float(diff @ e.shape @ diff) <= e.radius_sq * (1.0 + 1e-10)
+
+
+def inside_levelset(cert, pts):
+    """Membership of each row of pts in {q <= n_d}, with relative slack 1e-10
+    on the boundary."""
+    return dual_values(cert, pts) <= cert.n_d * (1.0 + 1e-10)
 
 
 def square_cert():
@@ -80,11 +82,6 @@ def test_contains_boundary_and_outside():
     assert contains(ell, ell.center)
 
 
-def test_contains_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        contains(extract_ellipsoid(square_cert()), [0.0])
-
-
 def test_levelset_membership_quadratic_design():
     cert = thirds_cert()
     # Exact quartic: p(x) = 3 - 4.5 x^2 + 4.5 x^4.
@@ -92,21 +89,21 @@ def test_levelset_membership_quadratic_design():
     assert p_outside > 3.0
     probe = CandidateSet(points=np.array([[0.5], [1.2]]))
     # p(0.5) = 2.15625 <= 3 < p(1.2)
-    assert levelset_report(cert, probe).inside.tolist() == [True, False]
+    assert inside_levelset(cert, probe.points).tolist() == [True, False]
 
 
 def test_levelset_holds_on_training_grid():
     grid = CandidateSet(points=np.linspace(-1, 1, 31).reshape(-1, 1))
     res = solve(grid, 2, SolverConfig(max_iters=100_000))
     cert = build_certificate(res.design, grid, 2)
-    assert levelset_report(cert, grid).inside.all()
+    assert inside_levelset(cert, grid.points).all()
 
 
 def test_levelset_agrees_with_ellipsoid_at_degree_one():
     cert = square_cert()
     ell = extract_ellipsoid(cert)
     probe = CandidateSet(points=np.random.default_rng(14).uniform(-2, 2, size=(100, 2)))
-    inside = levelset_report(cert, probe).inside
+    inside = inside_levelset(cert, probe.points)
     for x, ok in zip(probe.points, inside):
         assert ok == contains(ell, x)
 
@@ -127,11 +124,12 @@ def test_levelset_report_square():
     probe = CandidateSet(
         points=np.array([[0.0, 0.0], [1.0, 1.0], [1.2, 0.3], [2.0, 2.0]]),
     )
-    rep = levelset_report(cert, probe)
+    q = dual_values(cert, probe.points)
     # X = I_3, so q(x) = 1 + |x|^2.
-    assert np.allclose(rep.values, [1.0, 3.0, 2.53, 9.0], rtol=1e-12)
-    assert rep.inside.tolist() == [True, True, True, False]
-    assert [1.0, 1.0] in rep.contact.tolist()
+    assert np.allclose(q, [1.0, 3.0, 2.53, 9.0], rtol=1e-12)
+    assert inside_levelset(cert, probe.points).tolist() == [True, True, True, False]
+    contact = probe.points[q >= cert.n_d - cert.n_d * 1e-4]  # q reaches n_d - delta
+    assert [1.0, 1.0] in contact.tolist()
 
 
 def test_minimality_of_square_certificate():

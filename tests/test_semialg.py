@@ -17,7 +17,6 @@ from doptdesign.semialg import (
     _first_equal_rows,
     _members,
     _values,
-    eval_poly_many,
     explicit_candidates,
     membership_mask,
 )
@@ -43,19 +42,32 @@ def box(n=1):
     )
 
 
+def takes_value(g, pts, value):
+    """Whether g is exactly `value` at each row of pts: membership in
+    {g - value >= 0} and {value - g >= 0}, in a box holding every row."""
+    zero = (0,) * g.n
+    terms = dict(g.terms)
+    terms[zero] = terms.get(zero, 0.0) - value
+    above = SparsePolynomial(g.n, terms)
+    below = SparsePolynomial(g.n, {a: -c for a, c in above.terms.items()})
+    wide = SemiAlgebraicSet(g.n, (above, below), ((-1e3, 1e3),) * g.n)
+    return membership_mask(wide, pts).tolist()
+
+
 def test_eval_poly_disk_center_and_corner():
     g = SparsePolynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    assert eval_poly_many(g, [[0.0, 0.0], [1.0, 1.0]]).tolist() == [1.0, -1.0]
+    assert takes_value(g, [[0.0, 0.0], [1.0, 1.0]], 1.0) == [True, False]
+    assert takes_value(g, [[0.0, 0.0], [1.0, 1.0]], -1.0) == [False, True]
 
 
 def test_eval_poly_cross_term():
     p = SparsePolynomial(2, {(1, 1): 1.0, (0, 0): 2.0})
-    assert eval_poly_many(p, [[3.0, 4.0]]).tolist() == [14.0]
+    assert takes_value(p, [[3.0, 4.0], [3.0, 3.0]], 14.0) == [True, False]
 
 
 def test_eval_poly_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        eval_poly_many(SparsePolynomial(1, {(1,): 1.0}), [[1.0, 2.0]])
+        membership_mask(box(1), [[1.0, 2.0]])
 
 
 def test_zero_coefficients_dropped():
@@ -173,7 +185,7 @@ def test_grid_matches_membership_on_product_oracle_bitwise(space, resolution):
 def test_overflowing_example_has_inf_and_nan_values():
     x = np.linspace(-1e80, 1e80, 5).reshape(-1, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = eval_poly_many(OVERFLOWING.inequalities[0], x)
+        vals = _values(OVERFLOWING.inequalities[0], x.T)
         assert membership_mask(OVERFLOWING, x).tolist() == [
             True, True, True, False, False
         ]
@@ -270,16 +282,6 @@ def test_membership_skips_inequalities_once_no_point_is_left():
     wide = SemiAlgebraicSet(1, (never, square), ((-1e200, 1e200),))
     with pytest.raises(EmptyCandidateSetError):
         grid_candidates(wide, 5)
-
-
-@pytest.mark.parametrize("terms", [{}, {(0, 0): 2.5}])
-def test_eval_poly_many_of_a_constant_is_a_writable_vector(terms):
-    p = SparsePolynomial(2, terms)
-    pts = np.zeros((4, 2))
-    vals = eval_poly_many(p, pts)
-    expected = reference_values(p.terms, pts.T)
-    assert vals.shape == (4,) and vals.flags.writeable and vals.flags.owndata
-    assert vals.tobytes() == expected.tobytes()
 
 
 SIMPLEX = SemiAlgebraicSet(

@@ -257,7 +257,7 @@ def test_exchange_interior_alpha_matches_solver_iteration():
         exchanged = reference_exchange(v, w)
         v2 = vandermonde(basis_2d, pts)
         it = solver._Iterate(v2, enumerate_basis(1, 2), np.arange(size), w)
-        support, kept, rise = solver._exchange(it, v2, int(it.p.argmax()))
+        support, kept, rise = solver._exchange(it, int(it.p.argmax()))
         after = np.zeros(size)
         after[support] = kept
         assert np.allclose(after, exchanged, rtol=1e-12, atol=0.0)

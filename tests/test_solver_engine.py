@@ -193,7 +193,7 @@ def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
     # exchange.  At d = 3 the greedy start is not optimal, so an exchange
     # is needed.
     exchanged = []
-    monkeypatch.setattr(solver, "_exchange", lambda it, v2, k: exchanged.append(k))
+    monkeypatch.setattr(solver, "_exchange", lambda it, k: exchanged.append(k))
     cfg = SolverConfig(max_iters=5_000)
     res = solve(CandidateSet(points=GRID_401.reshape(-1, 1)), 3, cfg)
     assert len(exchanged) == 1
@@ -214,9 +214,9 @@ def test_finish_takes_an_exchange_whose_gain_is_lost_in_round_off(monkeypatch):
         calls.append("newton")
         return real_newton(*args)
 
-    def exchange(it, v2, k):
+    def exchange(it, k):
         calls.append("exchange")
-        return real_exchange(it, v2, k)
+        return real_exchange(it, k)
 
     def gain(self, dy):
         g = real_gain(self, dy)
