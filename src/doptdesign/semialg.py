@@ -14,6 +14,14 @@ box test, is evaluated on the broadcast shape of only the coordinates it
 uses: on a grid, a half-space x_j >= a costs r operations, not r^n.  The tests
 are then combined into one membership mask of the full shape.
 
+A grid's axis runs from lo to hi as x = mid + half t, t = (2i - (r-1)) /
+(r-1), so on a box [-a, a] each point's mirror image is a point, exactly.
+The signed permutations about 0 that verifiably map the set onto itself
+(`_symmetry`: axis flips and swaps, checked exactly on the box and each g's
+terms) then map the grid onto itself; membership is decided once per orbit
+of grid cells, so the mask is exactly invariant, and a grid's candidates
+carry the orbit of each member for the solver.
+
 A grid is held as its axes and its r^n membership mask (`GridMembers`).  The
 mask is filled, and the members' points are built, one block of whole
 leading-axis slabs (about 2^16 grid points) at a time, so no array of a
@@ -117,10 +125,30 @@ class SemiAlgebraicSet:
 
 
 @dataclass(frozen=True)
+class Symmetry:
+    """A group of signed permutations of the coordinates, about 0: generated
+    by the sign flip of each axis in `flips` and by every permutation of the
+    axes within each class of `classes` (classes of two or more axes).  The
+    group with neither is trivial."""
+
+    flips: tuple[int, ...] = ()
+    classes: tuple[tuple[int, ...], ...] = ()
+
+
+@dataclass(frozen=True)
 class CandidateSet:
-    """Finite list of admissible design points, in a fixed deterministic order."""
+    """Finite list of admissible design points, in a fixed deterministic order.
+
+    `orbits`, when given, holds the orbit of each point under `group`, a
+    group that maps the points onto themselves exactly: orbits are numbered
+    0, 1, ... in the order of their first points.  A grid of a symmetric set
+    carries them (`grid_candidates`); a point list, or a set built without
+    them, has the trivial group, and every point is its own orbit.
+    """
 
     points: np.ndarray  # shape (N, n)
+    orbits: np.ndarray | None = None  # shape (N,), integer
+    group: Symmetry = Symmetry()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -172,16 +200,87 @@ def membership_mask(s: SemiAlgebraicSet, pts) -> np.ndarray:
     return _members(s, _rows(pts, s.n).T)
 
 
+def _symmetry(s: SemiAlgebraicSet) -> Symmetry:
+    """The group of signed permutations about 0 that the set verifiably has.
+
+    The flip of axis j counts when that axis's box is [-a, a] and no term of
+    any g has an odd exponent in x_j; the swap of axes i and k counts when
+    their boxes are equal and swapping the two exponents maps each g's terms
+    onto themselves with equal coefficients.  Both checks are exact, on
+    `SparsePolynomial.terms`.  Swaps that count are transitive, so the axes
+    fall into classes, and all axes of a class flip or none does."""
+    box, gs = s.bounding_box, s.inequalities
+    flips = tuple(
+        j for j, (lo, hi) in enumerate(box)
+        if lo == -hi and not any(a[j] % 2 for g in gs for a in g.terms)
+    )
+
+    def swaps(i: int, k: int) -> bool:
+        def swapped(a):
+            a = list(a)
+            a[i], a[k] = a[k], a[i]
+            return tuple(a)
+
+        return box[i] == box[k] and all(
+            g.terms.get(swapped(a)) == c for g in gs for a, c in g.terms.items()
+        )
+
+    classes, placed = [], set()
+    for i in range(s.n):
+        if i not in placed:
+            cls = (i, *(k for k in range(i + 1, s.n) if swaps(i, k)))
+            placed.update(cls)
+            if len(cls) > 1:
+                classes.append(cls)
+    return Symmetry(flips, tuple(classes))
+
+
+def _axis(lo: float, hi: float, r: int) -> np.ndarray:
+    """r points from lo to hi: x = mid + half t with t = (2i - (r-1)) / (r-1),
+    ends set to lo and hi.  t is exactly antisymmetric, t[r-1-i] = -t[i], so
+    on a box [-a, a] (mid 0, half a) every point's mirror image is a point."""
+    t = (2.0 * np.arange(r) - (r - 1)) / (r - 1)
+    x = (lo / 2 + hi / 2) + (hi / 2 - lo / 2) * t
+    x[0], x[-1] = lo, hi
+    return x
+
+
+def _from_first_cells(group: Symmetry, grid: np.ndarray) -> None:
+    """Give each cell of `grid`, an r^n array, the value at the first cell
+    of its orbit in row-major order, in place.
+
+    The first cell has each flipped axis's index folded to min(i, r-1-i)
+    and then each class's indices sorted ascending.  The sort is a bubble
+    sort of compare-exchanges of two axes, and a compare-exchange is the
+    transposed array read where the first index exceeds the second; reading
+    the grid at the sorted, folded cell applies the compare-exchanges last
+    to first, then the folds.  Views and boolean masks only: no index is
+    formed."""
+    r, n = grid.shape[0], grid.ndim
+    for cls in group.classes:
+        later = np.arange(r)[:, None] > np.arange(r)  # r^2 <= r^n cells
+        pairs = [(a, b) for end in range(len(cls) - 1, 0, -1)
+                 for a, b in zip(cls[:end], cls[1:end + 1])]
+        for a, b in reversed(pairs):
+            where = np.expand_dims(later, [j for j in range(n) if j not in (a, b)])
+            np.copyto(grid, np.swapaxes(grid, a, b), where=where)
+    for j in group.flips:
+        along = np.moveaxis(grid, j, 0)
+        along[(r + 1) // 2:] = along[: r // 2][::-1]
+
+
 @dataclass(frozen=True)
 class GridMembers:
     """The members of a uniform box grid: its n broadcast axes (axis j, of r
-    points, lying along dimension j) and its r^n membership mask.
+    points, lying along dimension j), its r^n membership mask and the
+    verified group of its set (`_symmetry`), which maps the mask onto itself.
 
     `blocks` yields the members' points one block of whole leading-axis slabs
     at a time, so a walk over them holds one block's points, never all."""
 
     axes: tuple[np.ndarray, ...]
     mask: np.ndarray  # shape (r,) * n
+    group: Symmetry
 
     def _slabs(self) -> Iterator[slice]:
         """Leading-axis slices of about 2^16 grid points each (`_row_blocks`)."""
@@ -200,12 +299,17 @@ class GridMembers:
 
 
 def grid_members(s: SemiAlgebraicSet, resolution: int) -> GridMembers:
-    """Uniform box grid with `resolution` points per axis, held as its
-    membership mask.
+    """Uniform box grid with `resolution` points per axis (`_axis`), held as
+    its membership mask.
 
     The r^n mask is allocated first, so a grid too large to hold fails at
     once; it is then filled one block of leading-axis slabs at a time through
-    the grid's broadcast axes.
+    the grid's broadcast axes.  Under a nontrivial group (`_symmetry`) each
+    orbit of cells then takes the membership of its first cell
+    (`_from_first_cells`): the sum of an invariant g's terms can round differently
+    at a cell and its swapped image, and this way the mask is exactly
+    invariant.  A first cell is its own first cell, so the mask is rewritten
+    in place.
 
     Raises:
         ValueError: if resolution < 2.
@@ -213,14 +317,16 @@ def grid_members(s: SemiAlgebraicSet, resolution: int) -> GridMembers:
     """
     if resolution < 2:
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in s.bounding_box]
+    axes = [_axis(lo, hi, resolution) for lo, hi in s.bounding_box]
     grid = GridMembers(
         tuple(np.meshgrid(*axes, indexing="ij", sparse=True)),
         np.empty((resolution,) * s.n, dtype=bool),
+        _symmetry(s),
     )
     lead, *rest = grid.axes
     for slab in grid._slabs():
         _members(s, [lead[slab], *rest], out=grid.mask[slab])
+    _from_first_cells(grid.group, grid.mask)
     if not grid.mask.any():
         raise EmptyCandidateSetError(
             f"no point of the {resolution}^{s.n} grid satisfies membership"
@@ -229,12 +335,18 @@ def grid_members(s: SemiAlgebraicSet, resolution: int) -> GridMembers:
 
 
 def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
-    """Uniform box grid with `resolution` points per axis, filtered by membership.
+    """Uniform box grid with `resolution` points per axis, filtered by
+    membership (`grid_members`), with the orbit of each member under the
+    set's verified group.
 
     The members' points are gathered from `grid_members`' blocks into one
     array, so the grid's own (r^n, n) coordinate array is never formed.  Point
     order is row-major over the axes (first coordinate varies slowest), so
-    the output is deterministic.
+    the output is deterministic.  A member's orbit is found from its grid
+    indices: its orbit's first cell (`_from_first_cells`) is a member that comes
+    first among the orbit's members, and orbits are numbered by that
+    member's rank, in integer arithmetic.  Under the trivial group the set
+    carries no orbits.
 
     Raises:
         ValueError: if resolution < 2.
@@ -246,7 +358,14 @@ def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     for block in grid.blocks():
         points[k : k + len(block)] = block
         k += len(block)
-    return CandidateSet(points=points)
+    if grid.group == Symmetry():
+        return CandidateSet(points=points)
+    ids = np.zeros(grid.mask.shape, dtype=np.intp)
+    ids[grid.mask] = np.arange(len(points))
+    _from_first_cells(grid.group, ids)
+    first = ids[grid.mask]  # each member's orbit's first member
+    orbits = np.searchsorted(np.flatnonzero(first == np.arange(len(points))), first)
+    return CandidateSet(points=points, orbits=orbits, group=grid.group)
 
 
 def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:

@@ -45,9 +45,27 @@ is taken over every candidate where the iterate was priced and is NaN where
 its step did not need p on every candidate; the last iterate is always
 priced.
 
+A candidate set that carries orbits (`CandidateSet.orbits`, a grid of a
+symmetric set) is solved on them.  A signed permutation of the coordinates
+that maps the candidates onto themselves maps the monomials onto themselves
+up to sign, so it leaves log det M of a design's image unchanged; log det M
+is concave, so the optimal M and its p are invariant, and one weight per
+orbit is enough (Pukelsheim, Optimal Design of Experiments, 1993, ch. 13).
+The engine then runs on orbit rows R, each the mean of its members' V2 rows
+and held on its distinct moments only (`_Orbits`): pricing is p = R c, a
+support atom is an orbit, and the start is uniform weight on the orbits of
+the greedy picks.  The Newton Hessian is
+the orbit-block mean of A * A over the members, and the exchange moves mass
+by the closed form between single points and by a line search on the
+eigenvalues of the moment change otherwise.  Each orbit's weight is split
+equally over its members in the design returned, so the design is exactly
+invariant.  Under the trivial group R is V2 and every step is the one on
+the points.
+
 The design returned is the last iterate's atoms of positive weight, and
-converged means p <= n_d (1 + epsilon) on every candidate.  p of the final
-design on the candidates is the certificate's to compute.
+converged means p <= n_d (1 + epsilon) on every candidate, or on every
+orbit, where p is the mean over its members.  p of the final design on the
+candidates is the certificate's to compute.
 """
 
 from __future__ import annotations
@@ -97,12 +115,14 @@ class SolverConfig:
 class SolveResult:
     """Final design, the iteration record and the solver's verdict.
 
-    converged means p <= n_d (1 + epsilon) held on every candidate at the
-    final iterate.  iterations counts Newton steps and exchanges.  The traces
-    hold one entry for the greedy start, then one per step, so they have
-    iterations + 1 entries.  trace_p_max holds p_max over every candidate
-    where that iterate was priced and NaN where its step did not need p on
-    every candidate; its last entry is always priced.
+    converged means p <= n_d (1 + epsilon) held on every candidate, or on
+    every orbit of a candidate set with orbits, at the final iterate; the
+    design then gives each member of an orbit the same weight.  iterations
+    counts Newton steps and exchanges.  The traces hold one entry for the
+    greedy start, then one per step, so they have iterations + 1 entries.
+    trace_p_max holds p_max over every candidate (or orbit) where that
+    iterate was priced and NaN where its step did not need p on every
+    candidate; its last entry is always priced.
     prune_rolled_back is always False: nothing is pruned, and the field is
     kept for the benchmark, which reads it.
     """
@@ -116,25 +136,31 @@ class SolveResult:
 
 
 class _Iterate:
-    """One evaluated iterate: weights w on the rows `support` of the candidates.
+    """One evaluated iterate: weights w on the rows `support` of `v2`.
 
-    rows holds those rows of the degree-2d Vandermonde matrix V2, and basis_d
-    is the degree-d basis.  The evaluation, made once when the iterate is
-    built, forms y = rows^T w, M(w) = M_d(y) (`moment_matrix`), its factor
-    `spd.factorize(M(w))`, and reads from that factor log det M(w), li =
-    L^{-1} and m_inv = M^{-1}; then c = M_d*(M^{-1}) (`adjoint_expand`) and
-    the support's p, p_support = rows c.  p = V2 c on every candidate is
-    formed on first read and kept.
+    v2 holds one degree-2d moment row per candidate, V2 itself, or one per
+    orbit of the candidates, the orbit rows of `orbits` (`_Orbits`), whose
+    columns are the distinct moments (`full` maps them to all s); rows holds
+    the support's, and basis_d is the degree-d basis.  The evaluation, made
+    once when the iterate is built, forms y = rows^T w, M(w) = M_d(y)
+    (`moment_matrix`), its factor `spd.factorize(M(w))`, and reads from that
+    factor log det M(w), li = L^{-1} and m_inv = M^{-1}; then
+    c = M_d*(M^{-1}) (`adjoint_expand`, folded onto the orbit rows'
+    columns) and the support's p, p_support = rows c.  p = v2 c on every
+    row is formed on first read and kept; on an orbit row it is the mean of
+    p over the orbit's members.
 
     Raises DegenerateDesignError when M(w) fails the factor's pivot test.
     """
 
     def __init__(self, v2: np.ndarray, basis_d: MultiIndexBasis,
-                 support: np.ndarray, w: np.ndarray):
+                 support: np.ndarray, w: np.ndarray, orbits=None):
         self.v2, self.support, self.w, self.basis_d = v2, support, w, basis_d
+        self.orbits = orbits
         self.rows = v2[support]
+        y = self.full(np.dot(w, self.rows))
         try:
-            factor = spd.factorize(moment_matrix(np.dot(w, self.rows), basis_d))
+            factor = spd.factorize(moment_matrix(y, basis_d))
         except NotPositiveDefiniteError:
             raise DegenerateDesignError(
                 "information matrix is singular: the design does not determine "
@@ -144,26 +170,90 @@ class _Iterate:
         self.li = factor.inv_chol
         self.m_inv = spd.inverse(factor)
         self.c = adjoint_expand(self.m_inv, basis_d)
+        if orbits is not None:
+            self.c = orbits.fold(self.c)
         self.p_support = np.dot(self.rows, self.c)
 
     @cached_property
     def p(self) -> np.ndarray:
-        """p = V2 c on every candidate: the pricing pass."""
+        """p = v2 c on every row: the pricing pass."""
         return np.dot(self.v2, self.c)
+
+    def full(self, y: np.ndarray) -> np.ndarray:
+        """A row of v2, or a change of one, on all s moments."""
+        return y if self.orbits is None else self.orbits.unfold(y)
+
+    def eigenvalues(self, dy: np.ndarray) -> np.ndarray:
+        """The eigenvalues of L^{-1} M_d(dy) L^{-T}, ascending, for a change dy
+        of the moments (a row of v2's columns): log det M(y + alpha dy) -
+        log det M(y) is the sum of log(1 + alpha lambda) over them."""
+        change = moment_matrix(self.full(dy), self.basis_d)
+        b = np.dot(self.li, np.dot(self.li, change).T)
+        return np.linalg.eigvalsh(b)
 
     def gain(self, dy: np.ndarray) -> float:
         """log det M(y + dy) - log det M(y) for a change dy of the moments.
 
-        The sum of log(1 + lambda) over the eigenvalues of L^{-1} M_d(dy) L^{-T}
-        stays accurate for a small dy, where the difference of two log dets
-        drowns in their round-off; -inf when M(y + dy) is not positive
-        definite.
+        The sum of log(1 + lambda) over `eigenvalues(dy)` stays accurate for
+        a small dy, where the difference of two log dets drowns in their
+        round-off; -inf when M(y + dy) is not positive definite.
         """
-        b = np.dot(self.li, np.dot(self.li, moment_matrix(dy, self.basis_d)).T)
-        lam = np.linalg.eigvalsh(b)
+        lam = self.eigenvalues(dy)
         if not lam[0] > -1.0:
             return -np.inf
         return float(np.log1p(lam).sum())
+
+
+class _Orbits:
+    """The candidates' orbits under their verified group
+    (`CandidateSet.orbits`), in moment space.
+
+    An orbit's moment row, the mean of its members' V2 rows, is the group
+    average of any one member's row: a moment odd in a flipped axis averages
+    to 0, and the moments that the group permutes share one mean.  So rows
+    holds one column per shared mean, formed once from each orbit's first
+    member, and no second N x s array is formed.  `unfold` maps such a row
+    (or a moment change) to all s moments, and `fold` maps coefficients on
+    the s moments to the columns of rows, so that a polynomial's orbit mean
+    is rows fold(c).  The support's rows are dependent once it has more
+    orbits than rows has columns.  v2 is kept for the members' own rows.
+    """
+
+    def __init__(self, v2: np.ndarray, cands: CandidateSet, basis_2d: MultiIndexBasis):
+        self.v2 = v2
+        self.sizes = np.bincount(cands.orbits)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.order = np.argsort(cands.orbits, kind="stable")  # members, orbit by orbit
+        shared: dict[tuple[int, ...], list[int]] = {}
+        for col, a in enumerate(basis_2d.indices):
+            if not any(a[j] % 2 for j in cands.group.flips):
+                a = list(a)
+                for cls in cands.group.classes:
+                    for j, e in zip(cls, sorted(a[j] for j in cls)):
+                        a[j] = e
+                shared.setdefault(tuple(a), []).append(col)
+        first = self.order[self.starts]
+        self.rows = np.empty((first.size, len(shared)))
+        self.column = np.full(v2.shape[1], len(shared))  # the odd moments: 0
+        for m, cols in enumerate(shared.values()):
+            self.rows[:, m] = v2[np.ix_(first, cols)].mean(axis=1)
+            self.column[cols] = m
+
+    def unfold(self, y: np.ndarray) -> np.ndarray:
+        """All s moments from one entry per column of rows."""
+        return np.append(y, 0.0)[self.column]
+
+    def fold(self, c: np.ndarray) -> np.ndarray:
+        """Coefficients on the s moments summed onto the columns of rows."""
+        return np.bincount(self.column, c, minlength=self.rows.shape[1] + 1)[:-1]
+
+    def members(self, orbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The members of the given orbits, orbit after orbit, and the
+        position where each orbit's members begin."""
+        counts = self.sizes[orbits]
+        begin = np.cumsum(counts) - counts
+        at = np.repeat(self.starts[orbits] - begin, counts) + np.arange(counts.sum())
+        return self.order[at], begin
 
 
 #: Relative width of a tie: the greedy start picks the lowest index among the
@@ -250,19 +340,30 @@ def _newton_step(it: _Iterate):
     """One Newton step on the weights of the support, tried once.
 
     Maximizes the quadratic model of log det M(w) on the support subject to
-    sum w = 1.  Its Hessian is -(A * A), A = V M^{-1} V^T on the support, and
-    since (A * A) w = p the step is w - u / sum(u) with (A * A) u = 1.  The
-    step is clipped at the first weight to reach 0, which then drops out.
-    Returns (support, weights, rise in log det) without the dropped atom, or
-    None when log det does not rise; the engine then takes the exchange.
+    sum w = 1.  Its Hessian is -H: H = A * A, A = V M^{-1} V^T on the
+    support's points, and on orbits H_ab is the mean of A * A over the
+    members of orbits a and b.  Since H w = p on the support, the step is
+    w - u / sum(u) with H u = 1.  The step is clipped at the first weight to
+    reach 0, which then drops out.  Returns (support, weights, rise in log
+    det) without the dropped atom, or None when log det does not rise; the
+    engine then takes the exchange.
 
-    Raises NotPositiveDefiniteError when A * A fails the pivot test of
+    Raises NotPositiveDefiniteError when H fails the pivot test of
     `spd.factorize`, which happens exactly when the support's degree-2d
     moment rows are dependent.
     """
-    vd = it.rows[:, :it.m_inv.shape[0]]
+    n_d = it.m_inv.shape[0]
+    if it.orbits is None:
+        vd = it.rows[:, :n_d]
+    else:
+        members, begin = it.orbits.members(it.support)
+        vd = it.orbits.v2[members, :n_d]
     a = np.dot(vd, np.dot(it.m_inv, vd.T))
     a *= a
+    if it.orbits is not None:
+        a = np.add.reduceat(np.add.reduceat(a, begin, axis=0), begin, axis=1)
+        sizes = it.orbits.sizes[it.support]
+        a /= np.outer(sizes, sizes)
     spd.factorize(a)  # the pivot test only
     w = it.w
     u = np.linalg.solve(a, np.ones(w.size))
@@ -281,30 +382,69 @@ def _newton_step(it: _Iterate):
     return it.support[held], trial[held], gain
 
 
-def _exchange(it: _Iterate, k: int):
-    """Move the det-maximizing mass from the lowest-p atom to candidate k.
+def _line_search(lam: np.ndarray, top: float) -> float:
+    """The alpha in [0, top] that maximizes sum log(1 + alpha lam), for
+    eigenvalues lam in ascending order whose sum is positive.
 
-    Reads V2, M^{-1} and the priced p on every candidate (`_Iterate.p`) from
-    the evaluated iterate it; the donor j is the argmin of that p over the
-    support.  Moving alpha from atom j to candidate k multiplies det M by
+    The sum is concave in alpha, so its slope falls; 1 + alpha lam > 0 on
+    [0, top) because the moved mass leaves M positive semidefinite.  Newton
+    steps on the slope, bisecting the bracket [lo, hi] whenever a step leaves
+    it, stop once a step moves alpha by at most a relative 1e-12 of top, or
+    after 100 steps.
+    """
+    if 1.0 + top * lam[0] > 0.0 and np.sum(lam / (1.0 + top * lam)) >= 0.0:
+        return top
+    lo, hi, alpha = 0.0, top, 0.0
+    for _ in range(100):
+        ratio = lam / (1.0 + alpha * lam)
+        rise = float(ratio.sum())
+        if rise == 0.0:
+            break
+        lo, hi = (alpha, hi) if rise > 0.0 else (lo, alpha)
+        step = alpha + rise / float(ratio @ ratio)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        done = abs(step - alpha) <= 1e-12 * top
+        alpha = step
+        if done:
+            break
+    return alpha
+
+
+def _exchange(it: _Iterate, k: int):
+    """Move the det-maximizing mass from the lowest-p atom to row k.
+
+    Reads the rows v2, M^{-1} and the priced p on every row (`_Iterate.p`)
+    from the evaluated iterate it; the donor j is the argmin of that p over
+    the support.  When both are single points, moving alpha from atom j to
+    point k multiplies det M by
     r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
     p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
     (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j (a
-    drop step).  k joins the support when it is not on it.
+    drop step).  When either is an orbit of more points, alpha maximizes
+    the sum of log(1 + alpha lambda) over the eigenvalues lambda of the
+    moment change v2[k] - v2[j] (`_Iterate.eigenvalues`, `_line_search`) on
+    [0, w_j].  k joins the support when it is not on it.
 
     Returns (support, weights, rise in log det) without an emptied atom, the
     rise measured by `_Iterate.gain` on the moment change
-    dy = dw_k V2[k] + dw_j V2[j]; or None when the exchange moves no mass.
+    dy = dw_k v2[k] + dw_j v2[j]; or None when the exchange moves no mass.
     """
     support, p, v2, n_d = it.support, it.p, it.v2, it.m_inv.shape[0]
     i = int(p[support].argmin())
     j = int(support[i])
     p_k, p_j = float(p[k]), float(p[j])
-    p_kj = float(np.dot(np.dot(it.m_inv, v2[k, :n_d]), v2[j, :n_d]))
-    delta = p_k * p_j - p_kj * p_kj
-    if not p_k > p_j or not delta > 0.0:
+    if not p_k > p_j:
         return None
-    alpha = min((p_k - p_j) / (2.0 * delta), float(it.w[i]))
+    if it.orbits is None or it.orbits.sizes[[k, j]].max() == 1:
+        v_k, v_j = it.full(v2[k])[:n_d], it.full(v2[j])[:n_d]
+        p_kj = float(np.dot(np.dot(it.m_inv, v_k), v_j))
+        delta = p_k * p_j - p_kj * p_kj
+        if not delta > 0.0:
+            return None
+        alpha = min((p_k - p_j) / (2.0 * delta), float(it.w[i]))
+    else:
+        alpha = _line_search(it.eigenvalues(v2[k] - v2[j]), float(it.w[i]))
     if k in support:
         m, before = int(np.flatnonzero(support == k)[0]), it.w
     else:
@@ -320,31 +460,32 @@ def _exchange(it: _Iterate, k: int):
 
 
 def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
-            w: np.ndarray, target: float, budget: int):
+            w: np.ndarray, target: float, budget: int, orbits=None):
     """The solve: Newton steps on the support, exchanges to bring atoms in.
 
-    v2 is the degree-2d Vandermonde matrix of every candidate, basis_d the
-    degree-d basis and (support, w) the start.  Each iterate is evaluated
-    once (`_Iterate`), and its step reads that evaluation.  While some
-    support atom fails p <= target, the iterate has not converged and the
-    step is one Newton trial on the weights (`_newton_step`), taken without
-    pricing every candidate.  Otherwise, or when the trial does not raise
-    log det, the iterate is priced (`_Iterate.p`): it has converged when
-    p <= target on every candidate, and else the exchange moves mass into
-    the worst candidate (`_exchange`).  When the Newton system is singular,
-    or an exchange grows the support past s = v2.shape[1] atoms, the design
+    v2 holds the degree-2d moment row of every candidate, or of every orbit
+    when `orbits` (`_Orbits`) is given, basis_d is the degree-d basis and
+    (support, w) the start.  Each iterate is evaluated once (`_Iterate`),
+    and its step reads that evaluation.  While some support atom fails
+    p <= target, the iterate has not converged and the step is one Newton
+    trial on the weights (`_newton_step`), taken without pricing every row.
+    Otherwise, or when the trial does not raise log det, the iterate is
+    priced (`_Iterate.p`): it has converged when p <= target on every row,
+    and else the exchange moves mass into the worst row (`_exchange`).  When
+    the Newton system is singular, or an exchange grows the support past
+    v2.shape[1] atoms (s, or the orbit rows' distinct moments), the design
     is reduced to independent moment rows (`_reduce`), which is not a step.
 
     Returns (support, weights, trace, converged): trace holds one
     [objective, p_max] pair for the start and one per step, at most budget
-    steps, with p_max over every candidate where the iterate was priced and
-    NaN elsewhere.  The last iterate is always priced, and converged means
-    p <= target on every candidate.  The objective advances by each step's
+    steps, with p_max over every row where the iterate was priced and NaN
+    elsewhere.  The last iterate is always priced, and converged means
+    p <= target on every row.  The objective advances by each step's
     measured `_Iterate.gain`; an exchange is taken whenever it moves mass,
     even where its gain is lost in round-off.  An exchange that moves no
     mass ends the call unconverged.
     """
-    it = _Iterate(v2, basis_d, support, w)
+    it = _Iterate(v2, basis_d, support, w, orbits)
     objective = it.log_det
     trace = [[objective, math.nan]]
     while True:
@@ -355,7 +496,7 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
             except NotPositiveDefiniteError:
                 support, w = _reduce(v2, it.support, it.w)
                 if support.size < it.support.size:  # else round-off: exchange instead
-                    it = _Iterate(v2, basis_d, support, w)
+                    it = _Iterate(v2, basis_d, support, w, orbits)
                     continue
         if step is None:
             k = int(it.p.argmax())
@@ -369,20 +510,21 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
         if support.size > v2.shape[1]:
             support, w = _reduce(v2, support, w)
         objective += gain
-        it = _Iterate(v2, basis_d, support, w)
+        it = _Iterate(v2, basis_d, support, w, orbits)
         trace.append([objective, math.nan])
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    Starts from uniform weight on n_d candidates picked greedily (`_greedy`)
-    and runs the engine once (`_newton`): Newton steps on the support and
-    exchanges, until p_max <= n_d (1 + epsilon) on every candidate, the
+    Starts from uniform weight on n_d candidates picked greedily (`_greedy`),
+    or on their orbits when the set carries orbits (`_Orbits`), and runs the
+    engine once (`_newton`): Newton steps on the support and exchanges,
+    until p_max <= n_d (1 + epsilon) on every candidate (or orbit), the
     iteration budget runs out or an exchange moves no mass.  The design
-    returned is the last iterate's atoms of positive weight, in candidate
-    order.  Non-convergence is not an error: the result carries
-    converged=False and the full trace.
+    returned is the last iterate's atoms of positive weight, each orbit's
+    split equally over its members, in candidate order.  Non-convergence is
+    not an error: the result carries converged=False and the full trace.
 
     Raises:
         TooFewCandidatesError: if there are fewer candidates than regression
@@ -399,12 +541,23 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
             f"{cands.size} candidates for {count} regression functions"
         )
 
-    v2 = vandermonde(enumerate_basis(cands.n, 2 * d), cands.points)
+    basis_2d = enumerate_basis(cands.n, 2 * d)
+    v2 = vandermonde(basis_2d, cands.points)
     start = _greedy(v2[:, :n_d])
+    orbits = None
+    if cands.orbits is not None:  # the orbits of the picks, in pick order
+        orbits = _Orbits(v2, cands, basis_2d)
+        start = cands.orbits[start]
+        start = start[np.sort(np.unique(start, return_index=True)[1])]
     support, w, trace, converged = _newton(
-        v2, enumerate_basis(cands.n, d), start, np.full(start.size, 1.0 / start.size),
-        n_d * (1.0 + cfg.epsilon), cfg.max_iters,
+        v2 if orbits is None else orbits.rows, enumerate_basis(cands.n, d), start,
+        np.full(start.size, 1.0 / start.size), n_d * (1.0 + cfg.epsilon),
+        cfg.max_iters, orbits,
     )
+    if orbits is not None:
+        sizes = orbits.sizes[support]
+        w = np.repeat(w / sizes, sizes)
+        support = orbits.members(support)[0]
     order = np.argsort(support)
     trace_obj, trace_pmax = np.array(trace).T.copy()
     design = DesignMeasure(

@@ -315,11 +315,98 @@ def symmetric_pair_search(atoms: np.ndarray, degree: int, step: float = 1e-3) ->
     return best
 
 
+def grid_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
+    """The grid axis as the package specifies it, built point by point:
+    x_i = mid + half t_i with t_i = (2i - (r-1)) / (r-1), mid = lo/2 + hi/2,
+    half = hi/2 - lo/2, and the ends exactly lo and hi."""
+    r = resolution
+    mid, half = lo / 2 + hi / 2, hi / 2 - lo / 2
+    x = [mid + half * ((2.0 * i - (r - 1)) / (r - 1)) for i in range(r)]
+    x[0], x[-1] = lo, hi
+    return np.array(x, dtype=float)
+
+
 def product_grid(bounding_box, resolution: int) -> np.ndarray:
     """The box grid built point by point with itertools.product, one row per
     point, first coordinate varying slowest."""
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounding_box]
+    axes = [grid_axis(lo, hi, resolution) for lo, hi in bounding_box]
     return np.array(list(itertools.product(*axes)), dtype=float).reshape(-1, len(axes))
+
+
+def reference_symmetry(bounding_box, inequalities):
+    """(flips, classes) of the signed permutations about 0 that map the box
+    and each inequality (a {exponents: coefficient} dictionary) onto
+    themselves: a polynomial is invariant when its image's dictionary equals
+    its own.  classes lists the groups of two or more axes that may be
+    permuted, the connected components of the valid swaps."""
+    n = len(bounding_box)
+
+    def image(terms, move):
+        out = {}
+        for alpha, c in terms.items():
+            beta, sign = move(alpha)
+            out[beta] = sign * c
+        return out
+
+    def invariant(move):
+        return all(image(t, move) == t for t in inequalities)
+
+    flips = [
+        j for j in range(n)
+        if bounding_box[j][0] == -bounding_box[j][1]
+        and invariant(lambda a, j=j: (a, (-1) ** a[j]))
+    ]
+    parent = list(range(n))
+    for i, k in itertools.combinations(range(n), 2):
+        swap = [k if m == i else i if m == k else m for m in range(n)]
+        if bounding_box[i] == bounding_box[k] and invariant(
+            lambda a, swap=swap: (tuple(a[m] for m in swap), 1)
+        ):
+            parent[k] = parent[i]
+    classes = {}
+    for j in range(n):
+        root = j
+        while parent[root] != root:
+            root = parent[root]
+        classes.setdefault(root, []).append(j)
+    return flips, [c for c in classes.values() if len(c) > 1]
+
+
+def orbit_first_points(pts: np.ndarray, flips, classes) -> np.ndarray:
+    """Each row's orbit representative that comes first in the grid's
+    row-major order: every flipped coordinate made -|x|, then each class's
+    coordinates sorted ascending.  On a grid with mirror-exact axes this is
+    a grid point of the same orbit."""
+    out = np.array(pts, dtype=float)
+    out[:, flips] = -np.abs(out[:, flips])
+    for cls in classes:
+        out[:, cls] = np.sort(out[:, cls], axis=1)
+    return out
+
+
+def reference_grid_mask(bounding_box, inequalities, resolution: int) -> np.ndarray:
+    """The r^n membership mask of the box grid (axes from `grid_axis`),
+    membership decided once per orbit of the group of `reference_symmetry`:
+    each cell takes the full-shape membership (`reference_members`) of the
+    cell of its orbit with the lowest row-major index.  That index is the
+    minimum over the flips, taken axis by axis, and over every permutation
+    of each class's axes, enumerated."""
+    r, n = resolution, len(bounding_box)
+    xs = np.meshgrid(*[grid_axis(lo, hi, r) for lo, hi in bounding_box],
+                     indexing="ij", sparse=True)
+    raw = reference_members(bounding_box, inequalities, xs).reshape(-1)
+    flips, classes = reference_symmetry(bounding_box, inequalities)
+    cells = [np.minimum(i, r - 1 - i) if j in flips else i
+             for j, i in enumerate(np.ogrid[(slice(0, r),) * n])]
+    first = None
+    for perms in itertools.product(*(itertools.permutations(c) for c in classes)):
+        moved = list(cells)
+        for cls, perm in zip(classes, perms):
+            for j, k in zip(cls, perm):
+                moved[j] = cells[k]
+        flat = sum(i * r ** (n - 1 - j) for j, i in enumerate(moved))
+        first = flat if first is None else np.minimum(first, flat)
+    return raw[first]
 
 
 # Straightforward bulk kernels: each evaluates on the full broadcast shape or

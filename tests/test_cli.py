@@ -473,7 +473,7 @@ def test_unwritable_out_exits_config(square_run, tmp_path, capsys, command, bloc
     assert_one_error_line(capsys)
 
 
-HUGE = 10**21  # np.linspace refuses this many points with a ValueError
+HUGE = 10**21  # np.arange refuses this many grid points with a ValueError
 
 
 @pytest.mark.parametrize(

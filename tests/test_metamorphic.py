@@ -6,7 +6,9 @@ on the degree-d polynomials as an invertible linear map T, so it leaves p
 of a given design unchanged and multiplies det M by
 det(T)^2 = |det A|^(2 C(n+d, n+1)).  The solver's greedy start depends on
 the coordinates, so the iterates differ; only the optimal weights are
-invariant, and the solves agree on them up to epsilon.
+invariant, and the solves agree on them up to epsilon.  A signed
+permutation of the coordinates that maps a symmetric set onto itself maps
+its candidate grid and its validation grid onto themselves, exactly.
 """
 
 import math
@@ -14,8 +16,16 @@ import math
 import numpy as np
 import pytest
 
-from doptdesign import CandidateSet, SolverConfig, solve
+from doptdesign import (
+    CandidateSet,
+    SemiAlgebraicSet,
+    SolverConfig,
+    SparsePolynomial,
+    grid_candidates,
+    solve,
+)
 from doptdesign.design import assemble_information
+from doptdesign.semialg import Symmetry, grid_members
 
 CASES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2)]
 CFG = SolverConfig(epsilon=1e-9)
@@ -69,3 +79,80 @@ def test_affine_map_keeps_weights_and_shifts_log_det(n, d):
     )
     expected = 2 * math.comb(n + d, n + 1) * math.log(abs(np.linalg.det(a_mat)))
     assert abs(shift - expected) <= 1e-9
+
+
+def ball(n):
+    """The unit ball in [-1, 1]^n."""
+    g = SparsePolynomial(n, {(0,) * n: 1.0, **{
+        tuple(2 * (i == j) for i in range(n)): -1.0 for j in range(n)}})
+    return SemiAlgebraicSet(n, (g,), ((-1.0, 1.0),) * n)
+
+
+def generators(group: Symmetry, n: int):
+    """The group's generators as (permutation, signs) of the coordinates:
+    each flip, and each swap of neighbours within a class."""
+    for j in group.flips:
+        signs = np.ones(n)
+        signs[j] = -1.0
+        yield np.arange(n), signs
+    for cls in group.classes:
+        for a, b in zip(cls, cls[1:]):
+            perm = np.arange(n)
+            perm[[a, b]] = perm[[b, a]]
+            yield perm, np.ones(n)
+
+
+def by_rows(pts):
+    """The indices that sort pts's rows lexicographically (-0.0 ties 0.0)."""
+    return np.lexsort(pts.T[::-1])
+
+
+@pytest.mark.parametrize("n,resolution,members,orbits", [
+    (2, 101, 7_837, 1_023),
+    (3, 31, 14_075, 411),
+    (4, 15, 11_833, 106),
+])
+def test_each_generator_maps_the_candidate_grid_onto_itself(
+        n, resolution, members, orbits):
+    # Every signed permutation maps the ball onto itself, and each of the
+    # group's generators maps the grid's points onto themselves and each
+    # point into its own orbit.
+    cands = grid_candidates(ball(n), resolution)
+    group = Symmetry(tuple(range(n)), (tuple(range(n)),))
+    assert cands.size == members and cands.group == group
+    assert cands.orbits.max() + 1 == orbits
+    assert np.array_equal(np.unique(cands.orbits), np.arange(orbits))
+    pts, here = cands.points, by_rows(cands.points)
+    for perm, signs in generators(group, n):
+        image = pts[:, perm] * signs
+        there = by_rows(image)
+        assert np.array_equal(image[there], pts[here])
+        assert np.array_equal(cands.orbits[there], cands.orbits[here])
+
+
+@pytest.mark.parametrize("n,resolution,members", [(3, 101, 523_233), (4, 15, 11_833)])
+def test_each_generator_maps_the_validation_grid_onto_itself(n, resolution, members):
+    # The validation grid is held as its axes and mask: a flip reverses an
+    # axis, which is then the negated axis, and reverses the mask along it;
+    # a swap transposes the mask.
+    grid = grid_members(ball(n), resolution)
+    assert grid.group == Symmetry(tuple(range(n)), (tuple(range(n)),))
+    assert np.count_nonzero(grid.mask) == members
+    axes = [x.reshape(-1) for x in grid.axes]
+    for perm, signs in generators(grid.group, n):
+        flipped = np.flatnonzero(signs < 0)
+        image = grid.mask
+        for j in flipped:
+            assert np.array_equal(axes[j][::-1], -axes[j])
+            image = np.flip(image, axis=j)
+        image = np.transpose(image, perm)
+        assert all(np.array_equal(axes[j], axes[k]) for j, k in enumerate(perm))
+        assert np.array_equal(image, grid.mask)
+
+
+def test_the_disk_and_the_interval_keep_their_members():
+    disk = grid_candidates(ball(2), 101)
+    assert disk.size == 7_837
+    interval = grid_candidates(SemiAlgebraicSet(1, (), ((-1.0, 1.0),)), 401)
+    assert interval.size == 401
+    assert np.array_equal(interval.points[::-1], -interval.points)

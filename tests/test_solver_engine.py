@@ -15,6 +15,7 @@ from doptdesign import (
     SemiAlgebraicSet,
     SolverConfig,
     SparsePolynomial,
+    build_certificate,
     grid_candidates,
     solve,
     solver,
@@ -130,8 +131,9 @@ def test_disk_d4_converges_at_the_default_epsilon_in_2000_steps():
 def test_finish_converges_when_its_last_exchange_brings_in_a_light_atom():
     # Here the finish's last exchange brings an atom in at a weight below
     # 1e-7.  The design keeps it, so the stop test that the finish passed
-    # holds on the design returned.
-    cands = unit_disk_grid(61)
+    # holds on the design returned.  The grid's points are passed without
+    # their orbits, so every point is its own orbit.
+    cands = CandidateSet(points=unit_disk_grid(61).points)
     res = solve(cands, 4, SolverConfig())
     assert res.converged
     assert res.trace_objective.shape[0] == res.iterations + 1
@@ -319,10 +321,10 @@ def test_every_candidate_is_priced_on_at_most_half_the_iterates(monkeypatch):
 
 
 def test_a_solve_stopped_by_its_budget_prices_its_last_iterate():
-    res = solve(unit_disk_grid(101), 4, SolverConfig(epsilon=1e-3, max_iters=20))
+    res = solve(unit_disk_grid(101), 4, SolverConfig(epsilon=1e-3, max_iters=10))
     assert not res.converged
-    assert res.iterations == 20
-    assert res.trace_p_max.shape[0] == 21
+    assert res.iterations == 10
+    assert res.trace_p_max.shape[0] == 11
     assert np.isfinite(res.trace_p_max[-1])
     assert np.isnan(res.trace_p_max).any()
 
@@ -339,15 +341,20 @@ def test_round_off_regime_converges_in_150_steps():
         assert res.iterations <= 150, (seed, res.iterations)
 
 
-def test_ball_d3_on_a_31_cubed_grid_converges_in_1000_steps():
-    # The largest problem of the solver's convergence measurements: 14,019
-    # candidates, n_d = 20.
+def ball_31_cubed():
     g = SparsePolynomial(
         3, {(0, 0, 0): 1.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
     )
     ball = SemiAlgebraicSet(n=3, inequalities=(g,), bounding_box=((-1.0, 1.0),) * 3)
-    cands = grid_candidates(ball, 31)
-    assert cands.size == 14_019
+    return grid_candidates(ball, 31)
+
+
+def test_ball_d3_on_a_31_cubed_grid_converges_in_1000_steps():
+    # The largest problem of the solver's convergence measurements: 14,075
+    # candidates, n_d = 20, solved here as its points alone, every point its
+    # own orbit.
+    cands = CandidateSet(points=ball_31_cubed().points)
+    assert cands.size == 14_075
     res = solve(cands, 3, SolverConfig(max_iters=1_000))
     assert res.converged
     design = res.design
@@ -476,3 +483,77 @@ def test_greedy_breaks_a_mirror_tie_at_the_lowest_index():
     # goes to -1, the lower index, and the next pick is then 1.
     picks = solver._greedy(greedy_view(GRID_401.reshape(-1, 1), 2))
     assert picks[:2].tolist() == [0, 400]
+
+
+def same_bits(a, b):
+    """Two solves agree bit for bit: iterations, verdict, design and trace."""
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    for x, y in [(a.design.candidates.points, b.design.candidates.points),
+                 (a.design.weights, b.design.weights),
+                 (a.trace_objective, b.trace_objective),
+                 (a.trace_p_max, b.trace_p_max)]:
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("pts,d,epsilon", [
+    pytest.param(unit_disk_grid(101).points, 4, 1e-3, id="disk-d4"),
+    pytest.param(cloud_40().points, 2, 1e-12, id="cloud-40"),
+    pytest.param(GRID_401.reshape(-1, 1), 3, 1e-6, id="interval-d3"),
+])
+def test_singleton_orbits_take_the_point_path_bit_for_bit(pts, d, epsilon):
+    # The orbit engine on orbits of one point each: the orbit rows are V2,
+    # the Hessian's block means are A * A itself and every exchange takes
+    # the closed form, so it takes the steps of the point path exactly.
+    cfg = SolverConfig(epsilon=epsilon)
+    plain = solve(CandidateSet(points=pts), d, cfg)
+    single = solve(CandidateSet(points=pts, orbits=np.arange(len(pts))), d, cfg)
+    same_bits(plain, single)
+
+
+@pytest.mark.parametrize("box", [((0.0, 2.0),), ((0.0, 2.0), (0.0, 3.0))])
+def test_a_grid_without_symmetry_solves_as_its_points(box):
+    # No flip (the boxes are not centred on 0) and no swap (unequal boxes):
+    # the group is trivial, the grid carries no orbits, and the solve is the
+    # one on its points.
+    space = SemiAlgebraicSet(len(box), (), box)
+    cands = grid_candidates(space, 41 if len(box) == 1 else 21)
+    assert cands.orbits is None
+    cfg = SolverConfig()
+    same_bits(solve(cands, 3, cfg), solve(CandidateSet(points=cands.points), 3, cfg))
+
+
+@pytest.mark.parametrize("cands,d,epsilon", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, id="disk-d4"),
+    pytest.param(ball_31_cubed(), 3, 1e-6, id="ball-31^3-d3"),
+    pytest.param(grid_candidates(SemiAlgebraicSet(1, (), ((-1.0, 1.0),)), 401), 3,
+                 1e-6, id="interval-401-d3"),
+])
+def test_a_grid_design_is_exactly_invariant(cands, d, epsilon):
+    # Each orbit's weight is split equally over all its members, so every
+    # member of a support orbit is a design point and the weights within an
+    # orbit are equal bit for bit.
+    res = solve(cands, d, SolverConfig(epsilon=epsilon))
+    assert res.converged
+    index = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
+    rows = [index[pt] for pt in map(tuple, res.design.candidates.points.tolist())]
+    assert rows == sorted(rows)
+    orbits = cands.orbits[rows]
+    support = np.unique(orbits)
+    assert len(rows) == np.isin(cands.orbits, support).sum()
+    for a in support:
+        assert np.unique(res.design.weights[orbits == a]).size == 1
+
+
+@pytest.mark.parametrize("cands,d,epsilon,steps", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, 40, id="disk-d4"),
+    pytest.param(ball_31_cubed(), 3, 1e-6, 60, id="ball-31^3-d3"),
+])
+def test_a_symmetric_grid_converges_in_few_steps(cands, d, epsilon, steps):
+    # On its 1,023 orbits disk-d4 takes 20 steps, where its 7,837 points take
+    # 132; the ball's 411 orbits take 20 steps, where its points take 421.
+    # Both designs keep their certificate within its bound.
+    res = solve(cands, d, SolverConfig(epsilon=epsilon))
+    assert res.converged
+    assert res.iterations <= steps
+    cert = build_certificate(res.design, cands, d)
+    assert cert.gap <= cert.n_d * np.log1p(epsilon)

@@ -29,7 +29,7 @@ from doptdesign.basis import _row_blocks, vandermonde
 from doptdesign.design import DesignMeasure
 from doptdesign.semialg import grid_members
 
-from oracles import reference_members
+from oracles import reference_grid_mask
 
 SIMPLEX = SemiAlgebraicSet(
     3,
@@ -115,7 +115,7 @@ def test_streamed_validation_is_bitwise_the_materialized_one(
 def test_simplex_grid_has_a_partial_last_block():
     grid = grid_members(SIMPLEX, 101)
     sizes = [len(b) for b in grid.blocks()]
-    assert len(sizes) == 17 and sum(sizes) == 174_473
+    assert len(sizes) == 17 and sum(sizes) == 175_778
     assert sizes[-1] < sizes[0]
 
 
@@ -152,16 +152,14 @@ def test_float_range_error_names_the_first_point_in_grid_order():
 def test_blockwise_mask_is_the_reference_mask(space, resolution):
     grid = grid_members(space, resolution)
     assert slab_blocks(grid) > 1
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in space.bounding_box]
-    xs = np.meshgrid(*axes, indexing="ij", sparse=True)
-    expected = reference_members(
-        space.bounding_box, [g.terms for g in space.inequalities], xs
+    expected = reference_grid_mask(
+        space.bounding_box, [g.terms for g in space.inequalities], resolution
     )
     assert np.array_equal(grid.mask, expected)
 
 
 def test_simplex_validation_peak_memory():
-    # The 101^3 mask takes 1 MiB; the 174,473 members' points (4 MiB), their
+    # The 101^3 mask takes 1 MiB; the 175,778 members' points (4 MiB), their
     # Vandermonde rows and q are formed one block at a time.
     cert = uniform_certificate(SIMPLEX_VERTICES, 1)
     tracemalloc.start()
@@ -181,7 +179,7 @@ def test_simplex_validation_peak_memory():
 )
 def test_simplex_validation_is_bitwise_one_product_over_every_member(cert):
     # dual_values forms q = n_d (p / p_max) one block of rows at a time; one
-    # product over all 174,473 members gives the same maximum and argmax,
+    # product over all 175,778 members gives the same maximum and argmax,
     # bit for bit.
     cert = cert()
     whole = grid_candidates(SIMPLEX, 101).points
