@@ -609,20 +609,12 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
 def _candidate_rows(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The row of `cands` equal to each row of `points`, or -1 where none is.
 
-    Only a candidate whose last coordinate is some point's can match.  A
-    binary search of the points' sorted last coordinates finds those
-    candidates one block at a time (`_row_blocks`); np.isin imports
-    numpy.ma, half a MiB, once the points outnumber its loop.
-    `_first_equal_rows` then sorts just those candidates, then the points.
-    The candidates are distinct and come first, so the first row equal to a
+    Only a candidate whose last coordinate is some point's can match, so
+    `_first_equal_rows` sorts just those candidates, then the points.  The
+    candidates are distinct and come first, so the first row equal to a
     point is its candidate when it has one.  Rows compare as floats, so -0.0
     matches 0.0 and a NaN matches nothing."""
-    last = np.append(np.sort(points[:, -1]), np.nan)  # NaN sorts last: a sentinel
-    hit = np.empty(len(cands), dtype=bool)
-    for rows in _row_blocks(len(cands), 24):
-        col = cands[rows, -1]
-        hit[rows] = last[np.searchsorted(last, col)] == col
-    maybe = np.flatnonzero(hit)
+    maybe = np.flatnonzero(np.isin(cands[:, -1], points[:, -1]))
     match = _first_equal_rows(np.concatenate([cands[maybe], points]))[len(maybe):]
     return np.append(maybe, -1)[np.minimum(match, len(maybe))]
 

@@ -20,7 +20,7 @@ The signed permutations about 0 that verifiably map the set onto itself
 (`_symmetry`: axis flips and swaps, checked exactly on the box and each g's
 terms) then map the grid onto itself; membership is decided once per orbit
 of grid cells, so the mask is exactly invariant, and a grid's candidates
-carry the orbit of each member for the solver.
+keep their grid, which gives the orbit of each member to the solver.
 
 A grid is held as its axes and its r^n membership mask (`GridMembers`).  The
 mask is filled, and the members' points are built, one block of whole
@@ -137,18 +137,9 @@ class Symmetry:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite list of admissible design points, in a fixed deterministic order.
-
-    `orbits`, when given, holds the orbit of each point under `group`, a
-    group that maps the points onto themselves exactly: orbits are numbered
-    0, 1, ... in the order of their first points.  A grid of a symmetric set
-    carries them (`grid_candidates`); a point list, or a set built without
-    them, has the trivial group, and every point is its own orbit.
-    """
+    """Finite list of admissible design points, in a fixed deterministic order."""
 
     points: np.ndarray  # shape (N, n)
-    orbits: np.ndarray | None = None  # shape (N,), integer
-    group: Symmetry = Symmetry()
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -250,20 +241,21 @@ def _from_first_cells(group: Symmetry, grid: np.ndarray) -> None:
     of its orbit in row-major order, in place.
 
     The first cell has each flipped axis's index folded to min(i, r-1-i)
-    and then each class's indices sorted ascending.  The sort is a bubble
-    sort of compare-exchanges of two axes, and a compare-exchange is the
-    transposed array read where the first index exceeds the second; reading
-    the grid at the sorted, folded cell applies the compare-exchanges last
-    to first, then the folds.  Views and boolean masks only: no index is
-    formed."""
-    r, n = grid.shape[0], grid.ndim
+    and then each class's indices sorted ascending (`_first_cells`).  The
+    sort is a bubble sort of compare-exchanges of two axes, and a
+    compare-exchange is the transposed array read where the first index
+    exceeds the second; reading the grid at the sorted, folded cell applies
+    the compare-exchanges last to first, then the folds.  Views only: a
+    compare-exchange copies the cells below the diagonal of its two axes
+    one row at a time, so no temporary the size of the grid is formed."""
+    r = grid.shape[0]
     for cls in group.classes:
-        later = np.arange(r)[:, None] > np.arange(r)  # r^2 <= r^n cells
         pairs = [(a, b) for end in range(len(cls) - 1, 0, -1)
                  for a, b in zip(cls[:end], cls[1:end + 1])]
         for a, b in reversed(pairs):
-            where = np.expand_dims(later, [j for j in range(n) if j not in (a, b)])
-            np.copyto(grid, np.swapaxes(grid, a, b), where=where)
+            ab = np.moveaxis(grid, (a, b), (0, 1))
+            for i in range(1, r):
+                ab[i, :i] = ab[:i, i]
     for j in group.flips:
         along = np.moveaxis(grid, j, 0)
         along[(r + 1) // 2:] = along[: r // 2][::-1]
@@ -334,19 +326,56 @@ def grid_members(s: SemiAlgebraicSet, resolution: int) -> GridMembers:
     return grid
 
 
+def _first_cells(group: Symmetry, shape: tuple[int, ...],
+                 cells: np.ndarray) -> np.ndarray:
+    """The first cell in row-major order of the orbit of each of `cells`,
+    flat indices into a grid of the given shape, as flat indices: each
+    flipped axis's index folded to min(i, r-1-i), then each class's indices
+    sorted ascending.  The group acts on each class, and on each flipped
+    axis outside a class, on its own, so the first cell is the one that
+    comes first on each of them."""
+    r = shape[0]
+    index = np.stack(np.unravel_index(cells, shape))
+    for j in group.flips:
+        np.minimum(index[j], r - 1 - index[j], out=index[j])
+    for cls in group.classes:
+        index[list(cls)] = np.sort(index[list(cls)], axis=0)
+    return np.ravel_multi_index(index, shape)
+
+
+@dataclass(frozen=True)
+class _GridCandidates(CandidateSet):
+    """The members of a grid whose set has a nontrivial verified group, with
+    the grid they were taken from (`grid_candidates`), which gives each
+    member's orbit (`orbits`)."""
+
+    grid: GridMembers
+
+    def orbits(self) -> np.ndarray:
+        """The orbit of each member under the grid's group, numbered 0, 1,
+        ... in the order of their first members.
+
+        The first cell of a member's orbit (`_first_cells`) is a member, as
+        the mask is invariant, and it comes first among the orbit's members;
+        a binary search of the members' flat grid indices finds its rank.
+        Integer arithmetic on the members' indices only: no float key and no
+        array the size of the grid."""
+        cells = np.flatnonzero(self.grid.mask)
+        first = _first_cells(self.grid.group, self.grid.mask.shape, cells)
+        first = np.searchsorted(cells, first)
+        return np.searchsorted(np.flatnonzero(first == np.arange(cells.size)), first)
+
+
 def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
     """Uniform box grid with `resolution` points per axis, filtered by
-    membership (`grid_members`), with the orbit of each member under the
-    set's verified group.
+    membership (`grid_members`).
 
     The members' points are gathered from `grid_members`' blocks into one
     array, so the grid's own (r^n, n) coordinate array is never formed.  Point
     order is row-major over the axes (first coordinate varies slowest), so
-    the output is deterministic.  A member's orbit is found from its grid
-    indices: its orbit's first cell (`_from_first_cells`) is a member that comes
-    first among the orbit's members, and orbits are numbered by that
-    member's rank, in integer arithmetic.  Under the trivial group the set
-    carries no orbits.
+    the output is deterministic.  Under a nontrivial group (`_symmetry`) the
+    set keeps the grid, which gives each member's orbit when the solver asks
+    (`_GridCandidates.orbits`).
 
     Raises:
         ValueError: if resolution < 2.
@@ -360,12 +389,7 @@ def grid_candidates(s: SemiAlgebraicSet, resolution: int) -> CandidateSet:
         k += len(block)
     if grid.group == Symmetry():
         return CandidateSet(points=points)
-    ids = np.zeros(grid.mask.shape, dtype=np.intp)
-    ids[grid.mask] = np.arange(len(points))
-    _from_first_cells(grid.group, ids)
-    first = ids[grid.mask]  # each member's orbit's first member
-    orbits = np.searchsorted(np.flatnonzero(first == np.arange(len(points))), first)
-    return CandidateSet(points=points, orbits=orbits, group=grid.group)
+    return _GridCandidates(points=points, grid=grid)
 
 
 def explicit_candidates(s: SemiAlgebraicSet, pts) -> CandidateSet:

@@ -45,22 +45,23 @@ is taken over every candidate where the iterate was priced and is NaN where
 its step did not need p on every candidate; the last iterate is always
 priced.
 
-A candidate set that carries orbits (`CandidateSet.orbits`, a grid of a
-symmetric set) is solved on them.  A signed permutation of the coordinates
+The grid of a symmetric set (`grid_candidates`) is solved on the orbits of
+its verified group.  A signed permutation of the coordinates
 that maps the candidates onto themselves maps the monomials onto themselves
 up to sign, so it leaves log det M of a design's image unchanged; log det M
 is concave, so the optimal M and its p are invariant, and one weight per
 orbit is enough (Pukelsheim, Optimal Design of Experiments, 1993, ch. 13).
-The engine then runs on orbit rows R, each the mean of its members' V2 rows
-and held on its distinct moments only (`_Orbits`): pricing is p = R c, a
-support atom is an orbit, and the start is uniform weight on the orbits of
-the greedy picks.  The Newton Hessian is
-the orbit-block mean of A * A over the members, and the exchange moves mass
-by the closed form between single points and by a line search on the
+The engine runs on the rows R of its candidates' orbits (`_Orbits`), each
+the mean of its members' V2 rows and held on its distinct moments only:
+pricing is p = R c, a support atom is an orbit, and the start is uniform
+weight on the orbits of the greedy picks.  The Newton Hessian is the
+orbit-block mean of A * A over the members, and the exchange moves mass by
+the closed form between single points and by a line search on the
 eigenvalues of the moment change otherwise.  Each orbit's weight is split
 equally over its members in the design returned, so the design is exactly
-invariant.  Under the trivial group R is V2 and every step is the one on
-the points.
+invariant.  Any other candidate set has the trivial group (`_Points`): R is
+V2 itself, every moment its own column and every point its own orbit, so
+each step is the one on the points.
 
 The design returned is the last iterate's atoms of positive weight, and
 converged means p <= n_d (1 + epsilon) on every candidate, or on every
@@ -90,7 +91,7 @@ from .errors import (
     NotPositiveDefiniteError,
     TooFewCandidatesError,
 )
-from .semialg import CandidateSet
+from .semialg import CandidateSet, _GridCandidates
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -116,8 +117,8 @@ class SolveResult:
     """Final design, the iteration record and the solver's verdict.
 
     converged means p <= n_d (1 + epsilon) held on every candidate, or on
-    every orbit of a candidate set with orbits, at the final iterate; the
-    design then gives each member of an orbit the same weight.  iterations
+    every orbit of a symmetric grid's candidates, at the final iterate; the
+    design gives each member of an orbit the same weight.  iterations
     counts Newton steps and exchanges.  The traces hold one entry for the
     greedy start, then one per step, so they have iterations + 1 entries.
     trace_p_max holds p_max over every candidate (or orbit) where that
@@ -136,29 +137,27 @@ class SolveResult:
 
 
 class _Iterate:
-    """One evaluated iterate: weights w on the rows `support` of `v2`.
+    """One evaluated iterate: weights w on the orbits `support` of `space`.
 
-    v2 holds one degree-2d moment row per candidate, V2 itself, or one per
-    orbit of the candidates, the orbit rows of `orbits` (`_Orbits`), whose
-    columns are the distinct moments (`full` maps them to all s); rows holds
-    the support's, and basis_d is the degree-d basis.  The evaluation, made
-    once when the iterate is built, forms y = rows^T w, M(w) = M_d(y)
-    (`moment_matrix`), its factor `spd.factorize(M(w))`, and reads from that
-    factor log det M(w), li = L^{-1} and m_inv = M^{-1}; then
-    c = M_d*(M^{-1}) (`adjoint_expand`, folded onto the orbit rows'
-    columns) and the support's p, p_support = rows c.  p = v2 c on every
-    row is formed on first read and kept; on an orbit row it is the mean of
-    p over the orbit's members.
+    space.rows holds one degree-2d moment row per orbit of the candidates
+    (`_Orbits`, or `_Points`, where the rows are V2 itself), on the distinct
+    moments (`unfold` maps them to all s); rows holds the support's, and
+    basis_d is the degree-d basis.  The evaluation, made once when the
+    iterate is built, forms y = rows^T w, M(w) = M_d(y) (`moment_matrix`),
+    its factor `spd.factorize(M(w))`, and reads from that factor
+    log det M(w), li = L^{-1} and m_inv = M^{-1}; then c = M_d*(M^{-1})
+    (`adjoint_expand`, folded onto the rows' columns) and the support's p,
+    p_support = rows c.  p = space.rows c on every orbit is formed on first
+    read and kept; on an orbit it is the mean of p over its members.
 
     Raises DegenerateDesignError when M(w) fails the factor's pivot test.
     """
 
-    def __init__(self, v2: np.ndarray, basis_d: MultiIndexBasis,
-                 support: np.ndarray, w: np.ndarray, orbits=None):
-        self.v2, self.support, self.w, self.basis_d = v2, support, w, basis_d
-        self.orbits = orbits
-        self.rows = v2[support]
-        y = self.full(np.dot(w, self.rows))
+    def __init__(self, space: _Points, basis_d: MultiIndexBasis,
+                 support: np.ndarray, w: np.ndarray):
+        self.space, self.support, self.w, self.basis_d = space, support, w, basis_d
+        self.rows = space.rows[support]
+        y = space.unfold(np.dot(w, self.rows))
         try:
             factor = spd.factorize(moment_matrix(y, basis_d))
         except NotPositiveDefiniteError:
@@ -169,25 +168,19 @@ class _Iterate:
         self.log_det = factor.log_det
         self.li = factor.inv_chol
         self.m_inv = spd.inverse(factor)
-        self.c = adjoint_expand(self.m_inv, basis_d)
-        if orbits is not None:
-            self.c = orbits.fold(self.c)
+        self.c = space.fold(adjoint_expand(self.m_inv, basis_d))
         self.p_support = np.dot(self.rows, self.c)
 
     @cached_property
     def p(self) -> np.ndarray:
-        """p = v2 c on every row: the pricing pass."""
-        return np.dot(self.v2, self.c)
-
-    def full(self, y: np.ndarray) -> np.ndarray:
-        """A row of v2, or a change of one, on all s moments."""
-        return y if self.orbits is None else self.orbits.unfold(y)
+        """p = space.rows c on every orbit: the pricing pass."""
+        return np.dot(self.space.rows, self.c)
 
     def eigenvalues(self, dy: np.ndarray) -> np.ndarray:
         """The eigenvalues of L^{-1} M_d(dy) L^{-T}, ascending, for a change dy
-        of the moments (a row of v2's columns): log det M(y + alpha dy) -
+        of the moments (on the columns of space.rows): log det M(y + alpha dy) -
         log det M(y) is the sum of log(1 + alpha lambda) over them."""
-        change = moment_matrix(self.full(dy), self.basis_d)
+        change = moment_matrix(self.space.unfold(dy), self.basis_d)
         b = np.dot(self.li, np.dot(self.li, change).T)
         return np.linalg.eigvalsh(b)
 
@@ -204,9 +197,49 @@ class _Iterate:
         return float(np.log1p(lam).sum())
 
 
-class _Orbits:
-    """The candidates' orbits under their verified group
-    (`CandidateSet.orbits`), in moment space.
+def _squared_kernel(vd: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """A * A for A = V M^{-1} V^T, V the rows of vd."""
+    a = np.dot(vd, np.dot(m_inv, vd.T))
+    a *= a
+    return a
+
+
+class _Points:
+    """The candidates under the trivial group: every point is its own orbit,
+    the rows are v2, the candidates' degree-2d Vandermonde matrix, itself,
+    and every moment is its own column."""
+
+    def __init__(self, cands: CandidateSet, basis_2d: MultiIndexBasis):
+        self.v2 = self.rows = vandermonde(basis_2d, cands.points)
+
+    def unfold(self, y: np.ndarray) -> np.ndarray:
+        """All s moments from one entry per column of rows."""
+        return y
+
+    def fold(self, c: np.ndarray) -> np.ndarray:
+        """Coefficients on the s moments summed onto the columns of rows."""
+        return c
+
+    def of(self, picks: np.ndarray) -> np.ndarray:
+        """The orbits of the candidates `picks`, each once, in pick order."""
+        return picks
+
+    def single(self, k: int, j: int) -> bool:
+        """Whether orbits k and j are single points."""
+        return True
+
+    def hessian(self, it: _Iterate) -> np.ndarray:
+        """The Newton Hessian H on the support of it: A * A on its points."""
+        return _squared_kernel(it.rows[:, :it.m_inv.shape[0]], it.m_inv)
+
+    def split(self, support: np.ndarray, w: np.ndarray):
+        """The design's candidates and weights from weights w on orbits."""
+        return support, w
+
+
+class _Orbits(_Points):
+    """The members of a symmetric grid (`semialg._GridCandidates`) as the
+    orbits of its verified group, in moment space.
 
     An orbit's moment row, the mean of its members' V2 rows, is the group
     average of any one member's row: a moment odd in a flipped axis averages
@@ -216,19 +249,21 @@ class _Orbits:
     (or a moment change) to all s moments, and `fold` maps coefficients on
     the s moments to the columns of rows, so that a polynomial's orbit mean
     is rows fold(c).  The support's rows are dependent once it has more
-    orbits than rows has columns.  v2 is kept for the members' own rows.
+    orbits than rows has columns.  v2 is kept for the members' own rows; it
+    is built once the orbits are found, so their scratch arrays are gone.
     """
 
-    def __init__(self, v2: np.ndarray, cands: CandidateSet, basis_2d: MultiIndexBasis):
-        self.v2 = v2
-        self.sizes = np.bincount(cands.orbits)
+    def __init__(self, cands: _GridCandidates, basis_2d: MultiIndexBasis):
+        self.ids, group = cands.orbits(), cands.grid.group
+        self.v2 = v2 = vandermonde(basis_2d, cands.points)
+        self.sizes = np.bincount(self.ids)
         self.starts = np.cumsum(self.sizes) - self.sizes
-        self.order = np.argsort(cands.orbits, kind="stable")  # members, orbit by orbit
+        self.order = np.argsort(self.ids, kind="stable")  # members, orbit by orbit
         shared: dict[tuple[int, ...], list[int]] = {}
         for col, a in enumerate(basis_2d.indices):
-            if not any(a[j] % 2 for j in cands.group.flips):
+            if not any(a[j] % 2 for j in group.flips):
                 a = list(a)
-                for cls in cands.group.classes:
+                for cls in group.classes:
                     for j, e in zip(cls, sorted(a[j] for j in cls)):
                         a[j] = e
                 shared.setdefault(tuple(a), []).append(col)
@@ -240,12 +275,29 @@ class _Orbits:
             self.column[cols] = m
 
     def unfold(self, y: np.ndarray) -> np.ndarray:
-        """All s moments from one entry per column of rows."""
         return np.append(y, 0.0)[self.column]
 
     def fold(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients on the s moments summed onto the columns of rows."""
         return np.bincount(self.column, c, minlength=self.rows.shape[1] + 1)[:-1]
+
+    def of(self, picks: np.ndarray) -> np.ndarray:
+        return np.array(list(dict.fromkeys(self.ids[picks].tolist())))
+
+    def single(self, k: int, j: int) -> bool:
+        return self.sizes[[k, j]].max() == 1
+
+    def hessian(self, it: _Iterate) -> np.ndarray:
+        """H_ab, the mean of A * A over the members of orbits a and b."""
+        members, begin = self.members(it.support)
+        a = _squared_kernel(self.v2[members, :it.m_inv.shape[0]], it.m_inv)
+        a = np.add.reduceat(np.add.reduceat(a, begin, axis=0), begin, axis=1)
+        sizes = self.sizes[it.support]
+        a /= np.outer(sizes, sizes)
+        return a
+
+    def split(self, support: np.ndarray, w: np.ndarray):
+        sizes = self.sizes[support]
+        return self.members(support)[0], np.repeat(w / sizes, sizes)
 
     def members(self, orbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The members of the given orbits, orbit after orbit, and the
@@ -340,9 +392,9 @@ def _newton_step(it: _Iterate):
     """One Newton step on the weights of the support, tried once.
 
     Maximizes the quadratic model of log det M(w) on the support subject to
-    sum w = 1.  Its Hessian is -H: H = A * A, A = V M^{-1} V^T on the
-    support's points, and on orbits H_ab is the mean of A * A over the
-    members of orbits a and b.  Since H w = p on the support, the step is
+    sum w = 1.  Its Hessian is -H (`hessian`): H = A * A, A = V M^{-1} V^T
+    on the support's points, and on orbits H_ab is the mean of A * A over
+    the members of orbits a and b.  Since H w = p on the support, the step is
     w - u / sum(u) with H u = 1.  The step is clipped at the first weight to
     reach 0, which then drops out.  Returns (support, weights, rise in log
     det) without the dropped atom, or None when log det does not rise; the
@@ -352,18 +404,7 @@ def _newton_step(it: _Iterate):
     `spd.factorize`, which happens exactly when the support's degree-2d
     moment rows are dependent.
     """
-    n_d = it.m_inv.shape[0]
-    if it.orbits is None:
-        vd = it.rows[:, :n_d]
-    else:
-        members, begin = it.orbits.members(it.support)
-        vd = it.orbits.v2[members, :n_d]
-    a = np.dot(vd, np.dot(it.m_inv, vd.T))
-    a *= a
-    if it.orbits is not None:
-        a = np.add.reduceat(np.add.reduceat(a, begin, axis=0), begin, axis=1)
-        sizes = it.orbits.sizes[it.support]
-        a /= np.outer(sizes, sizes)
+    a = it.space.hessian(it)
     spd.factorize(a)  # the pivot test only
     w = it.w
     u = np.linalg.solve(a, np.ones(w.size))
@@ -430,14 +471,14 @@ def _exchange(it: _Iterate, k: int):
     rise measured by `_Iterate.gain` on the moment change
     dy = dw_k v2[k] + dw_j v2[j]; or None when the exchange moves no mass.
     """
-    support, p, v2, n_d = it.support, it.p, it.v2, it.m_inv.shape[0]
+    support, p, v2, n_d = it.support, it.p, it.space.rows, it.m_inv.shape[0]
     i = int(p[support].argmin())
     j = int(support[i])
     p_k, p_j = float(p[k]), float(p[j])
     if not p_k > p_j:
         return None
-    if it.orbits is None or it.orbits.sizes[[k, j]].max() == 1:
-        v_k, v_j = it.full(v2[k])[:n_d], it.full(v2[j])[:n_d]
+    if it.space.single(k, j):
+        v_k, v_j = it.space.unfold(v2[k])[:n_d], it.space.unfold(v2[j])[:n_d]
         p_kj = float(np.dot(np.dot(it.m_inv, v_k), v_j))
         delta = p_k * p_j - p_kj * p_kj
         if not delta > 0.0:
@@ -459,22 +500,23 @@ def _exchange(it: _Iterate, k: int):
     return support[held], w[held], gain
 
 
-def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
-            w: np.ndarray, target: float, budget: int, orbits=None):
+def _newton(space: _Points, basis_d: MultiIndexBasis, support: np.ndarray,
+            w: np.ndarray, target: float, budget: int):
     """The solve: Newton steps on the support, exchanges to bring atoms in.
 
-    v2 holds the degree-2d moment row of every candidate, or of every orbit
-    when `orbits` (`_Orbits`) is given, basis_d is the degree-d basis and
-    (support, w) the start.  Each iterate is evaluated once (`_Iterate`),
-    and its step reads that evaluation.  While some support atom fails
-    p <= target, the iterate has not converged and the step is one Newton
-    trial on the weights (`_newton_step`), taken without pricing every row.
-    Otherwise, or when the trial does not raise log det, the iterate is
-    priced (`_Iterate.p`): it has converged when p <= target on every row,
-    and else the exchange moves mass into the worst row (`_exchange`).  When
-    the Newton system is singular, or an exchange grows the support past
-    v2.shape[1] atoms (s, or the orbit rows' distinct moments), the design
-    is reduced to independent moment rows (`_reduce`), which is not a step.
+    space holds the degree-2d moment row of every orbit of the candidates
+    (`_Orbits`, or `_Points`, whose rows are V2), basis_d is the degree-d
+    basis and (support, w) the start, on orbits.  Each iterate is evaluated
+    once (`_Iterate`), and its step reads that evaluation.  While some
+    support atom fails p <= target, the iterate has not converged and the
+    step is one Newton trial on the weights (`_newton_step`), taken without
+    pricing every row.  Otherwise, or when the trial does not raise log det,
+    the iterate is priced (`_Iterate.p`): it has converged when p <= target
+    on every row, and else the exchange moves mass into the worst row
+    (`_exchange`).  When the Newton system is singular, or an exchange grows
+    the support past as many atoms as the rows have columns (s, or the
+    orbit rows' distinct moments), the design is reduced to independent
+    moment rows (`_reduce`), which is not a step.
 
     Returns (support, weights, trace, converged): trace holds one
     [objective, p_max] pair for the start and one per step, at most budget
@@ -485,7 +527,8 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
     even where its gain is lost in round-off.  An exchange that moves no
     mass ends the call unconverged.
     """
-    it = _Iterate(v2, basis_d, support, w, orbits)
+    v2 = space.rows
+    it = _Iterate(space, basis_d, support, w)
     objective = it.log_det
     trace = [[objective, math.nan]]
     while True:
@@ -496,7 +539,7 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
             except NotPositiveDefiniteError:
                 support, w = _reduce(v2, it.support, it.w)
                 if support.size < it.support.size:  # else round-off: exchange instead
-                    it = _Iterate(v2, basis_d, support, w, orbits)
+                    it = _Iterate(space, basis_d, support, w)
                     continue
         if step is None:
             k = int(it.p.argmax())
@@ -510,18 +553,19 @@ def _newton(v2: np.ndarray, basis_d: MultiIndexBasis, support: np.ndarray,
         if support.size > v2.shape[1]:
             support, w = _reduce(v2, support, w)
         objective += gain
-        it = _Iterate(v2, basis_d, support, w, orbits)
+        it = _Iterate(space, basis_d, support, w)
         trace.append([objective, math.nan])
 
 
 def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
     """Maximize log det M(w) over the simplex on the candidate set.
 
-    Starts from uniform weight on n_d candidates picked greedily (`_greedy`),
-    or on their orbits when the set carries orbits (`_Orbits`), and runs the
-    engine once (`_newton`): Newton steps on the support and exchanges,
-    until p_max <= n_d (1 + epsilon) on every candidate (or orbit), the
-    iteration budget runs out or an exchange moves no mass.  The design
+    Starts from uniform weight on the orbits of n_d candidates picked
+    greedily (`_greedy`), each candidate its own orbit (`_Points`) unless
+    the set is the grid of a symmetric set (`_Orbits`), and runs the engine
+    once (`_newton`): Newton steps on the support and exchanges, until
+    p_max <= n_d (1 + epsilon) on every orbit, the iteration budget runs
+    out or an exchange moves no mass.  The design
     returned is the last iterate's atoms of positive weight, each orbit's
     split equally over its members, in candidate order.  Non-convergence is
     not an error: the result carries converged=False and the full trace.
@@ -542,22 +586,15 @@ def solve(cands: CandidateSet, d: int, cfg: SolverConfig) -> SolveResult:
         )
 
     basis_2d = enumerate_basis(cands.n, 2 * d)
-    v2 = vandermonde(basis_2d, cands.points)
-    start = _greedy(v2[:, :n_d])
-    orbits = None
-    if cands.orbits is not None:  # the orbits of the picks, in pick order
-        orbits = _Orbits(v2, cands, basis_2d)
-        start = cands.orbits[start]
-        start = start[np.sort(np.unique(start, return_index=True)[1])]
+    space = (_Orbits(cands, basis_2d) if isinstance(cands, _GridCandidates)
+             else _Points(cands, basis_2d))
+    start = space.of(_greedy(space.v2[:, :n_d]))
     support, w, trace, converged = _newton(
-        v2 if orbits is None else orbits.rows, enumerate_basis(cands.n, d), start,
+        space, enumerate_basis(cands.n, d), start,
         np.full(start.size, 1.0 / start.size), n_d * (1.0 + cfg.epsilon),
-        cfg.max_iters, orbits,
+        cfg.max_iters,
     )
-    if orbits is not None:
-        sizes = orbits.sizes[support]
-        w = np.repeat(w / sizes, sizes)
-        support = orbits.members(support)[0]
+    support, w = space.split(support, w)
     order = np.argsort(support)
     trace_obj, trace_pmax = np.array(trace).T.copy()
     design = DesignMeasure(

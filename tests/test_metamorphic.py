@@ -119,15 +119,16 @@ def test_each_generator_maps_the_candidate_grid_onto_itself(
     # point into its own orbit.
     cands = grid_candidates(ball(n), resolution)
     group = Symmetry(tuple(range(n)), (tuple(range(n)),))
-    assert cands.size == members and cands.group == group
-    assert cands.orbits.max() + 1 == orbits
-    assert np.array_equal(np.unique(cands.orbits), np.arange(orbits))
+    assert cands.size == members and cands.grid.group == group
+    ids = cands.orbits()
+    assert ids.max() + 1 == orbits
+    assert np.array_equal(np.unique(ids), np.arange(orbits))
     pts, here = cands.points, by_rows(cands.points)
     for perm, signs in generators(group, n):
         image = pts[:, perm] * signs
         there = by_rows(image)
         assert np.array_equal(image[there], pts[here])
-        assert np.array_equal(cands.orbits[there], cands.orbits[here])
+        assert np.array_equal(ids[there], ids[here])
 
 
 @pytest.mark.parametrize("n,resolution,members", [(3, 101, 523_233), (4, 15, 11_833)])

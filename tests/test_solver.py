@@ -9,7 +9,7 @@ from doptdesign import (
     solve,
 )
 from doptdesign import solver
-from doptdesign.basis import enumerate_basis, vandermonde
+from doptdesign.basis import enumerate_basis
 
 from oracles import (
     christoffel_values,
@@ -255,8 +255,8 @@ def test_exchange_interior_alpha_matches_solver_iteration():
         v = monomial_design_matrix(pts, 2)
         w = np.full(size, 1 / size)
         exchanged = reference_exchange(v, w)
-        v2 = vandermonde(basis_2d, pts)
-        it = solver._Iterate(v2, enumerate_basis(1, 2), np.arange(size), w)
+        space = solver._Points(CandidateSet(points=pts), basis_2d)
+        it = solver._Iterate(space, enumerate_basis(1, 2), np.arange(size), w)
         support, kept, rise = solver._exchange(it, int(it.p.argmax()))
         after = np.zeros(size)
         after[support] = kept

@@ -1,6 +1,7 @@
 """Properties of the solver's engine: its greedy start, exchange step,
 moment-space evaluation, stop test, support reduction and Newton steps."""
 
+import dataclasses
 from functools import cached_property
 
 import numpy as np
@@ -21,6 +22,7 @@ from doptdesign import (
     solver,
 )
 from doptdesign.basis import enumerate_basis, moment_matrix, vandermonde
+from doptdesign.semialg import Symmetry, _GridCandidates
 
 from oracles import christoffel_values, reference_greedy
 
@@ -73,8 +75,8 @@ def test_converged_is_the_stop_test_on_every_candidate():
 def moment_route_p(pts, w, d):
     """p of the design w on pts at pts, as the solver evaluates an iterate."""
     n = pts.shape[1]
-    v2 = vandermonde(enumerate_basis(n, 2 * d), pts)
-    return solver._Iterate(v2, enumerate_basis(n, d), np.arange(pts.shape[0]), w).p
+    space = solver._Points(CandidateSet(points=pts), enumerate_basis(n, 2 * d))
+    return solver._Iterate(space, enumerate_basis(n, d), np.arange(pts.shape[0]), w).p
 
 
 def test_moment_route_p_matches_dense_oracle():
@@ -495,29 +497,38 @@ def same_bits(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("pts,d,epsilon", [
-    pytest.param(unit_disk_grid(101).points, 4, 1e-3, id="disk-d4"),
-    pytest.param(cloud_40().points, 2, 1e-12, id="cloud-40"),
-    pytest.param(GRID_401.reshape(-1, 1), 3, 1e-6, id="interval-d3"),
+@pytest.mark.parametrize("cands,d,epsilon", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, id="disk-d4"),
+    pytest.param(grid_candidates(SemiAlgebraicSet(1, (), ((-1.0, 1.0),)), 401), 3,
+                 1e-6, id="interval-401-d3"),
 ])
-def test_singleton_orbits_take_the_point_path_bit_for_bit(pts, d, epsilon):
-    # The orbit engine on orbits of one point each: the orbit rows are V2,
-    # the Hessian's block means are A * A itself and every exchange takes
-    # the closed form, so it takes the steps of the point path exactly.
+def test_singleton_orbits_take_the_point_path_bit_for_bit(cands, d, epsilon):
+    # The orbit engine on orbits of one point each, the grid's orbits under
+    # the trivial group: the orbit rows are V2, the Hessian's block means
+    # are A * A itself and every exchange takes the closed form, so it takes
+    # the steps of the point path exactly.
+    single = _GridCandidates(
+        points=cands.points, grid=dataclasses.replace(cands.grid, group=Symmetry()))
+    assert np.array_equal(single.orbits(), np.arange(cands.size))
     cfg = SolverConfig(epsilon=epsilon)
-    plain = solve(CandidateSet(points=pts), d, cfg)
-    single = solve(CandidateSet(points=pts, orbits=np.arange(len(pts))), d, cfg)
-    same_bits(plain, single)
+    same_bits(solve(CandidateSet(points=cands.points), d, cfg), solve(single, d, cfg))
+
+
+def test_a_candidate_set_takes_no_orbits():
+    # Orbits come only from a grid of a symmetric set, which computes them
+    # from its own mask and verified group; a caller cannot pass them.
+    with pytest.raises(TypeError):
+        CandidateSet(points=[[-1.0], [0.0], [1.0]], orbits=[0, 1, 0])
 
 
 @pytest.mark.parametrize("box", [((0.0, 2.0),), ((0.0, 2.0), (0.0, 3.0))])
 def test_a_grid_without_symmetry_solves_as_its_points(box):
     # No flip (the boxes are not centred on 0) and no swap (unequal boxes):
-    # the group is trivial, the grid carries no orbits, and the solve is the
-    # one on its points.
+    # the group is trivial, the grid's candidates are a plain set, and the
+    # solve is the one on its points.
     space = SemiAlgebraicSet(len(box), (), box)
     cands = grid_candidates(space, 41 if len(box) == 1 else 21)
-    assert cands.orbits is None
+    assert type(cands) is CandidateSet
     cfg = SolverConfig()
     same_bits(solve(cands, 3, cfg), solve(CandidateSet(points=cands.points), 3, cfg))
 
@@ -537,9 +548,9 @@ def test_a_grid_design_is_exactly_invariant(cands, d, epsilon):
     index = {pt: i for i, pt in enumerate(map(tuple, cands.points.tolist()))}
     rows = [index[pt] for pt in map(tuple, res.design.candidates.points.tolist())]
     assert rows == sorted(rows)
-    orbits = cands.orbits[rows]
+    orbits = cands.orbits()[rows]
     support = np.unique(orbits)
-    assert len(rows) == np.isin(cands.orbits, support).sum()
+    assert len(rows) == np.isin(cands.orbits(), support).sum()
     for a in support:
         assert np.unique(res.design.weights[orbits == a]).size == 1
 
