@@ -610,11 +610,17 @@ def _candidate_rows(cands: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The row of `cands` equal to each row of `points`, or -1 where none is.
 
     Only a candidate whose last coordinate is some point's can match, so
-    `_first_equal_rows` sorts just those candidates, then the points.  The
+    `_first_equal_rows` sorts just those candidates, then the points.  They
+    are marked by one comparison per distinct last coordinate of the
+    points, not by `np.isin`, whose sorting path imports numpy.ma.  The
     candidates are distinct and come first, so the first row equal to a
     point is its candidate when it has one.  Rows compare as floats, so -0.0
     matches 0.0 and a NaN matches nothing."""
-    maybe = np.flatnonzero(np.isin(cands[:, -1], points[:, -1]))
+    last = cands[:, -1]
+    can = np.zeros(last.shape, dtype=bool)
+    for value in set(points[:, -1].tolist()):
+        can |= last == value
+    maybe = np.flatnonzero(can)
     match = _first_equal_rows(np.concatenate([cands[maybe], points]))[len(maybe):]
     return np.append(maybe, -1)[np.minimum(match, len(maybe))]
 

@@ -12,8 +12,10 @@ scheme of Yang, Biedermann & Tang (2013, JASA):
   step is one Newton trial on the support's weights, taken when it raises
   log det M(w);
 * otherwise, or when the trial does not raise it, a vertex exchange (Todd &
-  Yildirim 2007) moves the closed-form det-maximizing mass from the support
-  atom with the lowest p to the candidate with the highest p.
+  Yildirim 2007) moves the det-maximizing mass from the support atom with
+  the lowest p to the candidate with the highest p, found by a line search
+  on the eigenvalues of the moment change, which also give its rise in
+  log det.
 
 Each iterate is evaluated once, and the Newton trial and the exchange both
 read that evaluation.  It works in moment space, the paper's dual pair: the
@@ -55,9 +57,8 @@ The engine runs on the rows R of its candidates' orbits (`_Orbits`), each
 the mean of its members' V2 rows and held on its distinct moments only:
 pricing is p = R c, a support atom is an orbit, and the start is uniform
 weight on the orbits of the greedy picks.  The Newton Hessian is the
-orbit-block mean of A * A over the members, and the exchange moves mass by
-the closed form between single points and by a line search on the
-eigenvalues of the moment change otherwise.  Each orbit's weight is split
+orbit-block mean of A * A over the members, and the exchange's moment
+change is the difference of two orbit rows.  Each orbit's weight is split
 equally over its members in the design returned, so the design is exactly
 invariant.  Any other candidate set has the trivial group (`_Points`): R is
 V2 itself, every moment its own column and every point its own orbit, so
@@ -224,10 +225,6 @@ class _Points:
         """The orbits of the candidates `picks`, each once, in pick order."""
         return picks
 
-    def single(self, k: int, j: int) -> bool:
-        """Whether orbits k and j are single points."""
-        return True
-
     def hessian(self, it: _Iterate) -> np.ndarray:
         """The Newton Hessian H on the support of it: A * A on its points."""
         return _squared_kernel(it.rows[:, :it.m_inv.shape[0]], it.m_inv)
@@ -282,9 +279,6 @@ class _Orbits(_Points):
 
     def of(self, picks: np.ndarray) -> np.ndarray:
         return np.array(list(dict.fromkeys(self.ids[picks].tolist())))
-
-    def single(self, k: int, j: int) -> bool:
-        return self.sizes[[k, j]].max() == 1
 
     def hessian(self, it: _Iterate) -> np.ndarray:
         """H_ab, the mean of A * A over the members of orbits a and b."""
@@ -455,37 +449,27 @@ def _line_search(lam: np.ndarray, top: float) -> float:
 def _exchange(it: _Iterate, k: int):
     """Move the det-maximizing mass from the lowest-p atom to row k.
 
-    Reads the rows v2, M^{-1} and the priced p on every row (`_Iterate.p`)
-    from the evaluated iterate it; the donor j is the argmin of that p over
-    the support.  When both are single points, moving alpha from atom j to
-    point k multiplies det M by
-    r = (1 + alpha p_k)(1 - alpha p_j) + alpha^2 p_kj^2 >= 1, where
-    p_kj = v_k^T M^{-1} v_j.  r is concave in alpha, maximal at
-    (p_k - p_j) / (2 (p_k p_j - p_kj^2)), and the step is clipped at w_j (a
-    drop step).  When either is an orbit of more points, alpha maximizes
-    the sum of log(1 + alpha lambda) over the eigenvalues lambda of the
-    moment change v2[k] - v2[j] (`_Iterate.eigenvalues`, `_line_search`) on
-    [0, w_j].  k joins the support when it is not on it.
+    Reads the rows and the priced p on every row (`_Iterate.p`) from the
+    evaluated iterate it; the donor j is the argmin of that p over the
+    support.  Moving alpha from atom j to row k changes the moments by
+    alpha dy, dy = rows[k] - rows[j], and log det M by the sum of
+    log(1 + alpha lambda) over the eigenvalues lambda of dy
+    (`_Iterate.eigenvalues`); alpha maximizes that sum on [0, w_j]
+    (`_line_search`), a drop step when it reaches w_j.  For two single
+    points the change has rank two and the sum is the log of Todd &
+    Yildirim's (2007) det ratio.  k joins the support when it is not on it.
 
     Returns (support, weights, rise in log det) without an emptied atom, the
-    rise measured by `_Iterate.gain` on the moment change
-    dy = dw_k v2[k] + dw_j v2[j]; or None when the exchange moves no mass.
+    rise read from the same eigenvalues; or None when the exchange moves no
+    mass.
     """
-    support, p, v2, n_d = it.support, it.p, it.space.rows, it.m_inv.shape[0]
+    support, p, rows = it.support, it.p, it.space.rows
     i = int(p[support].argmin())
     j = int(support[i])
-    p_k, p_j = float(p[k]), float(p[j])
-    if not p_k > p_j:
+    if not p[k] > p[j]:
         return None
-    if it.space.single(k, j):
-        v_k, v_j = it.space.unfold(v2[k])[:n_d], it.space.unfold(v2[j])[:n_d]
-        p_kj = float(np.dot(np.dot(it.m_inv, v_k), v_j))
-        delta = p_k * p_j - p_kj * p_kj
-        if not delta > 0.0:
-            return None
-        alpha = min((p_k - p_j) / (2.0 * delta), float(it.w[i]))
-    else:
-        alpha = _line_search(it.eigenvalues(v2[k] - v2[j]), float(it.w[i]))
+    lam = it.eigenvalues(rows[k] - rows[j])
+    alpha = _line_search(lam, float(it.w[i]))
     if k in support:
         m, before = int(np.flatnonzero(support == k)[0]), it.w
     else:
@@ -495,9 +479,8 @@ def _exchange(it: _Iterate, k: int):
     w[i] -= alpha
     if not w[m] > before[m]:
         return None
-    gain = it.gain((w[m] - before[m]) * v2[k] + (w[i] - before[i]) * v2[j])
     held = w > 0.0
-    return support[held], w[held], gain
+    return support[held], w[held], float(np.log1p(alpha * lam).sum())
 
 
 def _newton(space: _Points, basis_d: MultiIndexBasis, support: np.ndarray,
@@ -522,10 +505,11 @@ def _newton(space: _Points, basis_d: MultiIndexBasis, support: np.ndarray,
     [objective, p_max] pair for the start and one per step, at most budget
     steps, with p_max over every row where the iterate was priced and NaN
     elsewhere.  The last iterate is always priced, and converged means
-    p <= target on every row.  The objective advances by each step's
-    measured `_Iterate.gain`; an exchange is taken whenever it moves mass,
-    even where its gain is lost in round-off.  An exchange that moves no
-    mass ends the call unconverged.
+    p <= target on every row.  The objective advances by each step's rise:
+    a Newton trial's measured by `_Iterate.gain`, an exchange's read from
+    the eigenvalues of its own moment change.  An exchange is taken
+    whenever it moves mass, even where its rise is lost in round-off; one
+    that moves no mass ends the call unconverged.
     """
     v2 = space.rows
     it = _Iterate(space, basis_d, support, w)

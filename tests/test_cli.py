@@ -1262,3 +1262,39 @@ def test_solve_runs_without_scipy(tmp_path):
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "report.json").exists()
+
+
+DISK_D4_CONFIG = {
+    "dimension": 2,
+    "degree": 4,
+    "set": {
+        "bounding_box": [[-1.0, 1.0], [-1.0, 1.0]],
+        "inequalities": [[{"exponents": [0, 0], "coeff": 1.0},
+                          {"exponents": [2, 0], "coeff": -1.0},
+                          {"exponents": [0, 2], "coeff": -1.0}]],
+    },
+    "candidates": {"source": "grid", "resolution": 101},
+    "solver": {"epsilon": 1e-3},
+}
+
+
+def test_solve_and_certify_leave_numpy_ma_unimported(tmp_path):
+    # A fresh interpreter, so no other test's imports are in sys.modules.
+    # The disk's design has 41 points, enough for np.isin to take its
+    # sorting path, whose np.unique imports numpy.ma.
+    cfg = write_config(tmp_path, DISK_D4_CONFIG)
+    report = str(tmp_path / "report.json")
+    code = (
+        "import json, sys; from doptdesign import cli; "
+        f"code = cli.main(['solve', '--config', {cfg!r}, '--out', {str(tmp_path)!r}, "
+        "'--quiet']); "
+        "assert code == 0, code; "
+        f"assert len(json.load(open({report!r}))['design']['points']) > 37; "
+        f"code = cli.main(['certify', '--report', {report!r}, '--quiet']); "
+        "assert code == 0, code; "
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr

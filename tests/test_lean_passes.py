@@ -130,7 +130,7 @@ def test_candidate_rows_sorts_only_the_candidates_that_can_match():
     rows = np.random.default_rng(5).choice(len(cands), 27, replace=False)
     match, peak = traced_peak(cli._candidate_rows, cands, cands[rows])
     assert match.tolist() == rows.tolist()
-    assert peak <= cands.nbytes  # 1.20 MiB; sorting every candidate took 6.83 MiB
+    assert peak <= cands.nbytes  # 0.70 MiB; sorting every candidate took 6.83 MiB
 
 
 def test_greedy_on_the_column_view_copies_nothing(disk_v2):

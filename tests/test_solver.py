@@ -244,11 +244,11 @@ def test_solver_config_validation():
 
 def test_exchange_interior_alpha_matches_solver_iteration():
     # Five points: the det-maximizing exchange (alpha ~ 0.114) stops short of
-    # the donor's whole weight 0.2, so the closed-form alpha itself is tested.
-    # Nine points: alpha is clipped at the donor's weight 1/9 (a drop step).
-    # The rise that `_exchange` returns, measured on the moment change
-    # dy = dw_k V2[k] + dw_j V2[j], is the change in log det of the
-    # rank-one sum M.
+    # the donor's whole weight 0.2, so the engine's line search is tested
+    # against the reference's closed-form alpha.  Nine points: alpha is
+    # clipped at the donor's weight 1/9 (a drop step).  The rise that
+    # `_exchange` reads from the eigenvalues of its moment change is the
+    # change in log det of the rank-one sum M.
     basis_2d = enumerate_basis(1, 4)
     for seed, size in ((0, 5), (50, 9)):
         pts = np.random.default_rng(seed).uniform(-1, 1, size=(size, 1))

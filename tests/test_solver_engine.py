@@ -24,7 +24,7 @@ from doptdesign import (
 from doptdesign.basis import enumerate_basis, moment_matrix, vandermonde
 from doptdesign.semialg import Symmetry, _GridCandidates
 
-from oracles import christoffel_values, reference_greedy
+from oracles import christoffel_values, monomial_design_matrix, reference_greedy
 
 GRID_401 = np.linspace(-1.0, 1.0, 401)
 
@@ -207,37 +207,150 @@ def test_finish_ends_the_solve_when_its_exchange_moves_no_mass(monkeypatch):
 
 
 def test_finish_takes_an_exchange_whose_gain_is_lost_in_round_off(monkeypatch):
-    # At epsilon 1e-12 the engine meets exchanges here whose measured gain is
-    # not above 0.  It takes them, since they move mass, and goes on to
-    # converge in its one call.
-    calls, gains = [], []
+    # Every exchange here is made to report a rise of 0.0 or below, as one
+    # whose rise is lost in round-off would.  The engine takes each one,
+    # since it moves mass: the next iterate is evaluated on the exchange's
+    # support and weights, and the objective does not advance.  It goes on
+    # to converge in its one call.
+    calls, evaluated, taken = [], [], []
     real_newton, real_exchange = solver._newton, solver._exchange
-    real_gain = solver._Iterate.gain
+
+    class Recorded(solver._Iterate):
+        def __init__(self, space, basis_d, support, w):
+            evaluated.append((support, w))
+            super().__init__(space, basis_d, support, w)
 
     def newton(*args):
         calls.append("newton")
         return real_newton(*args)
 
     def exchange(it, k):
-        calls.append("exchange")
-        return real_exchange(it, k)
+        step = real_exchange(it, k)
+        if step is None:
+            return None
+        support, w, _ = step
+        taken.append((len(evaluated), support, w))
+        return support, w, -0.0 if len(taken) % 2 else -1e-300
 
-    def gain(self, dy):
-        g = real_gain(self, dy)
-        if calls[-1] == "exchange":
-            gains.append(g)
-        calls.append("gain")
-        return g
-
+    monkeypatch.setattr(solver, "_Iterate", Recorded)
     monkeypatch.setattr(solver, "_newton", newton)
     monkeypatch.setattr(solver, "_exchange", exchange)
-    monkeypatch.setattr(solver._Iterate, "gain", gain)
     res = solve(cloud_40(), 2, SolverConfig(epsilon=1e-12))
     assert res.converged
     assert calls.count("newton") == 1
-    assert min(gains) <= 0.0
+    assert len(taken) > 1
+    for at, support, w in taken:
+        assert support.size <= 35  # s: no reduction between step and evaluation
+        assert np.array_equal(evaluated[at][0], support)
+        assert np.array_equal(evaluated[at][1], w)
     assert res.trace_objective.shape[0] == res.iterations + 1
     assert (np.diff(res.trace_objective) >= -1e-12).all()
+
+
+def log_det_rise(lam, alphas):
+    """sum log(1 + alpha lam) at each alpha, -inf where a factor is not
+    positive."""
+    factors = 1.0 + np.outer(alphas, lam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rise = np.log(factors).sum(axis=1)
+    return np.where((factors > 0.0).all(axis=1), rise, -np.inf)
+
+
+@pytest.mark.parametrize("lam,top,clipped", [
+    pytest.param([-2.0, 0.5, 3.0], 0.4, False, id="interior"),
+    pytest.param([-0.5, 1.0, 2.0], 0.3, True, id="clipped-at-top"),
+    pytest.param([-1.0 / (0.2 - 1e-13), 0.3, 6.0], 0.2 - 1e-13, False,
+                 id="singular-near-top"),
+    pytest.param([-1.0 / 0.2, 0.3, 40.0], 0.2, False, id="singular-at-top"),
+])
+def test_line_search_maximizes_the_log_det_rise_on_a_dense_grid(lam, top, clipped):
+    # The exchange's step: the alpha in [0, top] that maximizes
+    # sum log(1 + alpha lam).  A dense grid of alphas brackets the maximizer
+    # and bounds the rise from above; where 1 + top lam_min is 0 or nearly,
+    # the sum falls to -inf at top and the maximizer stays inside.
+    lam = np.array(lam)
+    alpha = solver._line_search(lam, top)
+    grid = np.linspace(0.0, top, 200_001)
+    rises = log_det_rise(lam, grid)
+    best = int(np.argmax(rises))
+    assert 0.0 < alpha <= top
+    assert (alpha == top) == clipped
+    assert abs(alpha - grid[best]) <= 2 * (grid[1] - grid[0])
+    assert log_det_rise(lam, [alpha])[0] >= rises[best] - 1e-12
+
+
+@pytest.mark.parametrize("support,w,drop", [
+    pytest.param([0, 100, 150], [0.4, 0.3, 0.3], False, id="to-a-support-orbit"),
+    pytest.param([0, 150], [0.5, 0.5], False, id="to-a-new-orbit"),
+    pytest.param([0, 60, 140], [0.5, 0.25, 0.25], True, id="drop"),
+])
+def test_an_orbit_pair_exchange_maximizes_log_det_on_the_members(support, w, drop):
+    # Orbits of two mirror points each on the 401-point interval at d = 3.
+    # The exchange moves alpha from the donor orbit to the highest-p orbit;
+    # on the members, each orbit's weight split over its two points, log det
+    # M along the move is maximal at alpha over [0, w_j], and the rise the
+    # exchange returns is the change in log det of the members' rank-one sum.
+    cands = grid_candidates(SemiAlgebraicSet(1, (), ((-1.0, 1.0),)), 401)
+    space = solver._Orbits(cands, enumerate_basis(1, 6))
+    support, w = np.array(support), np.array(w)
+    it = solver._Iterate(space, enumerate_basis(1, 3), support, w)
+    k = int(it.p.argmax())
+    j = int(support[it.p[support].argmin()])
+    after_support, after_w, rise = solver._exchange(it, k)
+    orbits = np.union1d(support, [k])
+    assert (space.sizes[orbits] == 2).all()
+    members = np.flatnonzero(np.isin(cands.orbits(), orbits))
+    share = np.searchsorted(orbits, cands.orbits()[members])  # each member's orbit
+    v = monomial_design_matrix(cands.points[members], 3)
+
+    def member_log_dets(weights):
+        """log det M of the designs that split each row of orbit weights
+        equally over the orbits' two members."""
+        m = np.einsum("ti,ia,ib->tab", weights[:, share] / 2, v, v)
+        return np.linalg.slogdet(m)[1]
+
+    start = np.zeros(orbits.size)
+    start[np.searchsorted(orbits, support)] = w
+    move = np.zeros(orbits.size)
+    move[np.searchsorted(orbits, [k, j])] = [1.0, -1.0]
+    ts = np.linspace(0.0, w[support == j][0], 20_001)
+    objs = member_log_dets(start + np.outer(ts, move))
+    done = np.zeros(orbits.size)
+    done[np.searchsorted(orbits, after_support)] = after_w
+    alpha = float(done[orbits == k][0] - start[orbits == k][0])
+    assert (j not in after_support) == drop
+    assert abs(alpha - ts[int(np.argmax(objs))]) <= 2 * (ts[1] - ts[0])
+    after, before = member_log_dets(np.array([done, start]))
+    assert after >= objs.max() - 1e-12
+    assert abs(rise - (after - before)) <= 1e-12
+
+
+@pytest.mark.parametrize("cands,d,epsilon", [
+    pytest.param(unit_disk_grid(101), 4, 1e-3, id="disk-d4"),
+    pytest.param(cloud_40(), 2, 1e-12, id="cloud-40"),
+])
+def test_an_exchange_takes_one_eigendecomposition(monkeypatch, cands, d, epsilon):
+    # The exchange reads its step and its rise from the eigenvalues of one
+    # moment change, on orbits (disk-d4) and on points (cloud-40) alike.
+    eigenvalues, per_exchange = [], []
+    real_exchange = solver._exchange
+
+    class Counted(solver._Iterate):
+        def eigenvalues(self, dy):
+            eigenvalues.append(1)
+            return super().eigenvalues(dy)
+
+    def exchange(it, k):
+        before = len(eigenvalues)
+        step = real_exchange(it, k)
+        per_exchange.append(len(eigenvalues) - before)
+        return step
+
+    monkeypatch.setattr(solver, "_Iterate", Counted)
+    monkeypatch.setattr(solver, "_exchange", exchange)
+    res = solve(cands, d, SolverConfig(epsilon=epsilon))
+    assert res.converged
+    assert per_exchange and set(per_exchange) == {1}
 
 
 @pytest.mark.parametrize("cands,d,epsilon", [
@@ -246,8 +359,9 @@ def test_finish_takes_an_exchange_whose_gain_is_lost_in_round_off(monkeypatch):
 ])
 def test_each_iterate_is_evaluated_once(monkeypatch, cands, d, epsilon):
     # One evaluation per iterate: the start, one per step, and one after each
-    # reduction of a singular Newton system that drops atoms.  A step makes at
-    # most two gain calls, one Newton trial and one exchange.
+    # reduction of a singular Newton system that drops atoms.  Only a Newton
+    # trial makes a gain call, at most one per step; an exchange reads its
+    # rise from its own eigenvalues.
     evaluations, gains, reductions = [], [], []
     real_reduce = solver._reduce
 
@@ -271,7 +385,7 @@ def test_each_iterate_is_evaluated_once(monkeypatch, cands, d, epsilon):
     res = solve(cands, d, SolverConfig(epsilon=epsilon))
     assert res.converged
     assert len(evaluations) == res.iterations + 1 + sum(reductions)
-    assert len(gains) <= 2 * res.iterations
+    assert len(gains) <= res.iterations
 
 
 @pytest.mark.parametrize("cands,d,epsilon", [
@@ -504,9 +618,10 @@ def same_bits(a, b):
 ])
 def test_singleton_orbits_take_the_point_path_bit_for_bit(cands, d, epsilon):
     # The orbit engine on orbits of one point each, the grid's orbits under
-    # the trivial group: the orbit rows are V2, the Hessian's block means
-    # are A * A itself and every exchange takes the closed form, so it takes
-    # the steps of the point path exactly.
+    # the trivial group: the orbit rows are V2 and the Hessian's block means
+    # are A * A itself, so every Newton trial and exchange reads the same
+    # numbers as on the points and it takes the steps of the point path
+    # exactly.
     single = _GridCandidates(
         points=cands.points, grid=dataclasses.replace(cands.grid, group=Symmetry()))
     assert np.array_equal(single.orbits(), np.arange(cands.size))
