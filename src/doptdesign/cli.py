@@ -27,7 +27,7 @@ import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -80,49 +80,19 @@ _CERTIFY_RTOL = 1e-9
 # ---------------------------------------------------------------------------
 
 
-#: Values per json.dumps call when `_write_json` streams an array.
+#: Values per json.dumps call when `_write_json` streams its array.
 _CHUNK = 4096
-#: What `_write_json` encodes in place of a streamed array; no report string
-#: holds a NUL character.
-_MARK = "\x00streamed"
-
-
-class _Streamed:
-    """A 1-D float array of a report that `_write_json` streams in chunks;
-    with nulls=True each NaN is written as null."""
-
-    def __init__(self, values: np.ndarray, nulls: bool = False):
-        self.values, self.nulls = values, nulls
-
-    def chunks(self) -> Iterator[list]:
-        """The values as lists of at most _CHUNK Python floats (None for a
-        NaN when nulls is set), in order."""
-        for lo in range(0, self.values.size, _CHUNK):
-            part = self.values[lo:lo + _CHUNK].tolist()
-            yield [None if v != v else v for v in part] if self.nulls else part
-
-    def tolist(self) -> list:
-        return [v for part in self.chunks() for v in part]
-
-    def check(self) -> None:
-        """Raise ValueError unless every value encodes (NaN only as null)."""
-        ok = np.isfinite(self.values)
-        if self.nulls:
-            ok |= np.isnan(self.values)
-        if not ok.all():
-            raise ValueError("Out of range float values are not JSON compliant")
 
 
 def _plain(obj: Any) -> Any:
-    """numpy arrays and scalars, and streamed arrays, as Python lists and
-    numbers."""
-    if isinstance(obj, (np.ndarray, np.generic, _Streamed)):
+    """numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _dumps(obj: Any, default=_plain) -> str:
-    return json.dumps(obj, default=default, allow_nan=False, separators=(",", ":"))
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, default=_plain, allow_nan=False, separators=(",", ":"))
 
 
 def dump_json(obj: Any) -> str:
@@ -133,36 +103,29 @@ def dump_json(obj: Any) -> str:
     return _dumps(obj) + "\n"
 
 
-def _write_json(path: Path, obj: Any) -> None:
+def _write_json(path: Path, obj: dict, key: str) -> None:
     """Write dump_json(obj) to path, byte for byte, without holding the text
-    of its streamed arrays (`_Streamed`): each is written in chunks of
-    _CHUNK values, every chunk encoded by the same json.dumps call.
+    of obj[key], a 1-D float array at the top level: it is written in place,
+    in chunks of _CHUNK values, every chunk encoded by the same json.dumps
+    call.
 
-    The rest of obj is encoded, and every streamed array checked, before the
-    file is opened, so a non-finite number raises ValueError and writes
+    The rest of obj is encoded by one call, with [] in that key's slot, which
+    the text is split at: no value before obj[key] may map a key of that
+    name to an empty list.  That call runs, and obj[key] is checked, before
+    the file is opened, so a non-finite number raises ValueError and writes
     nothing.
     """
-    streamed = []
-
-    def hold(value):
-        if isinstance(value, _Streamed):
-            streamed.append(value)
-            return _MARK
-        return _plain(value)
-
-    parts = _dumps(obj, default=hold).split(_dumps(_MARK))
-    if len(parts) != len(streamed) + 1:
-        raise ValueError("a report string holds the streamed-array mark")
-    for array in streamed:
-        array.check()
+    slot = _dumps(key) + ":["
+    head, _, tail = _dumps({**obj, key: []}).partition(slot + "]")
+    values = obj[key]
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
     with path.open("w") as fh:
-        fh.write(parts[0])
-        for array, rest in zip(streamed, parts[1:]):
-            fh.write("[")
-            for i, part in enumerate(array.chunks()):
-                fh.write(("," if i else "") + _dumps(part)[1:-1])
-            fh.write("]" + rest)
-        fh.write("\n")
+        fh.write(head + slot)
+        for lo in range(0, values.size, _CHUNK):
+            part = _dumps(values[lo:lo + _CHUNK].tolist())[1:-1]
+            fh.write(("," if lo else "") + part)
+        fh.write("]" + tail + "\n")
 
 
 def _write_csv(path: Path, header: list[str], table: np.ndarray, flags=None) -> None:
@@ -358,6 +321,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text())
+    except OSError as err:
+        raise ConfigError(f"cannot read config file: {err}") from err
     except ValueError as err:  # also an integer of more than 4300 digits
         raise ConfigError(f"config is not valid JSON: {err}") from err
     return parse_config(raw)
@@ -449,11 +414,11 @@ def _assemble_report(cfg, result, cert, validation) -> dict:
             "points": result.design.candidates.points,
             "weights": result.design.weights,
         },
-        "p_values": _Streamed(cert.p_values),
+        "p_values": cert.p_values,
         "trace": {
-            "objective": _Streamed(result.trace_objective),
+            "objective": result.trace_objective,
             # null where the iterate was not priced (NaN in the solver's trace).
-            "p_max": _Streamed(result.trace_p_max, nulls=True),
+            "p_max": [None if v != v else v for v in result.trace_p_max.tolist()],
         },
         "certificate": {
             "x_hat": cert.x_hat,
@@ -577,7 +542,7 @@ def cmd_solve(config_path: str, out_dir: str, quiet: bool = False) -> int:
     report = _assemble_report(cfg, result, cert, validation)
     with _out_dir(out_dir) as out:
         report_path = out / "report.json"
-        _write_json(report_path, report)
+        _write_json(report_path, report, "p_values")
         _write_csv(
             out / "support.csv",
             [f"x{j + 1}" for j in range(cfg["dimension"])] + ["weight", "p"],
@@ -665,6 +630,8 @@ def _audit_report(
         weights = np.array(report["design"]["weights"], dtype=float)
     except ConfigError:
         raise
+    except OSError as err:
+        raise ConfigError(f"cannot read report file: {err}") from err
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         what = f"missing key {err}" if isinstance(err, KeyError) else err
         raise ConfigError(f"malformed report: {what}") from err

@@ -195,6 +195,25 @@ def test_solve_rejects_the_prune_threshold_key(tmp_path, capsys):
             dict(PAIR_CONFIG, output={"report_json": "report.json"}),
             "unknown key(s) ['output'] in config",
         ),
+        (
+            dict(PAIR_CONFIG, set={"bounding_box": [[-1, 0, 1]]}),
+            "bounding_box[0] must be [lo, hi]",
+        ),
+        (
+            dict(PAIR_CONFIG, set={"bounding_box": [[1, 1]]}),
+            "bounding_box[0] is empty: [1.0, 1.0]",
+        ),
+        (
+            dict(PAIR_CONFIG, set={"bounding_box": [[-1, 1]], "inequalities": [[]]}),
+            "inequalities[0] must be a non-empty term list",
+        ),
+        (
+            dict(PAIR_CONFIG, set={
+                "bounding_box": [[-1, 1]],
+                "inequalities": [[{"exponents": [-1], "coeff": 1.0}]],
+            }),
+            "inequalities[0][0].exponents must be nonnegative",
+        ),
     ],
 )
 def test_parse_config_checks_every_object_alike(tmp_path, capsys, raw, message):
@@ -312,6 +331,43 @@ def test_solve_too_few_candidates_exits_degenerate(tmp_path):
     cfg = json.loads(json.dumps(PAIR_CONFIG))
     cfg["degree"] = 2  # n_d = 3 > 2 candidates
     assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path), True) == EXIT_DEGENERATE
+
+
+@pytest.mark.parametrize(
+    ("command", "unreadable"),
+    [
+        ("solve", "config"),
+        ("eval-cd", "config"),
+        ("certify", "report"),
+        ("eval-cd", "report"),
+        ("ellipsoid", "report"),
+    ],
+)
+def test_an_unreadable_input_exits_config(
+    square_run, tmp_path, capsys, monkeypatch, command, unreadable
+):
+    # The read itself is made to fail: root reads a mode-000 file.
+    config, report = square_run["config"], str(square_run["out"] / "report.json")
+    path = Path({"config": config, "report": report}[unreadable])
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "solve": ["solve", "--config", config, *out],
+        "certify": ["certify", "--report", report],
+        "eval-cd": ["eval-cd", "--config", config, "--report", report, *out],
+        "ellipsoid": ["ellipsoid", "--report", report, *out],
+    }[command]
+    assert main(argv) == EXIT_CONFIG
+    reason = f"[Errno 13] Permission denied: '{path}'"
+    assert capsys.readouterr().err == f"error: cannot read {unreadable} file: {reason}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_missing_config(tmp_path):
@@ -589,6 +645,15 @@ def test_solve_malformed_point_cloud_exits_config(tmp_path, capsys):
     cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
     assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path), True) == EXIT_CONFIG
     assert_one_error_line(capsys)
+
+
+def test_solve_point_cloud_with_the_wrong_column_count_exits_config(tmp_path, capsys):
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("-1.0 0.0\n1.0 0.0\n")
+    cfg = json.loads(json.dumps(PAIR_CONFIG))
+    cfg["candidates"] = {"source": "point_cloud_file", "path": str(cloud)}
+    assert cmd_solve(write_config(tmp_path, cfg), str(tmp_path), True) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: point cloud has 2 columns, expected 1\n"
 
 
 @pytest.mark.parametrize("text", ["", "# no points\n\n"], ids=["empty", "comment"])

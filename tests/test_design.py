@@ -11,6 +11,7 @@ from doptdesign.design import (
     moment_matrix,
     moment_vector,
 )
+from doptdesign.errors import SizeMismatchError
 
 from oracles import log_det_objective, monomial_design_matrix
 
@@ -72,6 +73,12 @@ def test_moment_matrix_point_mass_is_rank_one():
     m = moment_matrix(moment_vector(mu, 1), enumerate_basis(1, 1))
     e1 = np.array([1.0, 0.0])
     assert np.allclose(m, np.outer(e1, e1))
+
+
+def test_moment_matrix_refuses_a_moment_vector_of_the_wrong_size():
+    with pytest.raises(SizeMismatchError) as err:
+        moment_matrix(np.ones(2), enumerate_basis(1, 1))
+    assert str(err.value) == "moment vector has shape (2,), expected (3,)"
 
 
 def test_assemble_two_point_identity():

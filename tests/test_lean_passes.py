@@ -3,7 +3,8 @@
 `basis.vandermonde` writes its output one row block at a time, the greedy
 start downdates residual norms instead of copying V_d, `cd_profile`
 evaluates one block of rows at a time and `dual_values` reads q from it,
-`solve` streams the large arrays of report.json, `cli._write_csv` turns
+`solve` streams p_values, the one N-sized array of report.json, in chunks
+and encodes the rest of the report whole, `cli._write_csv` turns
 one block of a table's rows into Python objects at a time, and
 `cli._candidate_rows` sorts only the candidates that can match a point.
 Each test bounds a traced peak (tracemalloc counts numpy's buffers) or
@@ -21,7 +22,6 @@ from doptdesign import basis, cli
 from doptdesign.basis import enumerate_basis, vandermonde
 from doptdesign.cli import (
     EXIT_OK,
-    _Streamed,
     _write_csv,
     _write_json,
     cmd_solve,
@@ -148,44 +148,95 @@ def test_solve_peak_on_a_20004_point_cloud(cloud_config, tmp_path):
     assert peak <= 5 * MIB  # 5.6-5.8 MiB with one block per pass
 
 
-def test_streamed_report_is_dump_json_of_the_report(cloud_config, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def disk_config(tmp_path_factory):
+    """The unit disk's 101^2 grid (7,837 candidates) at d = 4 and epsilon
+    1e-3, validated on the 21^2 grid: 15 of its 21 trace entries are not
+    priced."""
+    path = tmp_path_factory.mktemp("disk") / "config.json"
+    path.write_text(json.dumps({
+        "dimension": 2,
+        "degree": 4,
+        "set": {
+            "bounding_box": [[-1.0, 1.0]] * 2,
+            "inequalities": [[{"exponents": [0, 0], "coeff": 1.0},
+                              {"exponents": [2, 0], "coeff": -1.0},
+                              {"exponents": [0, 2], "coeff": -1.0}]],
+        },
+        "candidates": {"source": "grid", "resolution": 101},
+        "solver": {"epsilon": 1e-3},
+        "validation_resolution": 21,
+    }))
+    return path
+
+
+def solve_and_keep_the_report(config, out, monkeypatch):
+    """Run `solve` on config into out; the report object it wrote."""
     written = []
 
-    def write_json(path, obj):
+    def write_json(path, obj, key):
         written.append(obj)
-        _write_json(path, obj)
+        _write_json(path, obj, key)
 
     monkeypatch.setattr(cli, "_write_json", write_json)
-    assert cmd_solve(str(cloud_config), str(tmp_path), quiet=True) == EXIT_OK
+    assert cmd_solve(str(config), str(out), quiet=True) == EXIT_OK
     (report,) = written
-    assert report["p_values"].values.size > 4 * cli._CHUNK
+    return report
+
+
+def test_streamed_report_is_dump_json_of_the_report(cloud_config, tmp_path, monkeypatch):
+    report = solve_and_keep_the_report(cloud_config, tmp_path, monkeypatch)
+    assert report["p_values"].size > 4 * cli._CHUNK
     assert (tmp_path / "report.json").read_text() == dump_json(report)
 
 
+def test_a_grid_report_with_unpriced_trace_entries_is_dump_json_of_the_report(
+    disk_config, tmp_path, monkeypatch
+):
+    report = solve_and_keep_the_report(disk_config, tmp_path, monkeypatch)
+    assert report["p_values"].size > cli._CHUNK
+    text = (tmp_path / "report.json").read_text()
+    assert text == dump_json(report)
+    trace = json.loads(text)["trace"]
+    assert None in trace["p_max"] and trace["p_max"][-1] is not None
+    assert len(trace["p_max"]) == len(trace["objective"]) == report["iterations"] + 1
+
+
 def test_write_json_streams_nulls_and_empty_arrays(tmp_path):
-    trace = np.arange(2 * cli._CHUNK + 3) / 7.0
-    trace[::5] = np.nan
+    trace = [None if i % 5 == 0 else i / 7.0 for i in range(2 * cli._CHUNK + 3)]
     obj = {
         "head": [1, 2.5],
-        "values": _Streamed(np.linspace(-1.0, 1.0, 3 * cli._CHUNK + 1)),
-        "trace": {"none": _Streamed(np.empty(0)), "p_max": _Streamed(trace, nulls=True)},
+        "values": np.linspace(-1.0, 1.0, 3 * cli._CHUNK + 1),
+        "trace": {"none": np.empty(0), "p_max": trace},
         "tail": "end",
     }
     path = tmp_path / "report.json"
-    _write_json(path, obj)
+    _write_json(path, obj, "values")
     text = path.read_text()
     assert text == dump_json(obj)
-    assert json.loads(text)["trace"]["p_max"][:6] == [None, *trace[1:5].tolist(), None]
+    assert json.loads(text)["trace"]["p_max"] == trace
+    # An empty streamed array is written as [].
+    _write_json(path, {**obj, "values": np.empty(0)}, "values")
+    assert path.read_text() == dump_json({**obj, "values": []})
 
 
 @pytest.mark.parametrize(
-    ("values", "nulls"),
-    [(np.array([1.0, np.nan, 2.0]), False), (np.array([1.0, np.inf, np.nan]), True)],
-    ids=["nan", "inf-with-nulls"],
+    ("values", "p_max"),
+    [
+        (np.array([1.0, np.nan, 2.0]), [None, 1.0]),
+        (np.array([1.0, 2.0]), [None, np.inf, None]),
+        (np.array([1.0, 2.0]), np.array([1.0, np.nan])),
+    ],
+    ids=["nan", "inf-with-nulls", "nan-outside-the-streamed-array"],
 )
-def test_a_non_finite_streamed_value_raises_before_the_file_exists(tmp_path, values, nulls):
+def test_a_non_finite_streamed_value_raises_before_the_file_exists(
+    tmp_path, values, p_max
+):
+    # A non-finite value in the streamed array, or anywhere else in the
+    # report, writes nothing.
     path = tmp_path / "report.json"
     big = np.concatenate([np.ones(cli._CHUNK + 1), values])
     with pytest.raises(ValueError):
-        _write_json(path, {"n_d": 3, "p_values": _Streamed(big, nulls)})
+        _write_json(path, {"n_d": 3, "p_values": big, "trace": {"p_max": p_max}},
+                    "p_values")
     assert not path.exists()

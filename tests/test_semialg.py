@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doptdesign import (
+    CandidateSet,
     DimensionMismatchError,
     EmptyCandidateSetError,
     SemiAlgebraicSet,
@@ -421,6 +422,32 @@ def test_explicit_rejects_a_flat_point_list():
 def test_explicit_all_rejected():
     with pytest.raises(EmptyCandidateSetError):
         explicit_candidates(box(1), [[3.0], [4.0]])
+
+
+@pytest.mark.parametrize(
+    ("build", "kind", "message"),
+    [
+        (lambda: SparsePolynomial(2, {(1,): 1.0}), DimensionMismatchError,
+         "exponent tuple (1,) has length 1, expected 2"),
+        (lambda: SparsePolynomial(1, {(-1,): 1.0}), ValueError,
+         "negative exponent in (-1,)"),
+        (lambda: SemiAlgebraicSet(2, (), ((-1.0, 1.0),)), DimensionMismatchError,
+         "bounding box has 1 intervals, expected 2"),
+        (lambda: SemiAlgebraicSet(2, (SparsePolynomial(1, {(1,): 1.0}),),
+                                  ((-1.0, 1.0),) * 2),
+         DimensionMismatchError, "inequality in dimension 1, set has dimension 2"),
+        (lambda: CandidateSet(points=np.zeros(3)), DimensionMismatchError,
+         "candidate points must form a 2-d array"),
+        (lambda: explicit_candidates(box(1), np.empty((0, 1))), EmptyCandidateSetError,
+         "empty candidate point list"),
+    ],
+    ids=["exponent-length", "negative-exponent", "box-length", "inequality-dimension",
+         "flat-candidates", "empty-point-list"],
+)
+def test_malformed_input_is_refused_with_its_message(build, kind, message):
+    with pytest.raises(kind) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_bad_bounding_box():

@@ -525,6 +525,36 @@ def test_reduce_runs_only_on_a_singular_newton_system(monkeypatch):
     assert p.max() <= 3.0 * (1.0 + cfg.epsilon)
 
 
+def test_an_exchange_that_grows_the_support_past_s_atoms_is_reduced(monkeypatch):
+    # With every Newton trial declined, each step is an exchange, which adds
+    # an atom unless it empties one.  On 61 points of [-1, 1] at d = 3
+    # (s = 7) the support outgrows s, and is reduced to independent moment
+    # rows with the same moments before the next iterate is evaluated.
+    sizes, errors = [], []
+    real_reduce = solver._reduce
+
+    class Counted(solver._Iterate):
+        def __init__(self, space, basis_d, support, w):
+            sizes.append((support.size, space.rows.shape[1]))
+            super().__init__(space, basis_d, support, w)
+
+    def reduce(v2, atoms, w):
+        kept, kept_w = real_reduce(v2, atoms, w)
+        if atoms.size > v2.shape[1]:
+            y = w @ v2[atoms]
+            errors.append(np.linalg.norm(kept_w @ v2[kept] - y) / np.linalg.norm(y))
+        return kept, kept_w
+
+    monkeypatch.setattr(solver, "_newton_step", lambda it: None)
+    monkeypatch.setattr(solver, "_Iterate", Counted)
+    monkeypatch.setattr(solver, "_reduce", reduce)
+    pts = np.linspace(-1.0, 1.0, 61).reshape(-1, 1)
+    res = solve(CandidateSet(points=pts), 3, SolverConfig())
+    assert res.converged
+    assert errors and max(errors) <= 1e-12
+    assert all(m <= s for m, s in sizes)
+
+
 def test_box_41_squared_at_d8_converges_in_1500_steps():
     # s = C(2 + 16, 2) = 153: the largest support of the solver's
     # convergence measurements in two dimensions.
